@@ -120,8 +120,8 @@ class LIDX_SCOPED_CAPABILITY WriterMutexLock {
   SharedMutex& mu_;
 };
 
-// Conditionally-taken scoped lock for dual-mode structures (LsmTree and
-// DiskLsmTree run either single-threaded-synchronous or background-
+// Conditionally-taken scoped lock for dual-mode structures (LsmTree, over
+// either run store, runs single-threaded-synchronous or background-
 // concurrent). The capability is *statically* claimed in both modes; at
 // runtime the mutex is only taken when `enable` is true. Sound because the
 // disabled mode's class contract is "one client thread, no background

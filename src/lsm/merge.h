@@ -8,14 +8,15 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "lsm/run.h"
 
 namespace lidx {
 
-// Newest-wins k-way merge shared by the in-memory LsmTree and the
-// disk-resident DiskLsmTree. Streams are sorted by key and ordered newest
-// first; on a key collision the entry from the newest stream survives
-// (tombstones included — dropping them is a compaction policy decision,
-// not a merge one).
+// Newest-wins k-way merge shared by LsmTree (over either run store) and
+// TieredIndex. Streams are sorted by key and ordered newest first; on a key
+// collision the entry from the newest stream survives (tombstones included
+// — dropping them is a compaction policy decision, not a merge one; see
+// DropTombstones and MergeLive below).
 
 // Merges runs[r][bounds[r].first, bounds[r].second) across all streams.
 template <typename Key, typename Entry>
@@ -108,6 +109,27 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
                   std::make_move_iterator(part.end()));
   }
   return merged;
+}
+
+// Read side: merges newest-first scan streams (serially) and appends the
+// live rows — newest version per key, tombstones elided — to `out`.
+template <typename Key, typename Value>
+void MergeLive(
+    std::vector<std::vector<std::pair<Key, RunEntry<Value>>>> streams,
+    std::vector<std::pair<Key, Value>>* out) {
+  for (const auto& [key, entry] :
+       MergeStreams(std::move(streams), /*threads=*/1)) {
+    if (!entry.deleted) out->emplace_back(key, entry.value);
+  }
+}
+
+// Compaction side: a merged run that becomes the bottom of its tree has
+// nothing older left to shadow, so its tombstones can go.
+template <typename Key, typename Value>
+void DropTombstones(std::vector<std::pair<Key, RunEntry<Value>>>* entries) {
+  entries->erase(std::remove_if(entries->begin(), entries->end(),
+                                [](const auto& e) { return e.second.deleted; }),
+                 entries->end());
 }
 
 }  // namespace lidx

@@ -25,6 +25,14 @@ struct RunEntry {
   bool deleted = false;
 };
 
+// What a lookup reports for the newest entry of a key: nullopt for a
+// tombstone.
+template <typename Value>
+std::optional<Value> LiveValue(const RunEntry<Value>& entry) {
+  if (entry.deleted) return std::nullopt;
+  return entry.value;
+}
+
 enum class RunSearchMode {
   kBinarySearch,  // WiscKey-style baseline.
   kLearned        // BOURBON-style per-run piecewise-linear model.
@@ -130,9 +138,10 @@ class SortedRun {
     return std::nullopt;
   }
 
-  // Sorted entries with lo <= key <= hi.
-  std::vector<std::pair<Key, RunEntry<Value>>> Scan(const Key& lo,
-                                                    const Key& hi) const {
+  // Sorted entries with lo <= key <= hi. Nothing here is counted; the
+  // stats slot matches DiskRun::Scan so a tree scans either run alike.
+  std::vector<std::pair<Key, RunEntry<Value>>> Scan(
+      const Key& lo, const Key& hi, LsmStats* /*stats*/ = nullptr) const {
     std::vector<std::pair<Key, RunEntry<Value>>> out;
     size_t i = std::lower_bound(keys_.begin(), keys_.end(), lo) -
                keys_.begin();

@@ -151,19 +151,19 @@ class TieredIndex {
     {
       ReaderMutexLock lock(hot_mu_);
       if (const std::optional<RunEntry<Value>> e = active_->Find(key)) {
-        return Materialize(*e);
+        return LiveValue(*e);
       }
     }
     const EpochManager::Guard guard = epoch_.Pin();
     const ColdState* cold = cold_.Acquire();
     if (cold->sealed != nullptr) {
       if (const std::optional<RunEntry<Value>> e = cold->sealed->Find(key)) {
-        return Materialize(*e);
+        return LiveValue(*e);
       }
     }
     for (const std::shared_ptr<Run>& run : cold->runs) {
       if (const std::optional<RunEntry<Value>> e = run->Get(key, io)) {
-        return Materialize(*e);
+        return LiveValue(*e);
       }
     }
     return std::nullopt;
@@ -195,10 +195,7 @@ class TieredIndex {
         sources.push_back(run->Scan(lo, hi, io));
       }
     }
-    std::vector<KV> merged = MergeStreams(std::move(sources), /*threads=*/1);
-    for (const KV& kv : merged) {
-      if (!kv.second.deleted) out->emplace_back(kv.first, kv.second.value);
-    }
+    MergeLive(std::move(sources), out);
   }
 
   // Forces the current hot tier to disk and waits for the migration (and
@@ -286,11 +283,6 @@ class TieredIndex {
     std::vector<std::shared_ptr<Run>> runs;  // Newest first.
   };
 
-  static std::optional<Value> Materialize(const RunEntry<Value>& e) {
-    if (e.deleted) return std::nullopt;
-    return e.value;
-  }
-
   // Hot-tier upsert over the two Insert contracts in the library:
   // DynamicPgm's Insert overwrites and reports prior existence; ALEX's
   // rejects duplicates. Erase-then-insert converges both to overwrite.
@@ -375,14 +367,8 @@ class TieredIndex {
       entries = MergeStreams(std::move(streams), options_.build_threads);
       older.clear();
     }
-    if (older.empty()) {
-      // The new run is the bottom of the tree: tombstones shadow nothing.
-      entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                   [](const KV& e) {
-                                     return e.second.deleted;
-                                   }),
-                    entries.end());
-    }
+    // With no older run left, the new run is the bottom of the tree.
+    if (older.empty()) DropTombstones(&entries);
     auto* next = new ColdState();
     if (!entries.empty()) next->runs.push_back(MakeRun(std::move(entries)));
     next->runs.insert(next->runs.end(), older.begin(), older.end());

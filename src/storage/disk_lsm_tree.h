@@ -1,72 +1,43 @@
 #ifndef LIDX_STORAGE_DISK_LSM_TREE_H_
 #define LIDX_STORAGE_DISK_LSM_TREE_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baselines/skiplist.h"
-#include "common/invariants.h"
-#include "common/macros.h"
-#include "common/mutex.h"
-#include "common/parallel.h"
-#include "common/thread_annotations.h"
-#include "common/batch.h"
-#include "lsm/merge.h"
+#include "lsm/lsm_tree.h"
 #include "lsm/run.h"
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_run.h"
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
+#include "storage/page_codec.h"
 
 namespace lidx::storage {
 
-// Disk-resident LSM tree: the same skip-list memtable / immutable runs /
-// leveled-compaction machinery as the in-memory LsmTree, but flushes and
-// compactions write DiskRuns into one page file, and reads go through a
-// BufferPool. Query results are identical to LsmTree's for the same
-// operation sequence — the merge logic is literally shared (lsm/merge.h);
-// only where the sorted records live differs.
+// Paged run store for LsmTree (MemRunStore states the store contract):
+// flushes and compactions write DiskRuns into one page file, and reads go
+// through a BufferPool.
 //
-// Compaction modes mirror LsmTree: synchronous (merge inline on the writer
-// thread) or background (Options::background_compaction — the merge runs
-// on the shared thread pool, writers stall only past a bounded L0
-// backlog). Background compaction drains old runs through the FileManager
-// directly (positional pread, no pool frames) and writes new runs through
+// Background compaction drains old runs through the FileManager directly
+// (positional pread, no pool frames) and writes new runs through
 // thread-safe page allocation, so it neither pollutes the cache nor races
 // foreground reads; old pages are freed only when the last shared_ptr to
 // their run drops, and their pool entries are invalidated first so a
 // recycled page id can never serve stale cached bytes.
-//
-// Thread-safety contract: one client thread issues Put/Delete/Get/scans;
-// background mode adds internal synchronization between that client and
-// the pool worker, not support for concurrent clients.
 template <typename Key, typename Value>
-class DiskLsmTree {
+class DiskRunStore {
  public:
+  using Run = DiskRun<Key, Value>;
+  using Stats = DiskIoStats;
+  using Pool = BufferPool;
+  static constexpr bool kPaged = true;
+
   struct Options {
-    size_t memtable_limit = 4096;   // Entries before flush.
-    size_t l0_run_limit = 4;        // L0 runs before compacting into L1.
-    size_t level_size_factor = 8;   // Level i holds factor^i * base entries.
-    size_t learned_epsilon = 16;    // ε of each run's in-memory PLA model.
-    double bloom_bits_per_key = 10.0;
     size_t pool_frames = 1024;      // Buffer-pool size (4 KiB frames).
-    // Threads for major compactions (range-partitioned merge + blocked
-    // model training). 1 = fully serial, byte-identical by construction.
-    size_t compaction_threads = 1;
-    // Passed through to every run (see DiskRun::Options::simd).
-    bool simd = true;
-    // Off-thread flush-triggered merges (see class comment).
-    bool background_compaction = false;
-    // Backlog allowance in background mode: writers stall once L0 holds
-    // more than l0_run_limit * (max_pending_compactions + 1) runs.
-    size_t max_pending_compactions = 2;
     // Async batched reads (GetBatch): backend and queue depth of the
     // lazily created read engine. The LIDX_IO_BACKEND env var overrides
     // the backend at runtime (see storage/async_io.h).
@@ -79,506 +50,60 @@ class DiskLsmTree {
     PageCodec level_codec = PageCodec::kPlain;
   };
 
-  // `path` names the page file; it is created if absent and extended as
-  // runs are written. The tree owns the file and buffer pool.
-  explicit DiskLsmTree(const std::string& path,
-                       const Options& options = Options())
-      : options_(options), file_(path), pool_(&file_, options.pool_frames) {}
+  DiskRunStore(const std::string& path, const Options& options)
+      : file_(path), pool_(&file_, options.pool_frames) {}
 
-  ~DiskLsmTree() { WaitForCompactions(); }
-
-  DiskLsmTree(const DiskLsmTree&) = delete;
-  DiskLsmTree& operator=(const DiskLsmTree&) = delete;
-
-  void Put(const Key& key, const Value& value) {
-    memtable_.Insert(key, RunEntry<Value>{value, false});
-    MaybeFlush();
+  // Writes the run for `level` (0 = a memtable flush) to fresh pages.
+  template <typename TreeOptions>
+  std::shared_ptr<Run> MakeRun(
+      std::vector<std::pair<Key, RunEntry<Value>>> entries, size_t level,
+      const TreeOptions& options) {
+    typename Run::Options opts;
+    opts.learned_epsilon = options.learned_epsilon;
+    opts.bloom_bits_per_key = options.bloom_bits_per_key;
+    opts.build_threads = options.compaction_threads;
+    opts.simd = options.simd;
+    opts.codec = level == 0 ? PageCodec::kPlain : options.level_codec;
+    return std::make_shared<Run>(std::move(entries), &file_, &pool_, opts);
   }
-
-  void Delete(const Key& key) {
-    memtable_.Insert(key, RunEntry<Value>{Value{}, true});
-    MaybeFlush();
-  }
-
-  std::optional<Value> Get(const Key& key) const {
-    // Memtable is newest (only the client thread touches it).
-    if (const auto hit = memtable_.Find(key); hit.has_value()) {
-      if (hit->deleted) return std::nullopt;
-      return hit->value;
-    }
-    if (!options_.background_compaction) {
-      return GetSingleThreaded(key);
-    }
-    // Snapshot the run pointers under the lock; the runs themselves are
-    // immutable, so probing outside the lock is safe even while a worker
-    // installs a new level layout.
-    std::vector<RunPtr> l0;
-    std::vector<RunPtr> levels;
-    SnapshotComponents(&l0, &levels);
-    return GetFromRuns(l0, levels, key);
-  }
-
-  // Batched point lookups with up to the engine's queue depth of page
-  // reads in flight across the whole component stack: the AMAC group
-  // scheduler (InterleavedIoRun) drives one cursor per key, and each
-  // cursor probes the memtable synchronously, then chains through the
-  // runs newest-first — the same order as Get — parking on a
-  // PagePinStream ticket whenever a run's filter + model admit a page.
-  // Results are identical to calling Get per key (both paths share
-  // DiskRun's ResolveTarget/SearchPage, and a cursor advances to the next
-  // run only after the current run's page search misses). This overload
-  // lazily creates one engine from Options::io_backend / io_queue_depth,
-  // owned by the client thread per the class's one-client contract;
-  // out[] must hold n slots.
-  void GetBatch(const Key* keys, size_t n, std::optional<Value>* out) const {
-    GetBatch(EnsureEngine(), keys, n, out);
-  }
-
-  // Explicit-engine overload: concurrent readers give each thread its own
-  // engine (engines are not thread-safe). `engine` must be idle.
-  void GetBatch(AsyncReadEngine* engine, const Key* keys, size_t n,
-                std::optional<Value>* out) const {
-    // One component snapshot serves the whole batch; the runs themselves
-    // are immutable, so cursors probe them lock-free even while a worker
-    // installs a new layout.
-    std::vector<RunPtr> l0;
-    std::vector<RunPtr> levels;
-    if (options_.background_compaction) {
-      SnapshotComponents(&l0, &levels);
-    } else {
-      CopyComponentsSingleThreaded(&l0, &levels);
-    }
-    // Probe order: L0 newest-first, then deeper levels (matches Get).
-    using Run = DiskRun<Key, Value>;
-    std::vector<const Run*> runs;
-    runs.reserve(l0.size() + levels.size());
-    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-      runs.push_back(it->get());
-    }
-    for (const auto& run : levels) {
-      if (run != nullptr) runs.push_back(run.get());
-    }
-    BufferPool::PagePinStream stream(&pool_, engine);
-    const uint64_t reads_before = engine->stats().reads_submitted;
-    struct Cursor {
-      size_t i = 0;
-      size_t run = 0;        // Component currently probed.
-      uint64_t ticket = 0;
-      bool pending = false;  // Ticket in flight for runs[run].
-      typename Run::Target t;
-    };
-    // Walks runs[c.run..] until one admits a page (read submitted) or the
-    // chain is exhausted (miss recorded).
-    const auto submit_next = [&](Cursor& c, const Key& key) {
-      for (; c.run < runs.size(); ++c.run) {
-        const auto t = runs[c.run]->ResolveTarget(key, &stats_);
-        if (!t.has_value()) continue;
-        c.t = *t;
-        ++stats_.pages_touched;
-        c.ticket = stream.Begin(runs[c.run]->pages_[c.t.page]);
-        c.pending = true;
-        return;
-      }
-      out[c.i] = std::nullopt;
-      c.pending = false;
-    };
-    InterleavedIoRun<Cursor>(
-        n, engine->queue_depth(),
-        [&](Cursor& c, size_t i) {
-          c.i = i;
-          c.run = 0;
-          c.pending = false;
-          if (const auto hit = memtable_.Find(keys[i]); hit.has_value()) {
-            if (hit->deleted) {
-              out[i] = std::nullopt;
-            } else {
-              out[i] = hit->value;
-            }
-            return;
-          }
-          submit_next(c, keys[i]);
-        },
-        [&](Cursor& c) {
-          if (!c.pending) return true;
-          if (!stream.Ready(c.ticket)) return false;
-          const BufferPool::PageRef ref = stream.Take(c.ticket);
-          const auto found =
-              runs[c.run]->SearchPage(*ref, c.t, keys[c.i], &stats_);
-          if (found.has_value()) {
-            if (found->deleted) {
-              out[c.i] = std::nullopt;
-            } else {
-              out[c.i] = found->value;
-            }
-            c.pending = false;
-            return true;
-          }
-          ++c.run;
-          submit_next(c, keys[c.i]);
-          return !c.pending;
-        },
-        [&] { stream.WaitAny(); });
-    stats_.batched_lookups += n;
-    stats_.async_page_reads += engine->stats().reads_submitted - reads_before;
-  }
-
-  // Backend actually serving the engine-less GetBatch overload (resolved
-  // lazily on first use; nullptr before that).
-  const AsyncReadEngine* io_engine() const { return engine_.get(); }
-
-  // Live entries with lo <= key <= hi, merged across all components.
-  void RangeScan(const Key& lo, const Key& hi,
-                 std::vector<std::pair<Key, Value>>* out) const {
-    std::vector<RunPtr> l0;
-    std::vector<RunPtr> levels;
-    if (options_.background_compaction) {
-      SnapshotComponents(&l0, &levels);
-    } else {
-      CopyComponentsSingleThreaded(&l0, &levels);
-    }
-    // Gather per-component sorted streams; newest stream wins per key.
-    std::vector<std::vector<KV>> streams;
-    {
-      std::vector<KV> mem;
-      memtable_.RangeScan(lo, hi, &mem);
-      streams.push_back(std::move(mem));
-    }
-    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-      streams.push_back((*it)->Scan(lo, hi, &stats_));
-    }
-    for (const auto& run : levels) {
-      if (run != nullptr) streams.push_back(run->Scan(lo, hi, &stats_));
-    }
-    std::vector<std::pair<size_t, size_t>> bounds;
-    bounds.reserve(streams.size());
-    for (const auto& s : streams) bounds.emplace_back(0, s.size());
-    for (KV& e : MergeRange(streams, bounds)) {
-      if (!e.second.deleted) out->emplace_back(e.first, e.second.value);
-    }
-  }
-
-  // Forces the memtable into on-disk run form (tests / benchmarks).
-  void Flush() {
-    if (memtable_.empty()) return;
-    std::vector<KV> entries;
-    memtable_.DrainSorted(&entries);
-    RunPtr run = MakeRun(std::move(entries), PageCodec::kPlain);
-    memtable_ = SkipList<Key, RunEntry<Value>>();
-    if (!options_.background_compaction) {
-      InstallFlushSingleThreaded(std::move(run));
-      return;
-    }
-    MutexLock lock(mu_);
-    l0_.push_back(std::move(run));
-    if (l0_.size() > options_.l0_run_limit) ScheduleCompactionLocked();
-  }
-
-  // Blocks until no background compaction is in flight (no-op in
-  // synchronous mode). The destructor calls this, so the page file never
-  // closes while a pool worker still writes to it.
-  void WaitForCompactions() {
-    if (!options_.background_compaction) return;
-    MutexLock lock(mu_);
-    while (compaction_inflight_) cv_.Wait(mu_);
-  }
-
-  size_t NumRuns() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    size_t n = l0_.size();
-    for (const auto& run : levels_) {
-      if (run != nullptr) ++n;
-    }
-    return n;
-  }
-
-  size_t NumLevels() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    return levels_.size();
-  }
-
-  size_t inline_compactions() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    return inline_compactions_;
-  }
-  size_t background_compactions() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    return background_compactions_;
-  }
-
-  const DiskIoStats& stats() const { return stats_; }
-  void ResetStats() const { stats_ = DiskIoStats{}; }
 
   const FileManager& file() const { return file_; }
-  BufferPool& pool() { return pool_; }
-  const BufferPool& pool() const { return pool_; }
+  // Reads pin frames, so even a const tree hands out the pool.
+  BufferPool& pool() const { return pool_; }
 
-  // In-memory footprint: memtable plus each run's navigational state
-  // (fences, model, filter) plus the buffer pool. Record pages are disk.
-  size_t SizeBytes() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    size_t total = sizeof(*this) + memtable_.SizeBytes() + pool_.SizeBytes();
-    for (const auto& run : l0_) total += run->SizeBytes();
-    for (const auto& run : levels_) {
-      if (run != nullptr) total += run->SizeBytes();
+  // Engine of the engine-less GetBatch overload, created on first use.
+  // Client-thread only (the tree's one-client contract makes all reads
+  // single-threaded, and background compaction never reads through it).
+  AsyncReadEngine* EnsureEngine(const Options& options) const {
+    if (engine_ == nullptr) {
+      engine_ = AsyncReadEngine::Create(options.io_backend,
+                                        options.io_queue_depth);
     }
-    return total;
+    return engine_.get();
   }
+  const AsyncReadEngine* engine() const { return engine_.get(); }
 
-  // Total learned-model bytes across runs.
-  size_t ModelSizeBytes() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    size_t total = 0;
-    for (const auto& run : l0_) total += run->ModelSizeBytes();
-    for (const auto& run : levels_) {
-      if (run != nullptr) total += run->ModelSizeBytes();
-    }
-    return total;
-  }
+  // The buffer pool; record pages are on disk.
+  size_t SizeBytes() const { return pool_.SizeBytes(); }
 
-  // Structural invariants: the same component-layout checks as the
-  // in-memory LsmTree, plus the storage layer's own contracts — every
-  // run's pages re-read and verified against their CRCs, the page
-  // allocator's free list consistent, and the buffer pool's table/frame
-  // bijection intact. Aborts on violation. Test hook.
+  // The page allocator's free list and the buffer pool's table/frame
+  // bijection (each run re-reads and CRC-checks its own pages).
   void CheckInvariants() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    memtable_.CheckInvariants();
-    LIDX_INVARIANT(memtable_.size() < options_.memtable_limit ||
-                       options_.memtable_limit == 0,
-                   "disklsm: memtable below flush threshold");
-    const size_t l0_bound = options_.background_compaction
-                                ? BacklogBound() + 1
-                                : options_.l0_run_limit;
-    LIDX_INVARIANT(l0_.size() <= l0_bound,
-                   "disklsm: L0 run count within compaction trigger");
-    for (const auto& run : l0_) {
-      LIDX_INVARIANT(run != nullptr, "disklsm: L0 run allocated");
-      run->CheckInvariants();
-      LIDX_INVARIANT(run->size() <= options_.memtable_limit,
-                     "disklsm: L0 run no larger than one memtable flush");
-    }
-    LIDX_INVARIANT(levels_.size() <= kMaxLevels, "disklsm: level count bound");
-    for (size_t level = 0; level < levels_.size(); ++level) {
-      if (levels_[level] == nullptr) continue;
-      levels_[level]->CheckInvariants();
-      LIDX_INVARIANT(
-          levels_[level]->size() <= LevelCapacity(level) ||
-              level + 1 >= kMaxLevels,
-          "disklsm: level sizes follow the leveled capacity schedule");
-    }
     file_.CheckInvariants();
     pool_.CheckInvariants();
   }
 
  private:
-  // Shared (not unique) so background compaction can replace the level
-  // layout while concurrent reads keep probing the old runs — and so a
-  // run's pages are freed only after its last reader is gone.
-  using RunPtr = std::shared_ptr<DiskRun<Key, Value>>;
-  using KV = std::pair<Key, RunEntry<Value>>;
-
-  RunPtr MakeRun(std::vector<KV> entries, PageCodec codec) {
-    typename DiskRun<Key, Value>::Options opts;
-    opts.learned_epsilon = options_.learned_epsilon;
-    opts.bloom_bits_per_key = options_.bloom_bits_per_key;
-    opts.build_threads = options_.compaction_threads;
-    opts.simd = options_.simd;
-    opts.codec = codec;
-    return std::make_shared<DiskRun<Key, Value>>(std::move(entries), &file_,
-                                                 &pool_, opts);
-  }
-
-  void MaybeFlush() {
-    if (memtable_.size() >= options_.memtable_limit) Flush();
-  }
-
-  AsyncReadEngine* EnsureEngine() const {
-    if (engine_ == nullptr) {
-      engine_ = AsyncReadEngine::Create(options_.io_backend,
-                                        options_.io_queue_depth);
-    }
-    return engine_.get();
-  }
-
-  size_t LevelCapacity(size_t level) const {
-    size_t cap = options_.memtable_limit * options_.l0_run_limit;
-    for (size_t i = 0; i <= level; ++i) cap *= options_.level_size_factor;
-    return cap;
-  }
-
-  size_t BacklogBound() const {
-    return options_.l0_run_limit * (options_.max_pending_compactions + 1);
-  }
-
-  void SnapshotComponents(std::vector<RunPtr>* l0,
-                          std::vector<RunPtr>* levels) const {
-    MutexLock lock(mu_);
-    *l0 = l0_;
-    *levels = levels_;
-  }
-
-  // Synchronous-mode fast paths: the class contract says one client thread
-  // and no background workers, so the component fields cannot be contended
-  // and the lock is skipped. AssertHeld() tells the analysis the guarded
-  // fields are safe here; both sites are allowlisted in
-  // docs/STATIC_ANALYSIS.md.
-  std::optional<Value> GetSingleThreaded(const Key& key) const {
-    mu_.AssertHeld();
-    return GetFromRuns(l0_, levels_, key);
-  }
-
-  void CopyComponentsSingleThreaded(std::vector<RunPtr>* l0,
-                                    std::vector<RunPtr>* levels) const {
-    mu_.AssertHeld();
-    *l0 = l0_;
-    *levels = levels_;
-  }
-
-  void InstallFlushSingleThreaded(RunPtr run) {
-    mu_.AssertHeld();
-    l0_.push_back(std::move(run));
-    MaybeCompact();
-  }
-
-  std::optional<Value> GetFromRuns(const std::vector<RunPtr>& l0,
-                                   const std::vector<RunPtr>& levels,
-                                   const Key& key) const {
-    // L0 runs newest-first, then deeper levels.
-    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-      if (const auto found = (*it)->Get(key, &stats_); found.has_value()) {
-        if (found->deleted) return std::nullopt;
-        return found->value;
-      }
-    }
-    for (const auto& run : levels) {
-      if (run == nullptr) continue;
-      if (const auto found = run->Get(key, &stats_); found.has_value()) {
-        if (found->deleted) return std::nullopt;
-        return found->value;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Synchronous-mode compaction: merge inline on the caller's thread.
-  void MaybeCompact() LIDX_REQUIRES(mu_) {
-    if (l0_.size() <= options_.l0_run_limit) return;
-    std::vector<RunPtr> batch = std::move(l0_);
-    l0_.clear();
-    levels_ = CompactIntoLevels(batch, std::move(levels_));
-    ++inline_compactions_;
-  }
-
-  // Schedules (or piggybacks on) the single background worker. Called with
-  // mu_ held; may release it (inside cv_.Wait) while waiting out the
-  // backlog bound.
-  void ScheduleCompactionLocked() LIDX_REQUIRES(mu_) {
-    if (!compaction_inflight_) {
-      compaction_inflight_ = true;
-      ThreadPool::Shared().Submit([this] { BackgroundCompact(); });
-      return;
-    }
-    const size_t bound = BacklogBound();
-    while (l0_.size() > bound && compaction_inflight_) cv_.Wait(mu_);
-    if (!compaction_inflight_ && l0_.size() > options_.l0_run_limit) {
-      compaction_inflight_ = true;
-      ThreadPool::Shared().Submit([this] { BackgroundCompact(); });
-    }
-  }
-
-  // Pool-worker body: repeatedly snapshot the L0 batch plus levels, merge
-  // outside the lock (drains immutable runs via positional reads, writes
-  // new pages via the thread-safe allocator), and install the result.
-  void BackgroundCompact() {
-    mu_.Lock();
-    while (l0_.size() > options_.l0_run_limit) {
-      const std::vector<RunPtr> batch(l0_.begin(), l0_.end());
-      std::vector<RunPtr> levels = levels_;
-      mu_.Unlock();
-      std::vector<RunPtr> next = CompactIntoLevels(batch, std::move(levels));
-      mu_.Lock();
-      l0_.erase(l0_.begin(),
-                l0_.begin() + static_cast<std::ptrdiff_t>(batch.size()));
-      levels_ = std::move(next);
-      ++background_compactions_;
-      cv_.NotifyAll();  // Writers stalled on the backlog bound.
-    }
-    compaction_inflight_ = false;
-    cv_.NotifyAll();  // WaitForCompactions / re-schedulers.
-    mu_.Unlock();
-  }
-
-  // Merges an L0 batch into a copy of the levels and returns the new
-  // layout. Old runs stay alive (and their pages allocated) until the
-  // caller swaps the layout and the last shared_ptr drops.
-  std::vector<RunPtr> CompactIntoLevels(const std::vector<RunPtr>& l0_batch,
-                                        std::vector<RunPtr> levels) {
-    std::vector<std::vector<KV>> runs;
-    runs.reserve(l0_batch.size());
-    // Newest first so MergeStreams keeps the freshest version per key.
-    for (auto it = l0_batch.rbegin(); it != l0_batch.rend(); ++it) {
-      runs.push_back((*it)->Drain());
-    }
-    PushIntoLevel(0, MergeStreams(std::move(runs), options_.compaction_threads),
-                  &levels);
-    return levels;
-  }
-
-  void PushIntoLevel(size_t level, std::vector<KV> entries,
-                     std::vector<RunPtr>* levels) {
-    while (levels->size() <= level) levels->push_back(nullptr);
-    if ((*levels)[level] != nullptr) {
-      std::vector<std::vector<KV>> runs;
-      runs.push_back(std::move(entries));         // Newer.
-      runs.push_back((*levels)[level]->Drain());  // Older.
-      (*levels)[level] = nullptr;
-      entries = MergeStreams(std::move(runs), options_.compaction_threads);
-    }
-    const bool is_bottom = (level + 1 >= levels->size()) &&
-                           entries.size() <= LevelCapacity(level);
-    if (entries.size() > LevelCapacity(level) && level + 1 < kMaxLevels) {
-      PushIntoLevel(level + 1, std::move(entries), levels);
-      return;
-    }
-    if (is_bottom) {
-      // Tombstones can be dropped at the bottom of the tree.
-      entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                   [](const KV& e) {
-                                     return e.second.deleted;
-                                   }),
-                    entries.end());
-    }
-    if (!entries.empty()) {
-      (*levels)[level] = MakeRun(std::move(entries), options_.level_codec);
-    }
-  }
-
-  static constexpr size_t kMaxLevels = 8;
-
-  Options options_;
-  // Declared before the run vectors: members destroy in reverse order, so
-  // every DiskRun (whose destructor frees pages through these) dies first.
   FileManager file_;
   mutable BufferPool pool_;
-  SkipList<Key, RunEntry<Value>> memtable_;
-  // mu_ guards the components and counters (in synchronous mode it is
-  // skipped at runtime via MutexLockMaybe/AssertHeld — single client
-  // thread by contract); the memtable and stats stay client-thread-only in
-  // both modes.
-  mutable Mutex mu_;
-  mutable CondVar cv_;
-  bool compaction_inflight_ LIDX_GUARDED_BY(mu_) = false;
-  size_t inline_compactions_ LIDX_GUARDED_BY(mu_) = 0;
-  size_t background_compactions_ LIDX_GUARDED_BY(mu_) = 0;
-  std::vector<RunPtr> l0_ LIDX_GUARDED_BY(mu_);
-  // levels_[i] = L(i+1), single run each.
-  std::vector<RunPtr> levels_ LIDX_GUARDED_BY(mu_);
-  mutable DiskIoStats stats_;
-  // Lazily created for the engine-less GetBatch overload. Client-thread
-  // only (not guarded by mu_): the one-client contract makes all reads
-  // single-threaded, and background compaction never reads through it.
   mutable std::unique_ptr<AsyncReadEngine> engine_;
 };
+
+// Disk-resident LSM tree: LsmTree over the paged run store. Adds the path
+// constructor, GetBatch (async batched lookups), io_engine(), file() and
+// pool() to the shared API.
+template <typename Key, typename Value>
+using DiskLsmTree = LsmTree<Key, Value, DiskRunStore<Key, Value>>;
 
 }  // namespace lidx::storage
 

@@ -25,10 +25,15 @@
 #include "storage/page.h"
 #include "storage/page_codec.h"
 
+namespace lidx {
+template <typename Key, typename Value, typename Store>
+class LsmTree;
+}  // namespace lidx
+
 namespace lidx::storage {
 
 template <typename Key, typename Value>
-class DiskLsmTree;
+class DiskRunStore;
 
 // Disk-resident immutable sorted run: the on-disk counterpart of SortedRun
 // and the core of the model-in-memory / data-on-disk regime the paper's
@@ -356,10 +361,11 @@ class DiskRun {
   }
 
  private:
-  // DiskLsmTree::GetBatch chains one cursor across many runs, so it drives
-  // the probe pieces (ResolveTarget / page id / SearchPage) directly with
-  // its own PagePinStream instead of calling GetBatch per run.
-  friend class DiskLsmTree<Key, Value>;
+  // The disk-store LsmTree's GetBatch chains one cursor across many runs,
+  // so it drives the probe pieces (ResolveTarget / page id / SearchPage)
+  // directly with its own PagePinStream instead of calling GetBatch per
+  // run.
+  friend class LsmTree<Key, Value, DiskRunStore<Key, Value>>;
 
   // The single page a present key can live on, plus the model's global
   // rank window bounding the in-page search. nullopt = provably absent

@@ -1,7 +1,11 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,124 +14,190 @@
 #include "common/timer.h"
 #include "datasets/generators.h"
 #include "lsm/lsm_tree.h"
+#include "storage/disk_lsm_tree.h"
 
 namespace lidx {
 namespace {
 
 using Lsm = LsmTree<uint64_t, uint64_t>;
+using MemStore = MemRunStore<uint64_t, uint64_t>;
+using DiskStore = storage::DiskRunStore<uint64_t, uint64_t>;
 
-Lsm::Options SmallOptions(RunSearchMode mode) {
-  Lsm::Options opts;
+// The tree under test on run store `Store`. A disk-store tree gets its own
+// page file in the gtest temp dir, deleted again with the tree.
+template <typename Store>
+class TestLsm : public LsmTree<uint64_t, uint64_t, Store> {
+  using Base = LsmTree<uint64_t, uint64_t, Store>;
+
+ public:
+  using typename Base::Options;
+
+  explicit TestLsm(const Options& opts = Options())
+    requires(!Store::kPaged)
+      : Base(opts) {}
+  explicit TestLsm(const Options& opts = Options())
+    requires Store::kPaged
+      : Base(NextPageFile(), opts) {}
+
+  ~TestLsm() {
+    if constexpr (Store::kPaged) std::remove(this->file().path().c_str());
+  }
+
+ private:
+  static std::string NextPageFile() {
+    static int next = 0;
+    return ::testing::TempDir() + "lidx_lsm_test_" +
+           std::to_string(getpid()) + "_" + std::to_string(next++);
+  }
+};
+
+// Small trees so a few thousand keys reach several levels. The disk store
+// has no search-mode switch (its runs are always learned) and gets a small
+// buffer pool so reads also exercise eviction.
+template <typename Store = MemStore>
+typename TestLsm<Store>::Options SmallOptions(RunSearchMode mode) {
+  typename TestLsm<Store>::Options opts;
   opts.memtable_limit = 256;
   opts.l0_run_limit = 3;
   opts.level_size_factor = 4;
-  opts.search_mode = mode;
+  if constexpr (Store::kPaged) {
+    opts.pool_frames = 32;
+  } else {
+    opts.search_mode = mode;
+  }
   return opts;
+}
+
+// Runs a tree-logic test body once per run store, as
+// body.operator()<TestLsm<Store>>(SmallOptions<Store>(mode)) — the body
+// is a lambda templated on the tree type, taking its options. The disk
+// store runs only for kLearned, the one mode it has; test names stay
+// those of the memory store.
+template <typename Body>
+void ForEachStore(RunSearchMode mode, const Body& body) {
+  {
+    SCOPED_TRACE("MemRunStore");
+    body.template operator()<TestLsm<MemStore>>(SmallOptions<MemStore>(mode));
+  }
+  if (mode == RunSearchMode::kLearned) {
+    SCOPED_TRACE("DiskRunStore");
+    body.template operator()<TestLsm<DiskStore>>(SmallOptions<DiskStore>(mode));
+  }
 }
 
 class LsmModeTest : public ::testing::TestWithParam<RunSearchMode> {};
 
 TEST_P(LsmModeTest, PutGetAcrossCompactions) {
-  Lsm lsm(SmallOptions(GetParam()));
-  const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 701);
-  for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
-  lsm.CheckInvariants();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(lsm.Get(keys[i]), std::optional<uint64_t>(i)) << i;
-  }
-  // Misses.
-  Rng rng(709);
-  for (int probe = 0; probe < 500; ++probe) {
-    const uint64_t miss = keys[rng.NextBounded(keys.size())] + 1;
-    if (!std::binary_search(keys.begin(), keys.end(), miss)) {
-      ASSERT_FALSE(lsm.Get(miss).has_value());
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 701);
+    for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
+    lsm.CheckInvariants();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(lsm.Get(keys[i]), std::optional<uint64_t>(i)) << i;
     }
-  }
+    // Misses.
+    Rng rng(709);
+    for (int probe = 0; probe < 500; ++probe) {
+      const uint64_t miss = keys[rng.NextBounded(keys.size())] + 1;
+      if (!std::binary_search(keys.begin(), keys.end(), miss)) {
+        ASSERT_FALSE(lsm.Get(miss).has_value());
+      }
+    }
+  });
 }
 
 TEST_P(LsmModeTest, OverwriteTakesNewest) {
-  Lsm lsm(SmallOptions(GetParam()));
-  for (uint64_t k = 0; k < 5000; ++k) lsm.Put(k, k);
-  for (uint64_t k = 0; k < 5000; k += 3) lsm.Put(k, k + 1000000);
-  for (uint64_t k = 0; k < 5000; ++k) {
-    const uint64_t expected = (k % 3 == 0) ? k + 1000000 : k;
-    ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(expected)) << k;
-  }
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    for (uint64_t k = 0; k < 5000; ++k) lsm.Put(k, k);
+    for (uint64_t k = 0; k < 5000; k += 3) lsm.Put(k, k + 1000000);
+    for (uint64_t k = 0; k < 5000; ++k) {
+      const uint64_t expected = (k % 3 == 0) ? k + 1000000 : k;
+      ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(expected)) << k;
+    }
+  });
 }
 
 TEST_P(LsmModeTest, DeleteShadowsAcrossLevels) {
-  Lsm lsm(SmallOptions(GetParam()));
-  for (uint64_t k = 0; k < 5000; ++k) lsm.Put(k, k);
-  lsm.Flush();
-  for (uint64_t k = 0; k < 5000; k += 2) lsm.Delete(k);
-  lsm.Flush();
-  lsm.CheckInvariants();
-  for (uint64_t k = 0; k < 5000; ++k) {
-    if (k % 2 == 0) {
-      ASSERT_FALSE(lsm.Get(k).has_value()) << k;
-    } else {
-      ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(k)) << k;
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    for (uint64_t k = 0; k < 5000; ++k) lsm.Put(k, k);
+    lsm.Flush();
+    for (uint64_t k = 0; k < 5000; k += 2) lsm.Delete(k);
+    lsm.Flush();
+    lsm.CheckInvariants();
+    for (uint64_t k = 0; k < 5000; ++k) {
+      if (k % 2 == 0) {
+        ASSERT_FALSE(lsm.Get(k).has_value()) << k;
+      } else {
+        ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(k)) << k;
+      }
     }
-  }
+  });
 }
 
 TEST_P(LsmModeTest, FuzzAgainstStdMap) {
-  Lsm lsm(SmallOptions(GetParam()));
-  std::map<uint64_t, uint64_t> ref;
-  Rng rng(719);
-  for (int op = 0; op < 30000; ++op) {
-    const uint64_t key = rng.NextBounded(3000);
-    switch (rng.NextBounded(4)) {
-      case 0:
-      case 1:
-        lsm.Put(key, op);
-        ref[key] = op;
-        break;
-      case 2: {
-        const auto got = lsm.Get(key);
-        const auto it = ref.find(key);
-        ASSERT_EQ(got.has_value(), it != ref.end()) << key;
-        if (got.has_value()) { ASSERT_EQ(*got, it->second); }
-        break;
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    std::map<uint64_t, uint64_t> ref;
+    Rng rng(719);
+    for (int op = 0; op < 30000; ++op) {
+      const uint64_t key = rng.NextBounded(3000);
+      switch (rng.NextBounded(4)) {
+        case 0:
+        case 1:
+          lsm.Put(key, op);
+          ref[key] = op;
+          break;
+        case 2: {
+          const auto got = lsm.Get(key);
+          const auto it = ref.find(key);
+          ASSERT_EQ(got.has_value(), it != ref.end()) << key;
+          if (got.has_value()) { ASSERT_EQ(*got, it->second); }
+          break;
+        }
+        default:
+          lsm.Delete(key);
+          ref.erase(key);
       }
-      default:
-        lsm.Delete(key);
-        ref.erase(key);
+      if (op % 10000 == 9999) lsm.CheckInvariants();
     }
-    if (op % 10000 == 9999) lsm.CheckInvariants();
-  }
-  lsm.CheckInvariants();
-  for (const auto& [k, v] : ref) {
-    ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(v));
-  }
+    lsm.CheckInvariants();
+    for (const auto& [k, v] : ref) {
+      ASSERT_EQ(lsm.Get(k), std::optional<uint64_t>(v));
+    }
+  });
 }
 
 TEST_P(LsmModeTest, RangeScanMergesComponents) {
-  Lsm lsm(SmallOptions(GetParam()));
-  std::map<uint64_t, uint64_t> ref;
-  Rng rng(727);
-  for (int i = 0; i < 10000; ++i) {
-    const uint64_t k = rng.NextBounded(100000);
-    lsm.Put(k, i);
-    ref[k] = i;
-  }
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t k = rng.NextBounded(100000);
-    lsm.Delete(k);
-    ref.erase(k);
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    const uint64_t lo = rng.NextBounded(90000);
-    const uint64_t hi = lo + rng.NextBounded(10000);
-    std::vector<std::pair<uint64_t, uint64_t>> got;
-    lsm.RangeScan(lo, hi, &got);
-    std::vector<std::pair<uint64_t, uint64_t>> expected;
-    for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
-         ++it) {
-      expected.emplace_back(it->first, it->second);
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    std::map<uint64_t, uint64_t> ref;
+    Rng rng(727);
+    for (int i = 0; i < 10000; ++i) {
+      const uint64_t k = rng.NextBounded(100000);
+      lsm.Put(k, i);
+      ref[k] = i;
     }
-    ASSERT_EQ(got, expected) << "range [" << lo << "," << hi << "]";
-  }
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t k = rng.NextBounded(100000);
+      lsm.Delete(k);
+      ref.erase(k);
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      const uint64_t lo = rng.NextBounded(90000);
+      const uint64_t hi = lo + rng.NextBounded(10000);
+      std::vector<std::pair<uint64_t, uint64_t>> got;
+      lsm.RangeScan(lo, hi, &got);
+      std::vector<std::pair<uint64_t, uint64_t>> expected;
+      for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
+           ++it) {
+        expected.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(got, expected) << "range [" << lo << "," << hi << "]";
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LsmModeTest,
@@ -198,13 +268,15 @@ TEST(LsmTest, ModelBytesOnlyInLearnedMode) {
 }
 
 TEST(LsmTest, EmptyTreeBehaves) {
-  Lsm lsm;
-  EXPECT_FALSE(lsm.Get(5).has_value());
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  lsm.RangeScan(0, 100, &out);
-  EXPECT_TRUE(out.empty());
-  lsm.Flush();  // No-op.
-  EXPECT_EQ(lsm.NumRuns(), 0u);
+  ForEachStore(RunSearchMode::kLearned, []<typename Tree>(const auto&) {
+    Tree lsm;
+    EXPECT_FALSE(lsm.Get(5).has_value());
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    lsm.RangeScan(0, 100, &out);
+    EXPECT_TRUE(out.empty());
+    lsm.Flush();  // No-op.
+    EXPECT_EQ(lsm.NumRuns(), 0u);
+  });
 }
 
 TEST(LsmTest, DeleteOfAbsentKeyHarmless) {
@@ -213,6 +285,37 @@ TEST(LsmTest, DeleteOfAbsentKeyHarmless) {
   lsm.Put(43, 1);
   EXPECT_FALSE(lsm.Get(42).has_value());
   EXPECT_EQ(lsm.Get(43), std::optional<uint64_t>(1));
+}
+
+TEST(LsmTest, TombstonesDropOnceTheDeepestLevelEmpties) {
+  // A cascade whose deletes empty the deepest level leaves that slot
+  // empty; later compactions into L1 are then at the bottom and must drop
+  // their tombstones instead of keeping runs that shadow nothing.
+  ForEachStore(RunSearchMode::kLearned, []<typename Tree>(const auto& opts) {
+    Tree lsm(opts);
+    const uint64_t n = 5000;
+    for (uint64_t k = 0; k < n; ++k) lsm.Put(k, k);
+    lsm.Flush();
+    ASSERT_GE(lsm.NumLevels(), 2u);
+    ASSERT_GT(lsm.NumRuns(), 1u);
+    // Delete every key, then keep deleting absent ones until the cascade
+    // has carried the tombstones to the deepest level and emptied it.
+    uint64_t next = 0;
+    while (next < n || lsm.NumRuns() != 0) {
+      ASSERT_LT(next, 20 * n) << "cascade never emptied the tree";
+      lsm.Delete(next++);
+    }
+    // One more compaction's worth of tombstone-only flushes.
+    for (size_t i = 0; i < (opts.l0_run_limit + 1) * opts.memtable_limit;
+         ++i) {
+      lsm.Delete(next++);
+    }
+    lsm.CheckInvariants();
+    EXPECT_EQ(lsm.NumRuns(), 0u);
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    lsm.RangeScan(0, UINT64_MAX, &out);
+    EXPECT_TRUE(out.empty());
+  });
 }
 
 // ----- Parallel & background compaction -----
@@ -247,56 +350,59 @@ TEST(LsmTest, ParallelCompactionThreadsProduceIdenticalContents) {
 }
 
 TEST(LsmTest, BackgroundCompactionMatchesSyncContents) {
-  const auto keys = GenerateKeys(KeyDistribution::kUniform, 40000, 761);
-  Lsm::Options sync_opts = SmallOptions(RunSearchMode::kLearned);
-  Lsm::Options bg_opts = sync_opts;
-  bg_opts.background_compaction = true;
-  Lsm sync_tree(sync_opts);
-  Lsm bg_tree(bg_opts);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    sync_tree.Put(keys[i], i);
-    bg_tree.Put(keys[i], i);
-    if (i % 11 == 0) {
-      sync_tree.Delete(keys[i]);
-      bg_tree.Delete(keys[i]);
+  ForEachStore(RunSearchMode::kLearned, []<typename Tree>(const auto& opts) {
+    const auto keys = GenerateKeys(KeyDistribution::kUniform, 40000, 761);
+    typename Tree::Options bg_opts = opts;
+    bg_opts.background_compaction = true;
+    Tree sync_tree(opts);
+    Tree bg_tree(bg_opts);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      sync_tree.Put(keys[i], i);
+      bg_tree.Put(keys[i], i);
+      if (i % 11 == 0) {
+        sync_tree.Delete(keys[i]);
+        bg_tree.Delete(keys[i]);
+      }
+      if (i % 5000 == 0) bg_tree.CheckInvariants();  // Mid-churn.
     }
-    if (i % 5000 == 0) bg_tree.CheckInvariants();  // Mid-churn.
-  }
-  sync_tree.Flush();
-  bg_tree.Flush();
-  bg_tree.WaitForCompactions();
-  bg_tree.CheckInvariants();
-  std::vector<std::pair<uint64_t, uint64_t>> a, b;
-  sync_tree.RangeScan(0, UINT64_MAX, &a);
-  bg_tree.RangeScan(0, UINT64_MAX, &b);
-  EXPECT_EQ(a, b);
-  // Reads during churn see every written key.
-  Rng rng(769);
-  for (int probe = 0; probe < 1000; ++probe) {
-    const size_t i = rng.NextBounded(keys.size());
-    EXPECT_EQ(bg_tree.Get(keys[i]), sync_tree.Get(keys[i]));
-  }
+    sync_tree.Flush();
+    bg_tree.Flush();
+    bg_tree.WaitForCompactions();
+    bg_tree.CheckInvariants();
+    std::vector<std::pair<uint64_t, uint64_t>> a, b;
+    sync_tree.RangeScan(0, UINT64_MAX, &a);
+    bg_tree.RangeScan(0, UINT64_MAX, &b);
+    EXPECT_EQ(a, b);
+    // Reads during churn see every written key.
+    Rng rng(769);
+    for (int probe = 0; probe < 1000; ++probe) {
+      const size_t i = rng.NextBounded(keys.size());
+      EXPECT_EQ(bg_tree.Get(keys[i]), sync_tree.Get(keys[i]));
+    }
+  });
 }
 
 TEST(LsmTest, CompactionModeCountersAreExclusive) {
-  const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 773);
-  {
-    Lsm lsm(SmallOptions(RunSearchMode::kLearned));
-    for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
-    lsm.Flush();
-    EXPECT_GT(lsm.inline_compactions(), 0u);
-    EXPECT_EQ(lsm.background_compactions(), 0u);
-  }
-  {
-    Lsm::Options opts = SmallOptions(RunSearchMode::kLearned);
-    opts.background_compaction = true;
-    Lsm lsm(opts);
-    for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
-    lsm.Flush();
-    lsm.WaitForCompactions();
-    EXPECT_EQ(lsm.inline_compactions(), 0u);
-    EXPECT_GT(lsm.background_compactions(), 0u);
-  }
+  ForEachStore(RunSearchMode::kLearned, []<typename Tree>(const auto& opts) {
+    const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 773);
+    {
+      Tree lsm(opts);
+      for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
+      lsm.Flush();
+      EXPECT_GT(lsm.inline_compactions(), 0u);
+      EXPECT_EQ(lsm.background_compactions(), 0u);
+    }
+    {
+      typename Tree::Options bg_opts = opts;
+      bg_opts.background_compaction = true;
+      Tree lsm(bg_opts);
+      for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
+      lsm.Flush();
+      lsm.WaitForCompactions();
+      EXPECT_EQ(lsm.inline_compactions(), 0u);
+      EXPECT_GT(lsm.background_compactions(), 0u);
+    }
+  });
 }
 
 TEST(LsmTest, BackgroundModeCutsPutLatencyTail) {
@@ -330,20 +436,22 @@ TEST(LsmTest, BackgroundModeCutsPutLatencyTail) {
 }
 
 TEST(LsmTest, BackgroundBacklogStaysBounded) {
-  Lsm::Options opts = SmallOptions(RunSearchMode::kLearned);
-  opts.background_compaction = true;
-  opts.max_pending_compactions = 1;
-  Lsm lsm(opts);
-  // Hammer inserts far faster than one worker can merge; the bounded
-  // queue must keep L0 within its allowance the whole time (the invariant
-  // checker enforces the bound under the lock).
-  for (uint64_t k = 0; k < 100000; ++k) {
-    lsm.Put(k * 2654435761u, k);
-    if (k % 10000 == 0) lsm.CheckInvariants();
-  }
-  lsm.Flush();
-  lsm.WaitForCompactions();
-  lsm.CheckInvariants();
+  ForEachStore(RunSearchMode::kLearned, []<typename Tree>(const auto& opts) {
+    typename Tree::Options bg_opts = opts;
+    bg_opts.background_compaction = true;
+    bg_opts.max_pending_compactions = 1;
+    Tree lsm(bg_opts);
+    // Hammer inserts far faster than one worker can merge; the bounded
+    // queue must keep L0 within its allowance the whole time (the invariant
+    // checker enforces the bound under the lock).
+    for (uint64_t k = 0; k < 100000; ++k) {
+      lsm.Put(k * 2654435761u, k);
+      if (k % 10000 == 0) lsm.CheckInvariants();
+    }
+    lsm.Flush();
+    lsm.WaitForCompactions();
+    lsm.CheckInvariants();
+  });
 }
 
 }  // namespace

@@ -687,6 +687,27 @@ DiskLsm::Options SmallDiskOptions(bool background) {
   return opts;
 }
 
+// Independent oracle for the mem-vs-disk fuzzes: both trees run the same
+// LsmTree code, so agreeing with each other only shows the two run stores
+// match; agreeing with a std::map also checks the tree logic itself.
+using RefMap = std::map<uint64_t, uint64_t>;
+
+std::optional<uint64_t> RefGet(const RefMap& ref, uint64_t key) {
+  const auto it = ref.find(key);
+  if (it == ref.end()) return std::nullopt;
+  return it->second;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> RefRange(const RefMap& ref,
+                                                    uint64_t lo, uint64_t hi) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
+       ++it) {
+    out.emplace_back(it->first, it->second);
+  }
+  return out;
+}
+
 class DiskLsmModeTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
@@ -694,6 +715,7 @@ TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
   MemLsm mem(SmallMemOptions(background));
   DiskLsm disk(FreshFile(background ? "disklsm_fuzz_bg" : "disklsm_fuzz"),
                SmallDiskOptions(background));
+  RefMap ref;
   Rng rng(1861);
   for (int op = 0; op < 20000; ++op) {
     const uint64_t key = rng.NextBounded(3000);
@@ -703,14 +725,17 @@ TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
         const uint64_t value = rng.Next();
         mem.Put(key, value);
         disk.Put(key, value);
+        ref[key] = value;
         break;
       }
       case 2:
         mem.Delete(key);
         disk.Delete(key);
+        ref.erase(key);
         break;
       default:
         ASSERT_EQ(mem.Get(key), disk.Get(key)) << "op " << op;
+        ASSERT_EQ(disk.Get(key), RefGet(ref, key)) << "op " << op;
     }
   }
   mem.WaitForCompactions();
@@ -719,12 +744,14 @@ TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
   // Full-content equality, point and range.
   for (uint64_t key = 0; key < 3000; ++key) {
     ASSERT_EQ(mem.Get(key), disk.Get(key)) << key;
+    ASSERT_EQ(disk.Get(key), RefGet(ref, key)) << key;
   }
   std::vector<std::pair<uint64_t, uint64_t>> want;
   std::vector<std::pair<uint64_t, uint64_t>> got;
   mem.RangeScan(0, 3000, &want);
   disk.RangeScan(0, 3000, &got);
   EXPECT_EQ(want, got);
+  EXPECT_EQ(got, RefRange(ref, 0, 3000));
   // Partial ranges too.
   for (int trial = 0; trial < 20; ++trial) {
     const uint64_t lo = rng.NextBounded(3000);
@@ -734,6 +761,7 @@ TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
     mem.RangeScan(lo, hi, &want);
     disk.RangeScan(lo, hi, &got);
     ASSERT_EQ(want, got) << lo << ".." << hi;
+    ASSERT_EQ(got, RefRange(ref, lo, hi)) << lo << ".." << hi;
   }
 }
 
@@ -786,6 +814,7 @@ TEST(DiskLsmTest, CompressedLevelsMatchInMemoryLsmUnderFuzz) {
   DiskLsm::Options opts = SmallDiskOptions(false);
   opts.level_codec = PageCodec::kDelta;
   DiskLsm disk(FreshFile("disklsm_codec"), opts);
+  RefMap ref;
   Rng rng(1871);
   for (int op = 0; op < 20000; ++op) {
     const uint64_t key = rng.NextBounded(3000);
@@ -795,26 +824,31 @@ TEST(DiskLsmTest, CompressedLevelsMatchInMemoryLsmUnderFuzz) {
         const uint64_t value = rng.Next();
         mem.Put(key, value);
         disk.Put(key, value);
+        ref[key] = value;
         break;
       }
       case 2:
         mem.Delete(key);
         disk.Delete(key);
+        ref.erase(key);
         break;
       default:
         ASSERT_EQ(mem.Get(key), disk.Get(key)) << "op " << op;
+        ASSERT_EQ(disk.Get(key), RefGet(ref, key)) << "op " << op;
     }
   }
   disk.Flush();
   disk.CheckInvariants();
   for (uint64_t key = 0; key < 3000; ++key) {
     ASSERT_EQ(mem.Get(key), disk.Get(key)) << key;
+    ASSERT_EQ(disk.Get(key), RefGet(ref, key)) << key;
   }
   std::vector<std::pair<uint64_t, uint64_t>> want;
   std::vector<std::pair<uint64_t, uint64_t>> got;
   mem.RangeScan(0, 3000, &want);
   disk.RangeScan(0, 3000, &got);
   EXPECT_EQ(want, got);
+  EXPECT_EQ(got, RefRange(ref, 0, 3000));
 }
 
 // ----- DiskPgmTable vs PgmIndex -----
