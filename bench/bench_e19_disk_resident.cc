@@ -13,8 +13,11 @@
 // latencies instead of page reads.
 //
 // Sections:
-//   1. ε sweep (DiskPgmTable, model-only search) vs fence-binary baseline:
-//      pages/lookup must shrink monotonically as ε tightens.
+//   1. ε sweep over one plain-page DiskRun per row: fence-binary baseline
+//      (exactly one page per lookup), model-only navigation (pages/lookup
+//      must shrink monotonically as ε tightens), and the default
+//      model-and-fence navigation. Every row's answers must equal the
+//      fence-binary row's, lookup for lookup.
 //   2. Buffer-pool size sweep (uniform lookups): hit rate must rise with
 //      the frame count.
 //   3. Cold vs warm cache at a working-set-sized pool.
@@ -36,9 +39,10 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "datasets/generators.h"
+#include "lsm/run.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_lsm_tree.h"
-#include "storage/disk_pgm_table.h"
+#include "storage/disk_run.h"
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -63,6 +67,18 @@ std::vector<uint64_t> SampleHits(const std::vector<uint64_t>& keys, size_t n,
   return out;
 }
 
+using Run = DiskRun<uint64_t, uint64_t>;
+
+std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> RunEntries(
+    const bench::Dataset1D& data) {
+  std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> entries(
+      data.keys.size());
+  for (size_t i = 0; i < data.keys.size(); ++i) {
+    entries[i] = {data.keys[i], RunEntry<uint64_t>{data.values[i], false}};
+  }
+  return entries;
+}
+
 // ----- Section 1: ε sweep — pages read per lookup vs model memory -----
 
 void RunEpsilonSweep(const bench::Dataset1D& data,
@@ -70,37 +86,41 @@ void RunEpsilonSweep(const bench::Dataset1D& data,
   std::printf("\n-- epsilon sweep: pages/lookup vs navigational memory --\n");
   TablePrinter table({"mode", "epsilon", "pages/lookup", "steps/lookup",
                       "model_bytes", "fence_bytes", "ns/lookup"});
+  const auto entries = RunEntries(data);
+  // The fence-binary row's answers; every later row must reproduce them.
+  std::vector<uint64_t> answers;
   const auto run = [&](DiskSearchMode mode, size_t eps, const char* name) {
     FileManager file(ScratchFile("eps"));
-    // Pool sized to the whole table: this section isolates pages *touched*
+    // Pool sized to the whole run: this section isolates pages *touched*
     // (requested I/O) from caching effects, which sections 2-3 cover.
-    BufferPool pool(&file,
-                    data.keys.size() / DiskPgmTable<uint64_t, uint64_t>::
-                                           kRecordsPerPage +
-                        16);
-    typename DiskPgmTable<uint64_t, uint64_t>::Options opts;
+    BufferPool pool(&file, data.keys.size() / Run::kRecordsPerPage + 16);
+    Run::Options opts;
     opts.mode = mode;
-    opts.epsilon = eps;
-    DiskPgmTable<uint64_t, uint64_t> table_disk(data.keys, data.values, &file,
-                                                &pool, opts);
+    opts.learned_epsilon = eps;
+    const Run disk(entries, &file, &pool, opts);
     DiskIoStats io;
-    uint64_t sink = 0;
-    for (const uint64_t k : lookups) {
-      sink += table_disk.Find(k, &io).value_or(0);
+    const bool record = answers.empty();
+    for (size_t i = 0; i < lookups.size(); ++i) {
+      const auto got = disk.Get(lookups[i], &io);
+      LIDX_CHECK(got.has_value());
+      if (record) {
+        answers.push_back(got->value);
+      } else {
+        LIDX_CHECK(got->value == answers[i]);
+      }
     }
-    DoNotOptimize(sink);
     const double per =
         static_cast<double>(io.pages_touched) / lookups.size();
     const double steps =
         static_cast<double>(io.search_steps) / lookups.size();
     const double ns = bench::MeasureNsPerOp(lookups.size(), [&](size_t i) {
-      DoNotOptimize(table_disk.Find(lookups[i], nullptr));
+      DoNotOptimize(disk.Get(lookups[i], nullptr));
     });
     table.AddRow({name, std::to_string(eps),
                   TablePrinter::FormatDouble(per, 3),
                   TablePrinter::FormatDouble(steps, 1),
-                  TablePrinter::FormatBytes(table_disk.ModelSizeBytes()),
-                  TablePrinter::FormatBytes(table_disk.FenceSizeBytes()),
+                  TablePrinter::FormatBytes(disk.ModelSizeBytes()),
+                  TablePrinter::FormatBytes(disk.FenceSizeBytes()),
                   TablePrinter::FormatDouble(ns, 0)});
     g_json.push_back(
         {bench::JsonField::Str("section", "epsilon_sweep"),
@@ -108,14 +128,15 @@ void RunEpsilonSweep(const bench::Dataset1D& data,
          bench::JsonField::Num("epsilon", eps),
          bench::JsonField::Num("pages_per_lookup", per),
          bench::JsonField::Num("steps_per_lookup", steps),
-         bench::JsonField::Num("model_bytes", table_disk.ModelSizeBytes()),
-         bench::JsonField::Num("fence_bytes", table_disk.FenceSizeBytes()),
+         bench::JsonField::Num("model_bytes", disk.ModelSizeBytes()),
+         bench::JsonField::Num("fence_bytes", disk.FenceSizeBytes()),
          bench::JsonField::Num("ns_per_lookup", ns)});
   };
   run(DiskSearchMode::kFenceBinary, 64, "fence-binary");
   for (const size_t eps : {16u, 64u, 256u, 1024u}) {
     run(DiskSearchMode::kLearned, eps, "learned");
   }
+  run(DiskSearchMode::kModelFence, 64, "model+fence");
   table.Print();
 }
 
@@ -127,22 +148,21 @@ void RunPoolSweep(const bench::Dataset1D& data,
               "--\n");
   TablePrinter table({"frames", "pool_mib", "hit_rate", "evictions",
                       "cold_ns", "warm_ns"});
-  const size_t table_pages =
-      data.keys.size() / DiskPgmTable<uint64_t, uint64_t>::kRecordsPerPage + 1;
+  const size_t table_pages = data.keys.size() / Run::kRecordsPerPage + 1;
+  const auto entries = RunEntries(data);
   for (const size_t divisor : {64u, 16u, 4u, 2u, 1u}) {
     const size_t frames = std::max<size_t>(16, table_pages / divisor);
     FileManager file(ScratchFile("pool"));
     BufferPool pool(&file, frames);
-    typename DiskPgmTable<uint64_t, uint64_t>::Options opts;
+    Run::Options opts;
     opts.mode = DiskSearchMode::kFenceBinary;  // Exactly 1 page per lookup.
-    DiskPgmTable<uint64_t, uint64_t> disk(data.keys, data.values, &file,
-                                          &pool, opts);
+    const Run disk(entries, &file, &pool, opts);
     // Cold pass: the pool starts empty (builds write through the
     // FileManager, not the pool).
     uint64_t sink = 0;
     Timer cold_timer;
     for (const uint64_t k : lookups) {
-      sink += disk.Find(k, nullptr).value_or(0);
+      sink += disk.Get(k, nullptr)->value;
     }
     const double cold_ns = static_cast<double>(cold_timer.ElapsedNanos()) /
                            static_cast<double>(lookups.size());
@@ -150,7 +170,7 @@ void RunPoolSweep(const bench::Dataset1D& data,
     // Warm pass: steady-state hit rate at this pool size.
     Timer warm_timer;
     for (const uint64_t k : lookups) {
-      sink += disk.Find(k, nullptr).value_or(0);
+      sink += disk.Get(k, nullptr)->value;
     }
     const double warm_ns = static_cast<double>(warm_timer.ElapsedNanos()) /
                            static_cast<double>(lookups.size());
@@ -177,6 +197,7 @@ void RunPoolSweep(const bench::Dataset1D& data,
   }
   table.Print();
 }
+
 
 // ----- Section 4: DiskLsmTree end-to-end -----
 

@@ -11,8 +11,8 @@
 // throughput.
 //
 // Sections:
-//   1. Codec comparison at matched ε (plain / FOR / delta DiskRun +
-//      DiskPgmTable reference): keys/page, bytes/key, pages and decoded
+//   1. Codec comparison at matched ε (plain / FOR / delta DiskRun + a
+//      model-only plain reference): keys/page, bytes/key, pages and decoded
 //      records per lookup, warm latency. Gates (at full size):
 //      delta keys/page >= 2.5x plain, and byte-identical results across
 //      codecs on both the scalar and async batched paths.
@@ -44,7 +44,6 @@
 #include "one_d/tiered_index.h"
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_pgm_table.h"
 #include "storage/disk_run.h"
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
@@ -203,42 +202,40 @@ void RunCodecComparison(const bench::Dataset1D& data,
       }
     }
   }
-  // DiskPgmTable reference: the uncompressed learned-paged baseline at the
-  // same ε (different record layout: no tombstone byte).
+  // Paged-PGM reference: a plain run navigated by the model alone (no
+  // fences) at the same ε, reusing the entries built above.
   {
+    using Run = DiskRun<uint64_t, uint64_t>;
     const std::string path = ScratchFile("pgmref");
     FileManager file(path);
     BufferPool pool(&file, data.keys.size() / 64 + 64);
-    typename DiskPgmTable<uint64_t, uint64_t>::Options opts;
+    Run::Options opts;
     opts.mode = DiskSearchMode::kLearned;
-    opts.epsilon = epsilon;
-    DiskPgmTable<uint64_t, uint64_t> ref(data.keys, data.values, &file, &pool,
-                                         opts);
+    opts.learned_epsilon = epsilon;
+    const Run ref(entries, &file, &pool, opts);
     DiskIoStats io;
-    uint64_t sink = 0;
-    for (const uint64_t k : lookups) sink += ref.Find(k, &io).value_or(0);
-    DoNotOptimize(sink);
+    for (size_t i = 0; i < lookups.size(); ++i) {
+      const auto got = ref.Get(lookups[i], &io);
+      LIDX_CHECK(got.has_value() == plain_result.found[i].has_value());
+      if (got.has_value()) {
+        LIDX_CHECK(got->value == plain_result.found[i]->value);
+      }
+    }
     const double pages_per_get =
         static_cast<double>(io.pages_touched) /
         static_cast<double>(lookups.size());
     const double bytes_per_key =
         bench::BytesPerKey(bench::FileSizeBytes(path), data.keys.size());
-    table.AddRow({"pgm-ref",
-                  TablePrinter::FormatDouble(
-                      static_cast<double>(
-                          DiskPgmTable<uint64_t, uint64_t>::kRecordsPerPage),
-                      1),
-                  "-", TablePrinter::FormatDouble(bytes_per_key, 2), "0.000",
+    table.AddRow({"pgm-ref", TablePrinter::FormatDouble(ref.KeysPerPage(), 1),
+                  std::to_string(ref.NumPages()),
+                  TablePrinter::FormatDouble(bytes_per_key, 2), "0.000",
                   TablePrinter::FormatDouble(pages_per_get, 3), "-", "-",
                   "-"});
     g_json.push_back(
         {bench::JsonField::Str("section", "codec_comparison"),
          bench::JsonField::Str("codec", "pgm-ref"),
          bench::JsonField::Num("epsilon", epsilon),
-         bench::JsonField::Num(
-             "keys_per_page",
-             static_cast<double>(
-                 DiskPgmTable<uint64_t, uint64_t>::kRecordsPerPage)),
+         bench::JsonField::Num("keys_per_page", ref.KeysPerPage()),
          bench::JsonField::Num("bytes_per_key", bytes_per_key),
          bench::JsonField::Num("pages_per_get", pages_per_get)});
   }

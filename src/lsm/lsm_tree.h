@@ -167,8 +167,8 @@ class LsmTree {
   // runs newest-first — the same order as Get — parking on a
   // PagePinStream ticket whenever a run's filter + model admit a page.
   // Results are identical to calling Get per key (both paths share
-  // DiskRun's ResolveTarget/SearchPage, and a cursor advances to the next
-  // run only after the current run's page search misses). This overload
+  // DiskRun's ResolveTarget/StepPage, and a cursor advances to the next
+  // run only after the current run's page walk misses). This overload
   // lazily creates one engine from Options::io_backend / io_queue_depth,
   // owned by the client thread per the class's one-client contract;
   // out[] must hold n slots.
@@ -230,8 +230,13 @@ class LsmTree {
           if (!c.pending) return true;
           if (!stream.Ready(c.ticket)) return false;
           const typename Store::Pool::PageRef ref = stream.Take(c.ticket);
-          const auto found =
-              runs[c.run]->SearchPage(*ref, c.t, keys[c.i], &stats_);
+          const Run& run = *runs[c.run];
+          std::optional<RunEntry<Value>> found;
+          if (!run.StepPage(*ref, &c.t, keys[c.i], &stats_, &found)) {
+            ++stats_.pages_touched;
+            c.ticket = stream.Begin(run.pages_[c.t.page]);
+            return false;
+          }
           if (found.has_value()) {
             out[c.i] = LiveValue(*found);
             c.pending = false;

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "common/search.h"
 #include "common/thread_annotations.h"
 #include "lsm/merge.h"
+#include "lsm/run.h"
 
 namespace lidx {
 
@@ -670,12 +670,9 @@ class ShardedIndex {
     std::unique_ptr<Shard[]> shards;
   };
 
-  // Payload carried through lsm/merge.h newest-wins merges.
-  struct Pending {
-    Value value;
-    uint8_t tombstone;
-  };
-  using Run = std::vector<std::pair<Key, Pending>>;
+  // Sorted stream of one level, the input of lsm/merge.h newest-wins
+  // merges (drains and scans alike).
+  using Run = std::vector<std::pair<Key, RunEntry<Value>>>;
 
   State* EmptyState() {
     State* state = new State();
@@ -1025,7 +1022,7 @@ class ShardedIndex {
       for (const auto& [k, p] : merged) {
         d->keys.push_back(k);
         d->values.push_back(p.value);
-        d->tombstones.push_back(p.tombstone);
+        d->tombstones.push_back(p.deleted ? uint8_t{1} : uint8_t{0});
       }
       new_delta = std::move(d);
     }
@@ -1049,36 +1046,49 @@ class ShardedIndex {
     drain_count_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Sorted newest-wins run from an append-ordered buffer.
-  static Run BufferToRun(const Buffer& buffer) {
+  // Sorted newest-wins run of an append-ordered buffer's entries in
+  // [lo, hi].
+  static Run BufferToRun(const Buffer& buffer,
+                         const Key& lo = std::numeric_limits<Key>::lowest(),
+                         const Key& hi = std::numeric_limits<Key>::max()) {
     const size_t n = buffer.size.load(std::memory_order_acquire);
     Run run;
     run.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const Entry& e = buffer.slots[i];
-      run.emplace_back(e.key, Pending{e.value, e.tombstone ? uint8_t{1}
-                                                           : uint8_t{0}});
+      if (e.key < lo || hi < e.key) continue;
+      run.emplace_back(e.key, RunEntry<Value>{e.value, e.tombstone});
     }
     std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
       return a.first < b.first;
     });
     // Keep the last (newest) entry of each equal-key group.
-    Run deduped;
-    deduped.reserve(run.size());
+    size_t kept = 0;
     for (size_t i = 0; i < run.size(); ++i) {
       if (i + 1 == run.size() || run[i + 1].first != run[i].first) {
-        deduped.push_back(run[i]);
+        run[kept++] = run[i];
       }
     }
-    return deduped;
+    run.resize(kept);
+    return run;
   }
 
-  static Run DeltaToRun(const Delta& delta) {
+  // The delta's entries in [lo, hi].
+  static Run DeltaToRun(const Delta& delta,
+                        const Key& lo = std::numeric_limits<Key>::lowest(),
+                        const Key& hi = std::numeric_limits<Key>::max()) {
+    const auto begin = delta.keys.begin();
+    const size_t first =
+        static_cast<size_t>(std::lower_bound(begin, delta.keys.end(), lo) -
+                            begin);
+    const size_t last =
+        static_cast<size_t>(std::upper_bound(begin, delta.keys.end(), hi) -
+                            begin);
     Run run;
-    run.reserve(delta.keys.size());
-    for (size_t i = 0; i < delta.keys.size(); ++i) {
-      run.emplace_back(delta.keys[i],
-                       Pending{delta.values[i], delta.tombstones[i]});
+    run.reserve(last > first ? last - first : 0);
+    for (size_t i = first; i < last; ++i) {
+      const RunEntry<Value> entry{delta.values[i], delta.tombstones[i] != 0};
+      run.emplace_back(delta.keys[i], entry);
     }
     return run;
   }
@@ -1106,7 +1116,7 @@ class ShardedIndex {
           (bi >= base.size() || merged[di].first <= base[bi].first);
       if (take_delta) {
         if (bi < base.size() && base[bi].first == merged[di].first) ++bi;
-        if (!merged[di].second.tombstone) {
+        if (!merged[di].second.deleted) {
           keys.push_back(merged[di].first);
           values.push_back(merged[di].second.value);
         }
@@ -1129,51 +1139,34 @@ class ShardedIndex {
     *out_snapshot = std::move(index);
   }
 
+  // Live entries of shard `s` in [lo, hi]: newest-first streams — active
+  // buffer, sealed buffers newest first, delta slice, snapshot — merged
+  // newest-wins by lsm/merge.h, tombstones elided.
   void CollectShardRange(const Table& table, size_t s, const Key& lo,
                          const Key& hi,
                          std::vector<std::pair<Key, Value>>* out) const {
     EpochManager::Guard guard = epoch_->Pin();
     const State* state = table.shards[s].state.load(std::memory_order_acquire);
     epoch_->AssertProtected(state);
-    // Newest-wins merge via try_emplace: levels are visited newest first,
-    // and the first emplace of a key sticks. nullopt marks a tombstone.
-    std::map<Key, std::optional<Value>> window;
-    const auto add_buffer = [&](const Buffer& b) {
-      const size_t n = b.size.load(std::memory_order_acquire);
-      for (size_t i = n; i-- > 0;) {
-        const Entry& e = b.slots[i];
-        if (e.key < lo || hi < e.key) continue;
-        window.try_emplace(e.key, e.tombstone
-                                      ? std::optional<Value>()
-                                      : std::optional<Value>(e.value));
-      }
-    };
-    add_buffer(*state->active);
+    std::vector<Run> streams;
+    streams.reserve(state->sealed.size() + 3);
+    streams.push_back(BufferToRun(*state->active, lo, hi));
     for (auto it = state->sealed.rbegin(); it != state->sealed.rend(); ++it) {
-      add_buffer(**it);
+      streams.push_back(BufferToRun(**it, lo, hi));
     }
     if (state->delta != nullptr) {
-      const Delta& d = *state->delta;
-      size_t pos = static_cast<size_t>(
-          std::lower_bound(d.keys.begin(), d.keys.end(), lo) -
-          d.keys.begin());
-      for (; pos < d.keys.size() && d.keys[pos] <= hi; ++pos) {
-        window.try_emplace(d.keys[pos],
-                           d.tombstones[pos]
-                               ? std::optional<Value>()
-                               : std::optional<Value>(d.values[pos]));
-      }
+      streams.push_back(DeltaToRun(*state->delta, lo, hi));
     }
     if (state->snapshot != nullptr) {
-      std::vector<std::pair<Key, Value>> from_snapshot;
-      state->snapshot->RangeScan(lo, hi, &from_snapshot);
-      for (const auto& [k, v] : from_snapshot) {
-        window.try_emplace(k, std::optional<Value>(v));
+      std::vector<std::pair<Key, Value>> rows;
+      state->snapshot->RangeScan(lo, hi, &rows);
+      Run& run = streams.emplace_back();
+      run.reserve(rows.size());
+      for (const auto& [k, v] : rows) {
+        run.emplace_back(k, RunEntry<Value>{v, false});
       }
     }
-    for (const auto& [k, v] : window) {
-      if (v.has_value()) out->emplace_back(k, *v);
-    }
+    MergeLive(std::move(streams), out);
   }
 
   Options options_;

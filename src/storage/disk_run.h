@@ -35,6 +35,24 @@ namespace lidx::storage {
 template <typename Key, typename Value>
 class DiskRunStore;
 
+// How a point lookup navigates from key to page. All modes read the same
+// sorted pages and return identical results; they differ in the pages a
+// lookup reads and in the navigational state it consults — the paper's
+// disk-resident comparison (FITing-tree / paged PGM vs. a B+-style page
+// directory) as one setting of one table.
+enum class DiskSearchMode {
+  // B+-style page directory: binary-search all fence keys (one per page)
+  // and search the single candidate page whole, without the model.
+  kFenceBinary,
+  // Model only: read the pages overlapping the ε-window in order, stopping
+  // once a page's first key passes the target. No fence is read, so pages
+  // per lookup grows with ε / records-per-page.
+  kLearned,
+  // Model ∩ fences: the ε-window narrows the fence search to the one page
+  // a present key can live on, and bounds the in-page search.
+  kModelFence,
+};
+
 // Disk-resident immutable sorted run: the on-disk counterpart of SortedRun
 // and the core of the model-in-memory / data-on-disk regime the paper's
 // disk-based systems (FITing-tree, BOURBON, PGM's paged variant) operate
@@ -42,14 +60,15 @@ class DiskRunStore;
 // cheap navigational state — one fence key per page, an ε-bounded PLA
 // model over the keys, and a Bloom filter.
 //
-// A point lookup combines the two: the model predicts the key's rank,
-// which narrows the candidate range to the ε-window of pages, and the
-// fence keys select the single page in that window that can hold the key —
-// so a probe that survives the Bloom filter pins exactly one page, and the
-// model's rank window then bounds the in-page binary search. Records are
-// packed field-by-field (key, value, tombstone byte) rather than memcpy'd
-// as structs, so no padding bytes reach the disk and page CRCs are
-// deterministic.
+// By default (kModelFence) a point lookup combines the two: the model
+// predicts the key's rank, which narrows the candidate range to the
+// ε-window of pages, and the fence keys select the single page in that
+// window that can hold the key — so a probe that survives the Bloom filter
+// pins exactly one page, and the model's rank window then bounds the
+// in-page binary search. Options::mode swaps in fence-only or model-only
+// navigation for comparison. Records are packed field-by-field (key,
+// value, tombstone byte) rather than memcpy'd as structs, so no padding
+// bytes reach the disk and page CRCs are deterministic.
 //
 // Options::codec selects the page encoding (storage/page_codec.h). Under
 // a compressed codec, pages hold a variable number of records, so the
@@ -76,6 +95,8 @@ class DiskRun {
     // (residuals against a per-page linear fit); kFor offsets against the
     // page minimum. Per-page plain fallback applies either way.
     PageCodec codec = PageCodec::kPlain;
+    // Point-lookup navigation (scans are fence-guided in every mode).
+    DiskSearchMode mode = DiskSearchMode::kModelFence;
   };
 
   // On-disk record layout inside a kData page payload.
@@ -148,20 +169,24 @@ class DiskRun {
   DiskRun& operator=(const DiskRun&) = delete;
 
   std::optional<RunEntry<Value>> Get(const Key& key, DiskIoStats* io) const {
-    const std::optional<Target> t = ResolveTarget(key, io);
-    if (!t.has_value()) return std::nullopt;
-    if (io != nullptr) ++io->pages_touched;
-    const BufferPool::PageRef ref = pool_->Pin(pages_[t->page]);
-    return SearchPage(*ref, *t, key, io);
+    std::optional<RunEntry<Value>> out;
+    std::optional<Target> t = ResolveTarget(key, io);
+    if (!t.has_value()) return out;
+    while (true) {
+      if (io != nullptr) ++io->pages_touched;
+      const BufferPool::PageRef ref = pool_->Pin(pages_[t->page]);
+      if (StepPage(*ref, &*t, key, io, &out)) return out;
+    }
   }
 
   // Batched point lookups with up to the engine's queue depth of page
   // reads in flight: the AMAC group scheduler (InterleavedIoRun) drives
-  // one cursor per lookup — model predict + fence resolve at init, then
-  // the cursor parks on a PagePinStream ticket and the in-page SIMD/binary
-  // search runs as each page lands. Results are identical to calling Get
-  // per key (both paths share ResolveTarget/SearchPage). The engine must
-  // be idle and owned by this thread; out[] must hold n slots.
+  // one cursor per lookup — navigation at init, then the cursor parks on a
+  // PagePinStream ticket and steps its page as it lands, submitting the
+  // next page of a multi-page target only after this one ruled the key
+  // out. Results and page visits are identical to calling Get per key
+  // (both paths share ResolveTarget/StepPage). The engine must be idle and
+  // owned by this thread; out[] must hold n slots.
   void GetBatch(const Key* keys, size_t n, AsyncReadEngine* engine,
                 std::optional<RunEntry<Value>>* out, DiskIoStats* io) const {
     BufferPool::PagePinStream stream(pool_, engine);
@@ -191,8 +216,10 @@ class DiskRun {
           if (!c.pending) return true;
           if (!stream.Ready(c.ticket)) return false;
           const BufferPool::PageRef ref = stream.Take(c.ticket);
-          out[c.i] = SearchPage(*ref, c.t, keys[c.i], io);
-          return true;
+          if (StepPage(*ref, &c.t, keys[c.i], io, &out[c.i])) return true;
+          if (io != nullptr) ++io->pages_touched;
+          c.ticket = stream.Begin(pages_[c.t.page]);
+          return false;
         },
         [&] { stream.WaitAny(); });
     if (io != nullptr) {
@@ -362,20 +389,24 @@ class DiskRun {
 
  private:
   // The disk-store LsmTree's GetBatch chains one cursor across many runs,
-  // so it drives the probe pieces (ResolveTarget / page id / SearchPage)
+  // so it drives the probe pieces (ResolveTarget / page id / StepPage)
   // directly with its own PagePinStream instead of calling GetBatch per
   // run.
   friend class LsmTree<Key, Value, DiskRunStore<Key, Value>>;
 
-  // The single page a present key can live on, plus the model's global
-  // rank window bounding the in-page search. nullopt = provably absent
-  // with zero I/O (Bloom reject or fence below the ε-window).
+  // The pages [page, last_page] a present key can live on, walked in
+  // order, plus the global rank window [lo, hi) bounding the in-page
+  // search. Only kLearned spans more than one page. nullopt = provably
+  // absent with zero I/O (Bloom reject, or the key below every candidate
+  // fence).
   struct Target {
     size_t page = 0;
-    size_t lo = 0;  // Global rank window [lo, hi) from the model.
+    size_t last_page = 0;
+    size_t lo = 0;
     size_t hi = 0;
   };
 
+  // The only reader of Options::mode.
   std::optional<Target> ResolveTarget(const Key& key, DiskIoStats* io) const {
     if (n_ == 0) return std::nullopt;
     if (!bloom_.MayContain(static_cast<uint64_t>(key))) {
@@ -383,17 +414,20 @@ class DiskRun {
       return std::nullopt;
     }
     if (io != nullptr) ++io->run_probes;
+    const auto fence_begin = fence_keys_.begin();
+    if (options_.mode == DiskSearchMode::kFenceBinary) {
+      const auto it = std::upper_bound(fence_begin, fence_keys_.end(), key);
+      if (it == fence_begin) return std::nullopt;
+      const size_t p = static_cast<size_t>(it - fence_begin) - 1;
+      return Target{p, p, 0, n_};
+    }
     // Model: rank window [lo, hi) that must contain the key if present.
+    // Plain layout divides; compressed layouts ask the packed directory.
     const double k = static_cast<double>(key);
     const size_t pred =
         segments_[SegmentFor(k)].model.PredictClamped(k, n_);
     const size_t eps = options_.learned_epsilon;
     const SearchWindow w = ClampSearchWindow(pred, eps, eps, n_);
-    // Fences: the only page in the ε-window whose range covers the key is
-    // the last one with fence <= key. If even the window's first fence
-    // exceeds the key, the key would have to sit at a rank below the
-    // window — impossible if present — so conclude absence with zero I/O.
-    // Plain layout divides; compressed layouts ask the packed directory.
     size_t page_lo;
     size_t page_hi;
     if (options_.codec == PageCodec::kPlain) {
@@ -403,65 +437,88 @@ class DiskRun {
       page_lo = dir_.PageOfRank(w.lo);
       page_hi = dir_.PageOfRank(w.hi - 1);
     }
-    const auto fence_begin = fence_keys_.begin();
+    if (options_.mode == DiskSearchMode::kLearned) {
+      return Target{page_lo, page_hi, w.lo, w.hi};
+    }
+    // Fences: the only page in the ε-window whose range covers the key is
+    // the last one with fence <= key. If even the window's first fence
+    // exceeds the key, the key would have to sit at a rank below the
+    // window — impossible if present — so conclude absence with zero I/O.
     const auto it = std::upper_bound(fence_begin + page_lo,
                                      fence_begin + (page_hi + 1), key);
     if (it == fence_begin + page_lo) return std::nullopt;
     const size_t p = static_cast<size_t>(it - fence_begin) - 1;
-    return Target{p, w.lo, w.hi};
+    return Target{p, p, w.lo, w.hi};
   }
 
-  // In-page search over the model window ∩ the page's ranks; shared by the
-  // scalar (Get) and batched (GetBatch) paths so they agree by
-  // construction. On a packed page only the window slice is decompressed
+  // One page of a lookup, shared by Get, GetBatch and the disk LsmTree's
+  // chained cursor so all three visit identical pages. Returns true when
+  // the lookup resolved on this page (*out = the entry, or nullopt), false
+  // when the key, if present, lies on a later page (t->page advances to
+  // it). While the target has pages left, the page's first and last keys
+  // decide that; otherwise the search runs over the rank window ∩ the
+  // page's ranks. On a packed page only the keys it reads are decompressed
   // (plus the single candidate record), and the decode work is reported to
   // the per-query stats and the pool's decompressed-bytes counters.
-  std::optional<RunEntry<Value>> SearchPage(const Page& page, const Target& t,
-                                            const Key& key,
-                                            DiskIoStats* io) const {
+  bool StepPage(const Page& page, Target* t, const Key& key, DiskIoStats* io,
+                std::optional<RunEntry<Value>>* out) const {
     const DataPageView<Key, Value> view(page);
     const size_t count = view.count();
-    // The rank base comes from the run's layout, not the page's own codec:
-    // in a compressed run even a plain-fallback page holds a variable
-    // record count, so its first rank lives in the directory.
-    const size_t base = options_.codec == PageCodec::kPlain
-                            ? t.page * kRecordsPerPage
-                            : dir_.FirstRank(t.page);
-    size_t rlo = std::max(t.lo, base) - base;
-    size_t rhi = std::min(t.hi, base + count) - base;
-    if (rlo > count) rlo = count;
-    if (rhi < rlo) rhi = rlo;
     size_t decoded = 0;
-    // Records are packed (no padding), so the keys are not contiguous;
-    // gather (plain) or bit-unpack (compressed) the window's keys into a
-    // stack buffer and resolve it with one vectorized count-less-than pass
-    // (one search step in the I/O metric).
-    if constexpr (std::is_same_v<Key, uint64_t> ||
-                  std::is_same_v<Key, double>) {
-      if (options_.simd && rlo < rhi && rhi - rlo <= simd::kLinearScanMax) {
-        const size_t len = rhi - rlo;
-        Key buf[simd::kLinearScanMax];
-        view.DecodeKeys(rlo, rhi, buf, options_.simd);
-        if (view.packed()) decoded += len;
+    bool resolved = true;
+    bool search = true;
+    if (t->page != t->last_page) {
+      if (view.packed()) decoded += 2;
+      if (view.KeyAt(count - 1) < key) {
+        ++t->page;
+        resolved = false;
+        search = false;
+      } else if (key < view.KeyAt(0)) {
+        search = false;  // Passed the key: absent.
+      }
+    }
+    *out = std::nullopt;
+    if (search) {
+      // The rank base comes from the run's layout, not the page's own
+      // codec: in a compressed run even a plain-fallback page holds a
+      // variable record count, so its first rank lives in the directory.
+      const size_t base = options_.codec == PageCodec::kPlain
+                              ? t->page * kRecordsPerPage
+                              : dir_.FirstRank(t->page);
+      size_t rlo = std::max(t->lo, base) - base;
+      size_t rhi = std::min(t->hi, base + count) - base;
+      if (rlo > count) rlo = count;
+      if (rhi < rlo) rhi = rlo;
+      // Records are packed (no padding), so the keys are not contiguous;
+      // gather (plain) or bit-unpack (compressed) the window's keys into a
+      // stack buffer and resolve it with one vectorized count-less-than
+      // pass (one search step in the I/O metric).
+      if constexpr (std::is_same_v<Key, uint64_t> ||
+                    std::is_same_v<Key, double>) {
+        if (options_.simd && rlo < rhi && rhi - rlo <= simd::kLinearScanMax) {
+          const size_t len = rhi - rlo;
+          Key buf[simd::kLinearScanMax];
+          view.DecodeKeys(rlo, rhi, buf, options_.simd);
+          if (view.packed()) decoded += len;
+          if (io != nullptr) ++io->search_steps;
+          rlo += simd::CountLess(buf, len, key);
+          rhi = rlo;
+        }
+      }
+      while (rlo < rhi) {
         if (io != nullptr) ++io->search_steps;
-        rlo += simd::CountLess(buf, len, key);
-        rhi = rlo;
+        const size_t mid = rlo + (rhi - rlo) / 2;
+        if (view.packed()) ++decoded;
+        if (view.KeyAt(mid) < key) {
+          rlo = mid + 1;
+        } else {
+          rhi = mid;
+        }
       }
-    }
-    while (rlo < rhi) {
-      if (io != nullptr) ++io->search_steps;
-      const size_t mid = rlo + (rhi - rlo) / 2;
-      if (view.packed()) ++decoded;
-      if (view.KeyAt(mid) < key) {
-        rlo = mid + 1;
-      } else {
-        rhi = mid;
+      if (rlo < count) {
+        if (view.packed()) ++decoded;
+        if (view.KeyAt(rlo) == key) *out = view.EntryAt(rlo);
       }
-    }
-    std::optional<RunEntry<Value>> result;
-    if (rlo < count) {
-      if (view.packed()) ++decoded;
-      if (view.KeyAt(rlo) == key) result = view.EntryAt(rlo);
     }
     if (decoded > 0) {
       const bool partial = decoded < count;
@@ -471,7 +528,7 @@ class DiskRun {
       }
       pool_->RecordDecode(view.DecodedBytes(decoded), partial);
     }
-    return result;
+    return resolved;
   }
 
   // Last segment with first_key <= k.

@@ -16,7 +16,7 @@ struct DiskIoStats {
   uint64_t bloom_rejects = 0;  // Probes short-circuited by the filter.
   uint64_t search_steps = 0;   // In-page binary-search iterations.
   // Batched-read accounting (storage/async_io.h): lookups served through a
-  // GetBatch/FindBatch group state machine, and how many of their page
+  // GetBatch group state machine, and how many of their page
   // pins were issued asynchronously (a pool miss handed to the engine
   // rather than a blocking pread). batched_lookups / async_page_reads plus
   // the engine's AsyncIoStats give the syscalls-per-lookup trajectory the

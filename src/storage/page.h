@@ -37,7 +37,7 @@ inline constexpr uint32_t kPageMagic = 0x4C504731;  // "LPG1".
 inline constexpr uint16_t kPageFormatVersion = 2;
 
 enum class PageType : uint16_t {
-  kData = 1,  // Sorted key/value records (DiskRun, DiskPgmTable).
+  kData = 1,  // Sorted key/value records (DiskRun).
 };
 
 // How a kData payload encodes its records. kPlain is the v1 layout

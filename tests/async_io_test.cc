@@ -22,7 +22,6 @@
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_lsm_tree.h"
-#include "storage/disk_pgm_table.h"
 #include "storage/disk_run.h"
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
@@ -462,43 +461,50 @@ TEST(BatchedEquivalenceTest, DiskRunFuzzAcrossBackendsAndDepths) {
   run.CheckInvariants();
 }
 
+// The corpus as a tombstone-free run, and a lookup's answer as a value.
+std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> LiveEntries(
+    const FuzzData& d) {
+  std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> entries;
+  entries.reserve(d.keys.size());
+  for (size_t i = 0; i < d.keys.size(); ++i) {
+    entries.emplace_back(d.keys[i], RunEntry<uint64_t>{d.values[i], false});
+  }
+  return entries;
+}
+
+std::optional<uint64_t> ValueOf(const std::optional<RunEntry<uint64_t>>& e) {
+  return e.has_value() ? LiveValue(*e) : std::nullopt;
+}
+
 TEST(BatchedEquivalenceTest, DiskPgmTableFuzzBothModes) {
   const FuzzData d = MakeFuzzData(4000, 777);
   for (const DiskSearchMode mode :
        {DiskSearchMode::kLearned, DiskSearchMode::kFenceBinary}) {
     FileManager file(FreshFile("fuzz_pgm"));
     BufferPool pool(&file, 32);
-    typename DiskPgmTable<uint64_t, uint64_t>::Options opts;
+    typename DiskRun<uint64_t, uint64_t>::Options opts;
     opts.mode = mode;
-    opts.epsilon = 8;  // Tight ε: multi-page windows exercise the walk.
-    DiskPgmTable<uint64_t, uint64_t> table(d.keys, d.values, &file, &pool,
-                                           opts);
+    opts.learned_epsilon = 8;  // Tight ε: multi-page targets walk pages.
+    DiskRun<uint64_t, uint64_t> run(LiveEntries(d), &file, &pool, opts);
     DiskIoStats scalar_io;
     std::vector<std::optional<uint64_t>> want(d.probes.size());
     for (size_t i = 0; i < d.probes.size(); ++i) {
-      want[i] = table.Find(d.probes[i], &scalar_io);
+      want[i] = ValueOf(run.Get(d.probes[i], &scalar_io));
     }
     for (const IoBackend backend : Backends()) {
       for (const size_t depth : {1u, 16u}) {
         auto engine = AsyncReadEngine::Create(backend, depth);
         DiskIoStats batch_io;
-        std::vector<std::optional<uint64_t>> got(d.probes.size());
-        table.FindBatch(engine.get(), d.probes.data(), d.probes.size(),
-                        got.data(), &batch_io);
+        std::vector<std::optional<RunEntry<uint64_t>>> got(d.probes.size());
+        run.GetBatch(d.probes.data(), d.probes.size(), engine.get(),
+                     got.data(), &batch_io);
         for (size_t i = 0; i < d.probes.size(); ++i) {
-          ASSERT_EQ(got[i], want[i])
+          ASSERT_EQ(ValueOf(got[i]), want[i])
               << engine->name() << " depth " << depth << " probe " << i;
         }
         EXPECT_EQ(batch_io.pages_touched, scalar_io.pages_touched);
       }
     }
-    // The engine-less overload creates its lazy engine on first use.
-    EXPECT_EQ(table.io_engine(), nullptr);
-    DiskIoStats io;
-    std::vector<std::optional<uint64_t>> got(d.probes.size());
-    table.FindBatch(d.probes.data(), d.probes.size(), got.data(), &io);
-    ASSERT_NE(table.io_engine(), nullptr);
-    for (size_t i = 0; i < d.probes.size(); ++i) EXPECT_EQ(got[i], want[i]);
   }
 }
 
@@ -577,17 +583,21 @@ TEST(AsyncIoStressTest, BatchedReadsDuringBackgroundCompaction) {
 }
 
 TEST(AsyncIoStressTest, ConcurrentReadersWithPerThreadEngines) {
-  // Engines are single-client, but a shared immutable table supports many
+  // Engines are single-client, but a shared immutable run supports many
   // reader threads when each brings its own engine; the pool's loading
   // protocol (frames reserved pinned, joins via cv) is the shared state
   // under test.
   const FuzzData d = MakeFuzzData(5000, 31337);
   FileManager file(FreshFile("stress_pgm"));
   BufferPool pool(&file, 48);
-  DiskPgmTable<uint64_t, uint64_t> table(d.keys, d.values, &file, &pool, {});
+  // Model-only navigation: readers share the multi-page walk.
+  typename DiskRun<uint64_t, uint64_t>::Options opts;
+  opts.mode = DiskSearchMode::kLearned;
+  opts.learned_epsilon = 64;
+  DiskRun<uint64_t, uint64_t> run(LiveEntries(d), &file, &pool, opts);
   std::vector<std::optional<uint64_t>> want(d.probes.size());
   for (size_t i = 0; i < d.probes.size(); ++i) {
-    want[i] = table.Find(d.probes[i], nullptr);
+    want[i] = ValueOf(run.Get(d.probes[i], nullptr));
   }
   constexpr size_t kThreads = 4;
   std::vector<std::thread> readers;
@@ -597,12 +607,13 @@ TEST(AsyncIoStressTest, ConcurrentReadersWithPerThreadEngines) {
       const IoBackend backend =
           t % 2 == 0 ? IoBackend::kIoUring : IoBackend::kThreadPool;
       auto engine = AsyncReadEngine::Create(backend, 8);
-      std::vector<std::optional<uint64_t>> got(d.probes.size());
+      std::vector<std::optional<RunEntry<uint64_t>>> got(d.probes.size());
       for (size_t round = 0; round < 3; ++round) {
-        table.FindBatch(engine.get(), d.probes.data(), d.probes.size(),
-                        got.data(), nullptr);
+        run.GetBatch(d.probes.data(), d.probes.size(), engine.get(),
+                     got.data(), nullptr);
         for (size_t i = 0; i < d.probes.size(); ++i) {
-          ASSERT_EQ(got[i], want[i]) << "thread " << t << " probe " << i;
+          ASSERT_EQ(ValueOf(got[i]), want[i])
+              << "thread " << t << " probe " << i;
         }
       }
     });

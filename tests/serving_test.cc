@@ -269,6 +269,26 @@ TYPED_TEST(ShardedIndexTest, FuzzMatchesReferenceMap) {
                              k > UINT64_MAX - span ? UINT64_MAX : k + span);
         }
       }
+      if (!background) {
+        // Newest-wins on the scan path: a handful of keys rewritten and
+        // erased over and over, so one 8-entry buffer holds several
+        // versions of a key and every seal drains them over older ones.
+        // Scans run after every op, so each seal is checked too.
+        const uint64_t hot = keys[keys.size() / 2];
+        const uint64_t seals_before = index.GetStats().seals;
+        for (int step = 0; step < 400; ++step) {
+          const uint64_t k = hot + rng.NextBounded(6);
+          if (rng.NextBounded(4) == 0) {
+            index.Erase(k);
+            ref.erase(k);
+          } else {
+            index.Insert(k, k * 7 + static_cast<uint64_t>(step));
+            ref[k] = k * 7 + static_cast<uint64_t>(step);
+          }
+          ExpectRangeMatches(index, ref, hot, hot + 5);
+        }
+        EXPECT_GE(index.GetStats().seals - seals_before, 40u);
+      }
       index.FlushAll();
       index.CheckInvariants();
 

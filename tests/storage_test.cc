@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,7 +22,6 @@
 #include "one_d/pgm.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_lsm_tree.h"
-#include "storage/disk_pgm_table.h"
 #include "storage/disk_run.h"
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
@@ -472,7 +472,7 @@ TEST(DiskRunCodecTest, MixedPackedAndFallbackPagesResolveEveryKey) {
 TEST(DiskRunCodecTest, MatchesPlainAcrossCodecsEpsilonsAndBackends) {
   const auto entries = MakeEntries(12000, 1901);
   Rng rng(1907);
-  // Probe stream: every key plus a near-miss for each.
+  // Probe stream: every key (even slots) plus a near-miss for each.
   std::vector<uint64_t> probes;
   probes.reserve(entries.size() * 2);
   for (const auto& [key, entry] : entries) {
@@ -489,59 +489,86 @@ TEST(DiskRunCodecTest, MatchesPlainAcrossCodecsEpsilonsAndBackends) {
     for (size_t i = 0; i < probes.size(); ++i) {
       want[i] = plain.Get(probes[i], nullptr);
     }
-    for (const PageCodec codec : {PageCodec::kFor, PageCodec::kDelta}) {
-      FileManager file(FreshFile("codec_fuzz"));
-      BufferPool pool(&file, 256);
-      DRun::Options opts;
-      opts.learned_epsilon = eps;
-      opts.codec = codec;
-      DRun run(entries, &file, &pool, opts);
-      run.CheckInvariants();
-      for (size_t i = 0; i < probes.size(); ++i) {
-        const auto got = run.Get(probes[i], nullptr);
-        ASSERT_EQ(want[i].has_value(), got.has_value())
-            << "codec=" << static_cast<int>(codec) << " eps=" << eps
-            << " probe=" << probes[i];
-        if (want[i].has_value()) {
-          EXPECT_EQ(want[i]->value, got->value);
-          EXPECT_EQ(want[i]->deleted, got->deleted);
+    for (const DiskSearchMode mode :
+         {DiskSearchMode::kModelFence, DiskSearchMode::kFenceBinary,
+          DiskSearchMode::kLearned}) {
+      for (const PageCodec codec :
+           {PageCodec::kPlain, PageCodec::kFor, PageCodec::kDelta}) {
+        if (mode == DiskSearchMode::kModelFence &&
+            codec == PageCodec::kPlain) {
+          continue;  // The reference itself.
         }
-      }
-      // Scans and the compaction drain agree with the plain run.
-      for (int trial = 0; trial < 20; ++trial) {
-        const uint64_t lo = entries[rng.NextBounded(entries.size())].first;
-        const uint64_t hi = lo + rng.NextBounded(1u << 22);
-        const auto a = plain.Scan(lo, hi, nullptr);
-        const auto b = run.Scan(lo, hi, nullptr);
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].first, b[i].first);
-          EXPECT_EQ(a[i].second.value, b[i].second.value);
-          EXPECT_EQ(a[i].second.deleted, b[i].second.deleted);
+        const std::string where = "mode=" +
+                                  std::to_string(static_cast<int>(mode)) +
+                                  " codec=" +
+                                  std::to_string(static_cast<int>(codec)) +
+                                  " eps=" + std::to_string(eps);
+        FileManager file(FreshFile("codec_fuzz"));
+        BufferPool pool(&file, 256);
+        DRun::Options opts;
+        opts.learned_epsilon = eps;
+        opts.codec = codec;
+        opts.mode = mode;
+        DRun run(entries, &file, &pool, opts);
+        run.CheckInvariants();
+        DiskIoStats hit_io;
+        DiskIoStats scalar_io;
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const auto got =
+              run.Get(probes[i], i % 2 == 0 ? &hit_io : &scalar_io);
+          ASSERT_EQ(want[i].has_value(), got.has_value())
+              << where << " probe=" << probes[i];
+          if (want[i].has_value()) {
+            EXPECT_EQ(want[i]->value, got->value);
+            EXPECT_EQ(want[i]->deleted, got->deleted);
+          }
         }
-      }
-      const auto drained = run.Drain();
-      ASSERT_EQ(drained.size(), entries.size());
-      for (size_t i = 0; i < entries.size(); ++i) {
-        ASSERT_EQ(drained[i].first, entries[i].first);
-        ASSERT_EQ(drained[i].second.value, entries[i].second.value);
-        ASSERT_EQ(drained[i].second.deleted, entries[i].second.deleted);
-      }
-      // Async batched lookups match the scalar path on every backend and
-      // queue depth (io_uring degrades to the thread pool if unavailable).
-      for (const IoBackend backend :
-           {IoBackend::kThreadPool, IoBackend::kIoUring}) {
-        for (const size_t depth : {4u, 32u}) {
-          const auto engine = AsyncReadEngine::Create(backend, depth);
-          std::vector<std::optional<Entry>> out(probes.size());
-          run.GetBatch(probes.data(), probes.size(), engine.get(),
-                       out.data(), nullptr);
-          for (size_t i = 0; i < probes.size(); ++i) {
-            ASSERT_EQ(want[i].has_value(), out[i].has_value())
-                << engine->name() << " depth=" << depth << " i=" << i;
-            if (want[i].has_value()) {
-              ASSERT_EQ(want[i]->value, out[i]->value);
+        // Fence-guided modes read exactly the one page a present key is on.
+        if (mode != DiskSearchMode::kLearned) {
+          EXPECT_EQ(hit_io.pages_touched, entries.size()) << where;
+        }
+        scalar_io.pages_touched += hit_io.pages_touched;
+        // Scans and the compaction drain agree with the plain run.
+        for (int trial = 0; trial < 20; ++trial) {
+          const uint64_t lo = entries[rng.NextBounded(entries.size())].first;
+          const uint64_t hi = lo + rng.NextBounded(1u << 22);
+          const auto a = plain.Scan(lo, hi, nullptr);
+          const auto b = run.Scan(lo, hi, nullptr);
+          ASSERT_EQ(a.size(), b.size());
+          for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].first, b[i].first);
+            EXPECT_EQ(a[i].second.value, b[i].second.value);
+            EXPECT_EQ(a[i].second.deleted, b[i].second.deleted);
+          }
+        }
+        const auto drained = run.Drain();
+        ASSERT_EQ(drained.size(), entries.size());
+        for (size_t i = 0; i < entries.size(); ++i) {
+          ASSERT_EQ(drained[i].first, entries[i].first);
+          ASSERT_EQ(drained[i].second.value, entries[i].second.value);
+          ASSERT_EQ(drained[i].second.deleted, entries[i].second.deleted);
+        }
+        // Async batched lookups match the scalar path, page for page, on
+        // every backend and queue depth (io_uring degrades to the thread
+        // pool if unavailable).
+        for (const IoBackend backend :
+             {IoBackend::kThreadPool, IoBackend::kIoUring}) {
+          for (const size_t depth : {4u, 32u}) {
+            const auto engine = AsyncReadEngine::Create(backend, depth);
+            DiskIoStats batch_io;
+            std::vector<std::optional<Entry>> out(probes.size());
+            run.GetBatch(probes.data(), probes.size(), engine.get(),
+                         out.data(), &batch_io);
+            for (size_t i = 0; i < probes.size(); ++i) {
+              ASSERT_EQ(want[i].has_value(), out[i].has_value())
+                  << where << " " << engine->name() << " depth=" << depth
+                  << " i=" << i;
+              if (want[i].has_value()) {
+                ASSERT_EQ(want[i]->value, out[i]->value);
+              }
             }
+            EXPECT_EQ(batch_io.pages_touched, scalar_io.pages_touched)
+                << where;
           }
         }
       }
@@ -851,10 +878,29 @@ TEST(DiskLsmTest, CompressedLevelsMatchInMemoryLsmUnderFuzz) {
   EXPECT_EQ(got, RefRange(ref, 0, 3000));
 }
 
-// ----- DiskPgmTable vs PgmIndex -----
+// ----- DiskRun navigation modes vs PgmIndex -----
 
 using MemPgm = PgmIndex<uint64_t, uint64_t>;
-using DiskPgm = DiskPgmTable<uint64_t, uint64_t>;
+
+// Plain-page run over (keys[i], values[i]) navigated by `mode`.
+std::unique_ptr<DRun> MakeModeRun(const std::vector<uint64_t>& keys,
+                                  const std::vector<uint64_t>& values,
+                                  DiskSearchMode mode, size_t eps,
+                                  FileManager* file, BufferPool* pool) {
+  std::vector<std::pair<uint64_t, Entry>> entries;
+  entries.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    entries.emplace_back(keys[i], Entry{values[i], false});
+  }
+  DRun::Options opts;
+  opts.mode = mode;
+  opts.learned_epsilon = eps;
+  return std::make_unique<DRun>(std::move(entries), file, pool, opts);
+}
+
+std::optional<uint64_t> ValueOf(const std::optional<Entry>& e) {
+  return e.has_value() ? LiveValue(*e) : std::nullopt;
+}
 
 class DiskPgmModeTest : public ::testing::TestWithParam<DiskSearchMode> {};
 
@@ -870,27 +916,28 @@ TEST_P(DiskPgmModeTest, MatchesInMemoryPgm) {
                                  ? "diskpgm_learned"
                                  : "diskpgm_fence"));
   BufferPool pool(&file, 64);
-  DiskPgm::Options opts;
-  opts.mode = GetParam();
-  DiskPgm disk(keys, values, &file, &pool, opts);
-  disk.CheckInvariants();
+  const auto disk = MakeModeRun(keys, values, GetParam(), 64, &file, &pool);
+  disk->CheckInvariants();
 
   DiskIoStats io;
   Rng rng(1907);
   for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(disk.Find(keys[i], &io), mem.Find(keys[i])) << keys[i];
+    ASSERT_EQ(ValueOf(disk->Get(keys[i], &io)), mem.Find(keys[i])) << keys[i];
   }
   for (int probe = 0; probe < 2000; ++probe) {
     const uint64_t miss = keys[rng.NextBounded(keys.size())] + 1;
     if (!std::binary_search(keys.begin(), keys.end(), miss)) {
-      ASSERT_EQ(disk.Find(miss, &io), mem.Find(miss)) << miss;
+      ASSERT_EQ(ValueOf(disk->Get(miss, &io)), mem.Find(miss)) << miss;
     }
   }
   // Range scans against a plain reference.
   for (int trial = 0; trial < 30; ++trial) {
     const uint64_t lo = keys[rng.NextBounded(keys.size())];
     const uint64_t hi = lo + rng.NextBounded(1u << 18);
-    const auto got = disk.RangeScan(lo, hi, &io);
+    std::vector<std::pair<uint64_t, uint64_t>> got;
+    for (const auto& [k, e] : disk->Scan(lo, hi, &io)) {
+      got.emplace_back(k, e.value);
+    }
     std::vector<std::pair<uint64_t, uint64_t>> want;
     for (size_t i = std::lower_bound(keys.begin(), keys.end(), lo) -
                     keys.begin();
@@ -910,12 +957,11 @@ TEST(DiskPgmTableTest, FenceModeReadsExactlyOnePagePerLookup) {
   std::vector<uint64_t> values(keys.size(), 0);
   FileManager file(FreshFile("diskpgm_onepage"));
   BufferPool pool(&file, 16);
-  DiskPgm::Options opts;
-  opts.mode = DiskSearchMode::kFenceBinary;
-  DiskPgm disk(keys, values, &file, &pool, opts);
+  const auto disk = MakeModeRun(keys, values, DiskSearchMode::kFenceBinary,
+                                64, &file, &pool);
   DiskIoStats io;
   for (size_t i = 0; i < 1000; ++i) {
-    (void)disk.Find(keys[i * 7], &io);
+    (void)disk->Get(keys[i * 7], &io);
   }
   EXPECT_EQ(io.pages_touched, 1000u);
 }
@@ -928,18 +974,18 @@ TEST(DiskPgmTableTest, LearnedModePagesPerLookupShrinkWithEpsilon) {
   for (const size_t eps : {16u, 256u, 2048u}) {
     FileManager file(FreshFile("diskpgm_eps_" + std::to_string(eps)));
     BufferPool pool(&file, 256);
-    DiskPgm::Options opts;
-    opts.mode = DiskSearchMode::kLearned;
-    opts.epsilon = eps;
-    DiskPgm disk(keys, values, &file, &pool, opts);
+    const auto disk = MakeModeRun(keys, values, DiskSearchMode::kLearned, eps,
+                                  &file, &pool);
     DiskIoStats io;
     for (size_t i = 0; i < keys.size(); i += 5) {
-      ASSERT_TRUE(disk.Find(keys[i], &io).has_value());
+      ASSERT_TRUE(disk->Get(keys[i], &io).has_value());
     }
     const double pages =
         static_cast<double>(io.pages_touched) /
         (static_cast<double>(keys.size()) / 5.0);
-    if (!first) EXPECT_GE(pages, prev_pages) << "eps " << eps;
+    if (!first) {
+      EXPECT_GE(pages, prev_pages) << "eps " << eps;
+    }
     first = false;
     prev_pages = pages;
   }
