@@ -34,9 +34,9 @@
 #include "bench_util.h"
 #include "common/stats.h"
 #include "one_d/alex.h"
-#include "one_d/concurrent_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/lipp.h"
+#include "one_d/pgm.h"
 #include "serving/sharded_index.h"
 #include "serving/workload.h"
 
@@ -286,9 +286,17 @@ int main(int argc, char** argv) {
     run_engine("sharded_btree", [&] {
       return MakeSharded<BPlusTree<uint64_t, uint64_t>>(cfg, data);
     }, mix);
-    run_engine("concurrent_xindex", [&] {
-      auto index =
-          std::make_unique<ConcurrentLearnedIndex<uint64_t, uint64_t>>();
+    // XIndex's shape over frozen PGM snapshots: 64 shards, a 1024-entry
+    // delta per shard merged into a fresh PGM on the writer.
+    run_engine("sharded_pgm_xindex", [&] {
+      using XIndex = ShardedIndex<PgmIndex<uint64_t, uint64_t>>;
+      XIndex::Options opts;
+      opts.num_shards = 64;
+      opts.buffer_capacity = 1024;
+      opts.rebuild_min_delta = 1024;
+      opts.rebuild_fraction = 0;
+      opts.background_drain = false;
+      auto index = std::make_unique<XIndex>(opts);
       index->BulkLoad(data.keys, data.values);
       return index;
     }, mix);

@@ -21,7 +21,6 @@
 #include "multi_d/zm_index3d.h"
 #include "one_d/adaptive_rmi.h"
 #include "one_d/alex.h"
-#include "one_d/concurrent_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/fiting_tree.h"
 #include "one_d/hybrid_rmi.h"
@@ -32,6 +31,7 @@
 #include "one_d/radix_spline.h"
 #include "one_d/rmi.h"
 #include "one_d/string_index.h"
+#include "serving/sharded_index.h"
 
 namespace {
 
@@ -144,7 +144,13 @@ int main() {
          proof);
   }
   {
-    ConcurrentLearnedIndex<uint64_t, uint64_t> xindex;
+    ShardedIndex<PgmIndex<uint64_t, uint64_t>>::Options opts;
+    opts.num_shards = 64;
+    opts.buffer_capacity = 1024;
+    opts.rebuild_min_delta = 1024;
+    opts.rebuild_fraction = 0;
+    opts.background_drain = false;
+    ShardedIndex<PgmIndex<uint64_t, uint64_t>> xindex(opts);
     xindex.BulkLoad(keys, values);
     xindex.Insert(keys.back() + 29, 4);
     std::snprintf(proof, sizeof(proof), "sharded reads+writes ok");

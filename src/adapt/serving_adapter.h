@@ -70,7 +70,8 @@ class ShardedAdaptor {
   }
 
   // Registers this adaptor's Tick with the engine. Call at most once; the
-  // destructor unregisters (and thereby waits out any in-flight tick).
+  // destructor unregisters (and thereby waits out any in-flight tick), so
+  // the engine must outlive the adaptor: declare it first.
   void RegisterWith(AdaptationEngine* engine) {
     engine_ = engine;
     engine_id_ = engine->Register("sharded-adaptor", [this] { Tick(); });

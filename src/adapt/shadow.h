@@ -9,7 +9,7 @@ namespace lidx {
 
 // Acting layer of the adaptation subsystem: an atomically published,
 // epoch-retired pointer slot with a single-flight build latch. This is the
-// publish-then-retire discipline of one_d/concurrent_index.h packaged as a
+// unlink-then-retire discipline of serving/sharded_index.h packaged as a
 // reusable cell so every adaptation client swaps shadow-built structures
 // the same way:
 //

@@ -50,8 +50,8 @@ namespace lidx {
 //    retired object. As a belt-and-braces check the reclaimer additionally
 //    requires E < min(currently pinned epochs).
 //
-// Memory-order contract (relied on by ShardedIndex and
-// ConcurrentLearnedIndex; keep in sync with their inline comments):
+// Memory-order contract (relied on by ShardedIndex; keep in sync with its
+// inline comments):
 //
 //  * The pin store is seq_cst and so is the validating re-load of the
 //    global epoch: the slot write must be globally visible before the
@@ -288,9 +288,9 @@ class EpochManager {
   }
 
   // ---- LIDX_EPOCH_VALIDATE hooks -----------------------------------------
-  // The epoch-protected read paths (ShardedIndex, ConcurrentLearnedIndex)
-  // call these after loading a protected pointer. Both are free no-ops
-  // unless the validator is compiled in.
+  // The epoch-protected read paths (ShardedIndex, ShadowCell) call these
+  // after loading a protected pointer. Both are free no-ops unless the
+  // validator is compiled in.
 
 #ifdef LIDX_EPOCH_VALIDATE
   // Aborts unless the calling thread holds a live pin on this manager.

@@ -27,9 +27,8 @@ namespace lidx {
 namespace serving_detail {
 
 // Uniform bulk-load adapter over the heterogeneous index constructors:
-// (keys, values) BulkLoad (ALEX, LIPP, DynamicPgm, ConcurrentLearnedIndex),
-// (keys, values) Build (PgmIndex, RMI-style frozen indexes), and
-// pair-vector BulkLoad (B+-tree).
+// (keys, values) BulkLoad (ALEX, LIPP, DynamicPgm), (keys, values) Build
+// (PgmIndex, RMI-style frozen indexes), and pair-vector BulkLoad (B+-tree).
 template <typename Index, typename Key, typename Value>
 void BulkLoadInto(Index* index, std::vector<Key> keys,
                   std::vector<Value> values) {
@@ -93,6 +92,10 @@ concept HasSizeBytes = requires(const Index& index) {
 //    linear scan), sealed buffers, delta (binary search), snapshot
 //    (learned lookup). Epoch reclamation guarantees the Table, the State
 //    and everything they reference stay alive until the reader unpins.
+//
+// Over PgmIndex snapshots with 64 shards, 1024-entry buffers,
+// rebuild_min_delta 1024, rebuild_fraction 0 and inline drains, this is
+// the XIndex-style index (Tang et al., PPoPP 2020) that E13 measures.
 //
 // Adaptation hooks (the serving-side "sense" and "act" surface used by
 // src/adapt/):
@@ -552,8 +555,10 @@ class ShardedIndex {
     return table->version;
   }
 
-  // Structural invariants over every published shard state. Lock-free and
-  // safe to run concurrently with readers, writers, drains and
+  // Structural invariants over every published shard state: non-decreasing
+  // boundaries, buffers within capacity, a sorted unique delta, and every
+  // buffered, delta and snapshot key routing back to its shard. Lock-free
+  // and safe to run concurrently with readers, writers, drains and
   // rebalances. Aborts on violation.
   void CheckInvariants() const {
     EpochManager::Guard guard = epoch_->Pin();
@@ -600,6 +605,15 @@ class ShardedIndex {
       if (state->snapshot != nullptr) {
         if constexpr (HasCheckInvariants<Index>) {
           state->snapshot->CheckInvariants();
+        }
+        if (num_shards > 1) {
+          std::vector<std::pair<Key, Value>> rows;
+          state->snapshot->RangeScan(std::numeric_limits<Key>::lowest(),
+                                     std::numeric_limits<Key>::max(), &rows);
+          for (const auto& row : rows) {
+            LIDX_INVARIANT(Route(*table, row.first) == s,
+                           "sharded: snapshot key routes to its shard");
+          }
         }
       }
     }
@@ -727,6 +741,14 @@ class ShardedIndex {
           keys.begin());
     }
     starts[table->num_shards] = n;
+    // Route sends a duplicate-boundary run's keys to the run's first
+    // shard, so that shard owns them: walking down, every later shard of
+    // the run starts where its successor starts and stays empty.
+    for (size_t s = table->num_shards; s-- > 1;) {
+      if (table->boundaries[s] == table->boundaries[s - 1]) {
+        starts[s] = starts[s + 1];
+      }
+    }
     ParallelForIndex(options_.build_threads, table->num_shards, [&](size_t s) {
       const size_t begin = starts[s];
       const size_t end = starts[s + 1];

@@ -154,12 +154,12 @@ inline void DoNotOptimize(const T& value) {
 }  // namespace workload_detail
 
 // Runs one (mix, thread-count) configuration against `index`, which must
-// provide Find/Insert/Erase/RangeScan (ShardedIndex, ConcurrentLearnedIndex,
-// GlobalLockIndex<...> all qualify). Each thread executes a pre-generated
-// operation stream — generation is outside the timed region — and inserts
-// consume a disjoint slice of `insert_pool` per thread, so no two threads
-// ever write the same fresh key. `existing` are the loaded keys (used for
-// read/update/erase/scan key choice and to size scan ranges).
+// provide Find/Insert/Erase/RangeScan (ShardedIndex and GlobalLockIndex<...>
+// qualify). Each thread executes a pre-generated operation stream —
+// generation is outside the timed region — and inserts consume a disjoint
+// slice of `insert_pool` per thread, so no two threads ever write the same
+// fresh key. `existing` are the loaded keys (used for read/update/erase/scan
+// key choice and to size scan ranges).
 template <typename Index>
 WorkloadResult RunYcsb(Index* index, const std::vector<uint64_t>& existing,
                        const std::vector<uint64_t>& insert_pool,

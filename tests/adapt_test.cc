@@ -612,6 +612,33 @@ TEST(ShardedRebalanceTest, TrafficWeightedBoundariesSpreadTheHotRange) {
   index.CheckInvariants();
 }
 
+// One scorching key absorbs most traffic quantiles, so the re-cut repeats
+// boundaries across runs of shards. Route sends a run's keys to its first
+// shard, which must therefore own them: no loaded key may become
+// unreachable.
+TEST(ShardedRebalanceTest, ScorchingKeyKeepsEveryKeyReachable) {
+  Engine::Options opt;
+  opt.num_shards = 64;
+  opt.background_drain = false;
+  opt.collect_shard_stats = true;
+  Engine index(opt);
+  const auto keys = SequentialKeys(1024);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = i;
+  index.BulkLoad(keys, values);
+
+  const uint64_t hot = keys[keys.size() / 2];
+  for (int i = 0; i < 200000; ++i) index.Find(hot);
+  ASSERT_TRUE(index.Rebalance(64));
+
+  size_t lost = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (index.Find(keys[i]) != std::optional<uint64_t>(values[i])) ++lost;
+  }
+  EXPECT_EQ(lost, 0u);
+  index.CheckInvariants();
+}
+
 TEST(ShardedRebalanceTest, ForcedShardRebuildFoldsTheDelta) {
   Engine::Options opt;
   opt.num_shards = 4;

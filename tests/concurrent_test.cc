@@ -9,12 +9,28 @@
 
 #include "common/random.h"
 #include "datasets/generators.h"
-#include "one_d/concurrent_index.h"
+#include "one_d/pgm.h"
+#include "serving/sharded_index.h"
 
 namespace lidx {
 namespace {
 
-using Index = ConcurrentLearnedIndex<uint64_t, uint64_t>;
+// The XIndex-style concurrent learned index (tutorial §6.5): range shards,
+// each a frozen PGM snapshot plus a bounded delta of fresh writes that is
+// merged into a new snapshot on the writer once it reaches `delta_limit`
+// entries. Readers are lock-free.
+using Index = ShardedIndex<PgmIndex<uint64_t, uint64_t>>;
+
+Index::Options XIndexOptions(size_t num_shards = 64,
+                             size_t delta_limit = 1024) {
+  Index::Options opts;
+  opts.num_shards = num_shards;
+  opts.buffer_capacity = delta_limit;
+  opts.rebuild_min_delta = delta_limit;
+  opts.rebuild_fraction = 0;
+  opts.background_drain = false;
+  return opts;
+}
 
 std::vector<uint64_t> Ranks(size_t n) {
   std::vector<uint64_t> v(n);
@@ -24,7 +40,7 @@ std::vector<uint64_t> Ranks(size_t n) {
 
 TEST(ConcurrentIndexTest, BulkLoadAndFind) {
   const auto keys = GenerateKeys(KeyDistribution::kLognormal, 50000, 829);
-  Index index;
+  Index index(XIndexOptions());
   index.BulkLoad(keys, Ranks(keys.size()));
   index.CheckInvariants();
   for (size_t i = 0; i < keys.size(); i += 3) {
@@ -34,7 +50,7 @@ TEST(ConcurrentIndexTest, BulkLoadAndFind) {
 }
 
 TEST(ConcurrentIndexTest, SingleThreadMutations) {
-  Index index;
+  Index index(XIndexOptions());
   index.BulkLoad({10, 20, 30}, {1, 2, 3});
   index.Insert(15, 100);
   EXPECT_EQ(index.Find(15), std::optional<uint64_t>(100));
@@ -43,13 +59,12 @@ TEST(ConcurrentIndexTest, SingleThreadMutations) {
   EXPECT_FALSE(index.Erase(20));
   index.Insert(20, 9);
   EXPECT_EQ(index.Find(20), std::optional<uint64_t>(9));
+  index.CheckInvariants();
 }
 
 TEST(ConcurrentIndexTest, CompactionPreservesData) {
-  Index::Options opts;
-  opts.num_shards = 4;
-  opts.delta_limit = 64;  // Force frequent compactions.
-  Index index(opts);
+  // A small delta forces frequent compactions.
+  Index index(XIndexOptions(/*num_shards=*/4, /*delta_limit=*/64));
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 1000, 839);
   index.BulkLoad(keys, Ranks(keys.size()));
   std::map<uint64_t, uint64_t> ref;
@@ -68,7 +83,7 @@ TEST(ConcurrentIndexTest, CompactionPreservesData) {
 }
 
 TEST(ConcurrentIndexTest, RangeScanMergesDelta) {
-  Index index;
+  Index index(XIndexOptions());
   index.BulkLoad({10, 20, 30, 40, 50}, {1, 2, 3, 4, 5});
   index.Insert(25, 99);
   index.Erase(30);
@@ -77,11 +92,12 @@ TEST(ConcurrentIndexTest, RangeScanMergesDelta) {
   const std::vector<std::pair<uint64_t, uint64_t>> expected{
       {20, 2}, {25, 99}, {40, 4}};
   EXPECT_EQ(out, expected);
+  index.CheckInvariants();
 }
 
 TEST(ConcurrentIndexTest, ConcurrentReadersSeeAllBulkData) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 100000, 857);
-  Index index;
+  Index index(XIndexOptions());
   index.BulkLoad(keys, Ranks(keys.size()));
   std::atomic<size_t> failures{0};
   std::vector<std::thread> readers;
@@ -101,9 +117,7 @@ TEST(ConcurrentIndexTest, ConcurrentReadersSeeAllBulkData) {
 
 TEST(ConcurrentIndexTest, ReadersAndWritersNoTornState) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 50000, 863);
-  Index::Options opts;
-  opts.delta_limit = 256;
-  Index index(opts);
+  Index index(XIndexOptions(/*num_shards=*/64, /*delta_limit=*/256));
   index.BulkLoad(keys, Ranks(keys.size()));
 
   std::atomic<bool> stop{false};
@@ -163,9 +177,7 @@ TEST(ConcurrentIndexTest, ReadersAndWritersNoTornState) {
 }
 
 TEST(ConcurrentIndexTest, ParallelWritersDisjointShards) {
-  Index::Options opts;
-  opts.num_shards = 8;
-  Index index(opts);
+  Index index(XIndexOptions(/*num_shards=*/8));
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 10000, 883);
   index.BulkLoad(keys, Ranks(keys.size()));
   std::vector<std::thread> writers;

@@ -18,10 +18,11 @@
 #include "lsm/lsm_tree.h"
 #include "multi_d/lisa.h"
 #include "one_d/alex.h"
-#include "one_d/concurrent_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/fiting_tree.h"
 #include "one_d/lipp.h"
+#include "one_d/pgm.h"
+#include "serving/sharded_index.h"
 #include "spatial/grid.h"
 #include "spatial/quadtree.h"
 #include "spatial/rtree.h"
@@ -127,9 +128,16 @@ TEST(IntegrationTest, KvStoresAgreeUnderYcsbSession) {
   lsm_opts.memtable_limit = 512;
   lsm_opts.l0_run_limit = 3;
   LsmTree<uint64_t, uint64_t> lsm(lsm_opts);
-  ConcurrentLearnedIndex<uint64_t, uint64_t>::Options cli_opts;
-  cli_opts.delta_limit = 128;
-  ConcurrentLearnedIndex<uint64_t, uint64_t> cli(cli_opts);
+  // XIndex-shaped concurrent index: 64 shards of frozen PGM, each with a
+  // 128-entry delta drained inline.
+  using XIndex = ShardedIndex<PgmIndex<uint64_t, uint64_t>>;
+  XIndex::Options xindex_opts;
+  xindex_opts.num_shards = 64;
+  xindex_opts.buffer_capacity = 128;
+  xindex_opts.rebuild_min_delta = 128;
+  xindex_opts.rebuild_fraction = 0;
+  xindex_opts.background_drain = false;
+  XIndex xindex(xindex_opts);
   BPlusTree<uint64_t, uint64_t> btree;
   std::map<uint64_t, uint64_t> ref;
 
@@ -137,7 +145,7 @@ TEST(IntegrationTest, KvStoresAgreeUnderYcsbSession) {
   const auto pool = GenerateKeys(KeyDistribution::kClustered, 20000, 1087);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = i;
-  cli.BulkLoad(keys, values);
+  xindex.BulkLoad(keys, values);
   for (size_t i = 0; i < keys.size(); ++i) {
     lsm.Put(keys[i], i);
     btree.Insert(keys[i], i);
@@ -159,7 +167,7 @@ TEST(IntegrationTest, KvStoresAgreeUnderYcsbSession) {
                                   ? std::optional<uint64_t>()
                                   : std::optional<uint64_t>(ref[op.key]);
         ASSERT_EQ(lsm.Get(op.key), expected) << op.key;
-        ASSERT_EQ(cli.Find(op.key), expected) << op.key;
+        ASSERT_EQ(xindex.Find(op.key), expected) << op.key;
         ASSERT_EQ(btree.Find(op.key), expected) << op.key;
         break;
       }
@@ -167,14 +175,14 @@ TEST(IntegrationTest, KvStoresAgreeUnderYcsbSession) {
       case OpType::kUpdate: {
         const uint64_t value = op.key ^ 0xABCD;
         lsm.Put(op.key, value);
-        cli.Insert(op.key, value);
+        xindex.Insert(op.key, value);
         btree.Insert(op.key, value);
         ref[op.key] = value;
         break;
       }
       case OpType::kErase:
         lsm.Delete(op.key);
-        cli.Erase(op.key);
+        xindex.Erase(op.key);
         btree.Erase(op.key);
         ref.erase(op.key);
         break;
@@ -193,12 +201,12 @@ TEST(IntegrationTest, KvStoresAgreeUnderYcsbSession) {
          ++it) {
       expected.emplace_back(it->first, it->second);
     }
-    std::vector<std::pair<uint64_t, uint64_t>> lsm_got, cli_got, btree_got;
+    std::vector<std::pair<uint64_t, uint64_t>> lsm_got, xindex_got, btree_got;
     lsm.RangeScan(lo, hi, &lsm_got);
-    cli.RangeScan(lo, hi, &cli_got);
+    xindex.RangeScan(lo, hi, &xindex_got);
     btree.RangeScan(lo, hi, &btree_got);
     ASSERT_EQ(lsm_got, expected);
-    ASSERT_EQ(cli_got, expected);
+    ASSERT_EQ(xindex_got, expected);
     ASSERT_EQ(btree_got, expected);
   }
 }

@@ -18,9 +18,9 @@
 #include "common/random.h"
 #include "datasets/generators.h"
 #include "one_d/alex.h"
-#include "one_d/concurrent_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/lipp.h"
+#include "one_d/pgm.h"
 #include "serving/sharded_index.h"
 #include "serving/workload.h"
 
@@ -177,12 +177,14 @@ TEST(EpochDeathTest, UseAfterReclaimIsCaughtByAsan) {
 template <typename Inner>
 class ShardedIndexTest : public ::testing::Test {};
 
+// PgmIndex is build-only: it takes the Build(keys, values) branch of the
+// bulk-load adapter and serves FindBatch through its own LookupBatch.
 using InnerTypes =
     ::testing::Types<DynamicPgm<uint64_t, uint64_t>,
                      AlexIndex<uint64_t, uint64_t>,
                      LippIndex<uint64_t, uint64_t>,
                      BPlusTree<uint64_t, uint64_t>,
-                     ConcurrentLearnedIndex<uint64_t, uint64_t>>;
+                     PgmIndex<uint64_t, uint64_t>>;
 TYPED_TEST_SUITE(ShardedIndexTest, InnerTypes);
 
 using Reference = std::map<uint64_t, uint64_t>;

@@ -1,9 +1,10 @@
 // Sanitizer-targeted stress tests. These exist primarily for the TSan CI
-// leg: they hammer the shard-locked concurrent index and the multi-threaded
-// throughput harness with mixed readers, writers, erasers, range scanners,
-// and concurrent invariant checkers, so data races in the locking protocol
-// surface as sanitizer reports rather than rare corruption. Under plain
-// builds they double as correctness smoke tests.
+// leg: they hammer the XIndex-shaped sharded index (lock-free readers over
+// epoch-retired shard states) and the multi-threaded throughput harness
+// with mixed readers, writers, erasers, range scanners, and concurrent
+// invariant checkers, so data races in the publication protocol surface as
+// sanitizer reports rather than rare corruption. Under plain builds they
+// double as correctness smoke tests.
 
 #include <algorithm>
 #include <atomic>
@@ -26,7 +27,6 @@
 #include "common/epoch.h"
 #include "lsm/lsm_tree.h"
 #include "one_d/adaptive_rmi.h"
-#include "one_d/concurrent_index.h"
 #include "one_d/tiered_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/pgm.h"
@@ -37,7 +37,21 @@
 namespace lidx {
 namespace {
 
-using Index = ConcurrentLearnedIndex<uint64_t, uint64_t>;
+// XIndex-shaped: range shards of frozen PGM snapshots, each with a bounded
+// delta that is merged into a fresh snapshot on the writer once it reaches
+// `delta_limit` entries.
+using Index = ShardedIndex<PgmIndex<uint64_t, uint64_t>>;
+
+Index::Options XIndexOptions(size_t num_shards = 64,
+                             size_t delta_limit = 1024) {
+  Index::Options opts;
+  opts.num_shards = num_shards;
+  opts.buffer_capacity = delta_limit;
+  opts.rebuild_min_delta = delta_limit;
+  opts.rebuild_fraction = 0;
+  opts.background_drain = false;
+  return opts;
+}
 
 std::vector<uint64_t> Ranks(size_t n) {
   std::vector<uint64_t> v(n);
@@ -46,15 +60,13 @@ std::vector<uint64_t> Ranks(size_t n) {
 }
 
 // Readers, writers, erasers, range scanners, and invariant checkers all
-// running at once. The checker takes each shard lock in shared mode, so it
-// is legal mid-churn; any locking bug shows up as a TSan report or an
+// running at once. The checker is lock-free like the readers, so it is
+// legal mid-churn; any publication bug shows up as a TSan report or an
 // invariant abort.
 TEST(StressTest, MixedOpsWithConcurrentInvariantChecks) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 907);
-  Index::Options opts;
-  opts.num_shards = 8;
-  opts.delta_limit = 128;  // Frequent compactions under churn.
-  Index index(opts);
+  // A small delta means frequent compactions under churn.
+  Index index(XIndexOptions(/*num_shards=*/8, /*delta_limit=*/128));
   index.BulkLoad(keys, Ranks(keys.size()));
 
   constexpr int kOpsPerThread = 4000;
@@ -124,10 +136,7 @@ TEST(StressTest, MixedOpsWithConcurrentInvariantChecks) {
 // the TSan leg covers the exact thread-spawning path the benchmarks use.
 TEST(StressTest, ThroughputHarnessMixedReadersWriters) {
   const auto keys = GenerateKeys(KeyDistribution::kLognormal, 10000, 941);
-  Index::Options opts;
-  opts.num_shards = 8;
-  opts.delta_limit = 256;
-  Index index(opts);
+  Index index(XIndexOptions(/*num_shards=*/8, /*delta_limit=*/256));
   index.BulkLoad(keys, Ranks(keys.size()));
 
   std::atomic<size_t> misses{0};
@@ -160,11 +169,11 @@ TEST(StressTest, ThroughputHarnessMixedReadersWriters) {
   index.CheckInvariants();
 }
 
-// Many checkers in parallel with readers: CheckInvariants must be reentrant
-// and must not write anything (shared locks only).
+// Many checkers in parallel: CheckInvariants must be reentrant and must not
+// write anything (epoch pins only).
 TEST(StressTest, ParallelInvariantCheckers) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 947);
-  Index index;
+  Index index(XIndexOptions());
   index.BulkLoad(keys, Ranks(keys.size()));
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -385,10 +394,11 @@ TEST(StressTest, AdaptShardedRebalanceUnderMixedLoad) {
   Sharded index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
 
-  ShardedAdaptor<Sharded> adaptor(&index);
+  // The engine outlives the adaptor, whose destructor unregisters from it.
   AdaptationEngine::Options eopts;
   eopts.tick_period = std::chrono::milliseconds(2);
   AdaptationEngine engine(eopts);
+  ShardedAdaptor<Sharded> adaptor(&index);
   adaptor.RegisterWith(&engine);
   engine.Start();
 
