@@ -41,15 +41,13 @@ void RunMode(RunSearchMode mode, const char* name,
   });
 
   uint64_t sink = 0;
-  lsm.ResetStats();
+  LsmStats stats;
   const double ns_hit = bench::MeasureNsPerOp(kNumLookups, [&](size_t i) {
-    sink += lsm.Get(hits[i]).value_or(0);
+    sink += lsm.Get(hits[i], &stats).value_or(0);
   });
   const double steps_per_hit =
-      static_cast<double>(lsm.stats().search_steps) /
-      static_cast<double>(lsm.stats().run_probes ? lsm.stats().run_probes
-                                                 : 1);
-  lsm.ResetStats();
+      static_cast<double>(stats.search_steps) /
+      static_cast<double>(stats.run_probes ? stats.run_probes : 1);
   const double ns_miss = bench::MeasureNsPerOp(kNumLookups, [&](size_t i) {
     sink += lsm.Get(misses[i]).has_value();
   });

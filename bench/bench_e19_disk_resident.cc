@@ -226,19 +226,19 @@ void RunLsm(const bench::Dataset1D& data,
       lsm.Flush();
       lsm.WaitForCompactions();
     });
-    lsm.ResetStats();
+    DiskIoStats scalar_io;
     lsm.pool().ResetStats();
     uint64_t sink = 0;
     const uint64_t scalar_sys_before = lsm.file().read_syscalls();
     std::vector<std::optional<uint64_t>> scalar_out(lookups.size());
     const double ns = bench::MeasureNsPerOp(lookups.size(), [&](size_t i) {
-      scalar_out[i] = lsm.Get(lookups[i]);
+      scalar_out[i] = lsm.Get(lookups[i], &scalar_io);
       sink += scalar_out[i].value_or(0);
     });
     DoNotOptimize(sink);
     const double n_lookups = static_cast<double>(lookups.size());
     const double pages_per_get =
-        static_cast<double>(lsm.stats().pages_touched) / n_lookups;
+        static_cast<double>(scalar_io.pages_touched) / n_lookups;
     // MeasureNsPerOp prepends a warmup pass, so this slightly overcounts
     // per-lookup syscalls; the same ops also inflate pages_per_get above.
     const double scalar_syscalls_per_get =
@@ -275,17 +275,16 @@ void RunLsm(const bench::Dataset1D& data,
     // Batched pass over the same lookups: the async GetBatch path. Warm
     // pool, so this isolates the scheduler + engine overhead (E22 covers
     // the cold-read payoff); the result check keeps the two paths honest.
-    lsm.ResetStats();
+    DiskIoStats bio;
     const uint64_t batched_sys_before = lsm.file().read_syscalls();
     std::vector<std::optional<uint64_t>> batched_out(lookups.size());
     Timer batched_timer;
-    lsm.GetBatch(lookups.data(), lookups.size(), batched_out.data());
+    lsm.GetBatch(lookups.data(), lookups.size(), batched_out.data(), &bio);
     const double batched_ns =
         static_cast<double>(batched_timer.ElapsedNanos()) / n_lookups;
     for (size_t i = 0; i < lookups.size(); ++i) {
       LIDX_CHECK(batched_out[i] == scalar_out[i]);
     }
-    const DiskIoStats& bio = lsm.stats();
     const AsyncIoStats& eng = lsm.io_engine()->stats();
     const double batched_pages_per_get =
         static_cast<double>(bio.pages_touched) / n_lookups;

@@ -393,8 +393,9 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
     keys_per_page = static_cast<double>(tiered.ColdSize()) /
                     static_cast<double>(cold_pages);
   }
+  // The run count is the cold tree's own bound (L0 within its trigger),
+  // which CheckInvariants above enforces.
   if (enforce) {
-    LIDX_CHECK(runs.size() <= opts.cold_run_limit);
     LIDX_CHECK(keys_per_page >= 2.5 * 239.0);  // Plain layout: 239/page.
   }
   TablePrinter table({"load_ms", "hot", "cold", "runs", "keys/page",

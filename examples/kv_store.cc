@@ -21,14 +21,15 @@ namespace {
 
 using Store = lidx::LsmTree<uint64_t, uint64_t>;
 
-double RunSession(Store* store, const std::vector<lidx::Operation>& ops) {
+double RunSession(Store* store, const std::vector<lidx::Operation>& ops,
+                  lidx::LsmStats* stats) {
   uint64_t sink = 0;
   lidx::Timer timer;
   std::vector<std::pair<uint64_t, uint64_t>> scan_buffer;
   for (const lidx::Operation& op : ops) {
     switch (op.type) {
       case lidx::OpType::kRead:
-        sink += store->Get(op.key).value_or(0);
+        sink += store->Get(op.key, stats).value_or(0);
         break;
       case lidx::OpType::kInsert:
       case lidx::OpType::kUpdate:
@@ -79,12 +80,11 @@ int main() {
     store.Flush();
     const double load_s = load_timer.ElapsedSeconds();
 
-    store.ResetStats();
-    const double session_s = RunSession(&store, session);
+    LsmStats stats;
+    const double session_s = RunSession(&store, session, &stats);
     const double steps =
-        static_cast<double>(store.stats().search_steps) /
-        static_cast<double>(
-            store.stats().run_probes ? store.stats().run_probes : 1);
+        static_cast<double>(stats.search_steps) /
+        static_cast<double>(stats.run_probes ? stats.run_probes : 1);
     table.AddRow({mode == RunSearchMode::kLearned ? "learned (BOURBON)"
                                                   : "binary search",
                   TablePrinter::FormatDouble(load_s, 2),

@@ -24,10 +24,6 @@ namespace lidx {
 //   MutexLock        scoped exclusive lock
 //   ReaderMutexLock  scoped shared lock
 //   WriterMutexLock  scoped exclusive lock on a SharedMutex
-//   MutexLockMaybe   scoped lock taken only when `enable` is true, but
-//                    *statically* treated as held either way — for
-//                    structures whose contract guarantees single-threaded
-//                    access in the disabled mode (LsmTree sync mode)
 //   CondVar          condition variable bound to Mutex (condition_variable_any)
 
 class LIDX_CAPABILITY("mutex") Mutex {
@@ -39,11 +35,6 @@ class LIDX_CAPABILITY("mutex") Mutex {
   void Lock() LIDX_ACQUIRE() { mu_.lock(); }
   void Unlock() LIDX_RELEASE() { mu_.unlock(); }
   bool TryLock() LIDX_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // Statically marks the capability held with no runtime effect — the
-  // documented escape hatch for single-threaded-by-contract paths; every
-  // call site is listed in docs/STATIC_ANALYSIS.md.
-  void AssertHeld() const LIDX_ASSERT_CAPABILITY(this) {}
 
   // BasicLockable spellings so std::condition_variable_any (see CondVar)
   // can drive the mutex directly. Annotated identically to the PascalCase
@@ -118,32 +109,6 @@ class LIDX_SCOPED_CAPABILITY WriterMutexLock {
 
  private:
   SharedMutex& mu_;
-};
-
-// Conditionally-taken scoped lock for dual-mode structures (LsmTree, over
-// either run store, runs single-threaded-synchronous or background-
-// concurrent). The capability is *statically* claimed in both modes; at
-// runtime the mutex is only taken when `enable` is true. Sound because the
-// disabled mode's class contract is "one client thread, no background
-// workers" — there is nothing to race with. The static claim is what lets
-// the guarded-field annotations stay on the fields (and keep protecting
-// the concurrent mode) without forking every accessor. Uses are part of
-// the documented allowlist in docs/STATIC_ANALYSIS.md.
-class LIDX_SCOPED_CAPABILITY MutexLockMaybe {
- public:
-  MutexLockMaybe(Mutex* mu, bool enable) LIDX_ACQUIRE(mu)
-      : mu_(enable ? mu : nullptr) {
-    if (mu_ != nullptr) mu_->Lock();
-  }
-  ~MutexLockMaybe() LIDX_RELEASE() {
-    if (mu_ != nullptr) mu_->Unlock();
-  }
-
-  MutexLockMaybe(const MutexLockMaybe&) = delete;
-  MutexLockMaybe& operator=(const MutexLockMaybe&) = delete;
-
- private:
-  Mutex* mu_;
 };
 
 // Condition variable over lidx::Mutex. Predicate waits are written as

@@ -82,21 +82,11 @@
 // contract for functions that acquire it themselves).
 #define LIDX_EXCLUDES(...) LIDX_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
-// Tells the analysis the capability is held from this point on, without any
-// runtime effect. The repo's sanctioned escape hatch for contracts the
-// analysis cannot express (e.g. "synchronous mode is single-threaded by
-// class contract, so the guarded fields are safe to read unlocked"); every
-// use must appear in the allowlist in docs/STATIC_ANALYSIS.md.
-#define LIDX_ASSERT_CAPABILITY(x) \
-  LIDX_THREAD_ANNOTATION(assert_capability(x))
-#define LIDX_ASSERT_SHARED_CAPABILITY(x) \
-  LIDX_THREAD_ANNOTATION(assert_shared_capability(x))
-
 // Returns a reference to the named capability without affecting lock state.
 #define LIDX_RETURN_CAPABILITY(x) LIDX_THREAD_ANNOTATION(lock_returned(x))
 
-// Disables the analysis for one function. Like LIDX_ASSERT_CAPABILITY,
-// every use must appear in the docs/STATIC_ANALYSIS.md allowlist.
+// Disables the analysis for one function. Every use must appear in the
+// docs/STATIC_ANALYSIS.md allowlist.
 #define LIDX_NO_THREAD_SAFETY_ANALYSIS \
   LIDX_THREAD_ANNOTATION(no_thread_safety_analysis)
 

@@ -10,9 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/shadow.h"
 #include "baselines/bloom.h"
 #include "baselines/skiplist.h"
 #include "common/batch.h"
+#include "common/epoch.h"
 #include "common/invariants.h"
 #include "common/macros.h"
 #include "common/mutex.h"
@@ -42,11 +44,10 @@ class MemRunStore {
     RunSearchMode search_mode = RunSearchMode::kLearned;
   };
 
-  // Builds the run for `level` (0 = a memtable flush); in memory every
-  // level is built alike.
+  // Builds a run (a memtable flush or a compacted level).
   template <typename TreeOptions>
   std::shared_ptr<Run> MakeRun(
-      std::vector<std::pair<Key, RunEntry<Value>>> entries, size_t /*level*/,
+      std::vector<std::pair<Key, RunEntry<Value>>> entries,
       const TreeOptions& options) const {
     typename Run::Options opts;
     opts.search_mode = options.search_mode;
@@ -78,25 +79,37 @@ class MemRunStore {
 //
 // Compaction runs in one of two modes:
 //  - synchronous (default): a flush that trips the L0 trigger merges
-//    inline on the writing thread, exactly as before — deterministic and
-//    single-threaded.
+//    inline on the ingesting thread — deterministic and single-threaded.
 //  - background (Options::background_compaction): the merge is handed to
-//    the shared thread pool and the writer returns immediately; runs are
-//    reference-counted so in-flight reads keep old runs alive while the
-//    worker installs the merged levels. Writers only stall when the
-//    uncompacted-L0 backlog exceeds a bounded queue, which is the
-//    insert-stall fix: Put latency no longer includes multi-level merges.
+//    the shared thread pool and the writer returns immediately. Writers
+//    only stall when the uncompacted-L0 backlog exceeds a bounded queue,
+//    which is the insert-stall fix: Put latency no longer includes
+//    multi-level merges.
 // In both modes the merge itself can use Options::compaction_threads
 // workers: the k-way merge partitions by key range (byte-identical to the
 // serial merge) and the new run's learned model trains blockwise.
 //
-// Thread-safety contract: one client thread issues Put/Delete/Get/scans;
-// background mode adds internal synchronization between that client and
-// the pool worker, not support for concurrent clients.
+// Read protocol: the run layout (L0 plus levels) is one immutable Layout
+// published through an epoch-protected ShadowCell, in both modes. Readers
+// pin the tree's epoch manager and probe the layout they acquired; every
+// layout change (flush, ingest, compaction) builds a new Layout and
+// publishes it, and the replaced one — with any run only it held — is
+// freed once no reader can still see it.
+//
+// Thread-safety contract: one thread at a time writes (Put, Delete, Flush,
+// Ingest). Put and Delete fill the memtable, which every read probes, so
+// a tree written through them is read only on the writing thread. A tree
+// fed only through Ingest (TieredIndex's cold side) serves Get, GetBatch,
+// RangeScan and the size/invariant accessors on any thread, concurrently
+// with ingests and compactions.
 template <typename Key, typename Value,
           typename Store = MemRunStore<Key, Value>>
 class LsmTree {
  public:
+  using Run = typename Store::Run;
+  using Stats = typename Store::Stats;
+  using KV = std::pair<Key, RunEntry<Value>>;
+
   // The shared tree fields plus the store's own (search_mode for memory;
   // pool, async-read engine and level codec for disk).
   struct Options : Store::Options {
@@ -120,13 +133,17 @@ class LsmTree {
 
   explicit LsmTree(const Options& options = Options())
     requires(!Store::kPaged)
-      : options_(options) {}
+      : options_(options) {
+    layout_.Publish(new Layout());  // Acquire() never sees null.
+  }
 
   // `path` names the page file; it is created if absent and extended as
   // runs are written. The tree owns the file and buffer pool.
   explicit LsmTree(const std::string& path, const Options& options = Options())
     requires Store::kPaged
-      : options_(options), store_(path, options) {}
+      : options_(options), store_(path, options) {
+    layout_.Publish(new Layout());
+  }
 
   ~LsmTree() { WaitForCompactions(); }
 
@@ -143,21 +160,29 @@ class LsmTree {
     MaybeFlush();
   }
 
-  std::optional<Value> Get(const Key& key) const {
-    // Memtable is newest (only the client thread touches it).
-    if (const auto hit = memtable_.Find(key); hit.has_value()) {
-      return LiveValue(*hit);
+  // Probe counters accumulate into `stats` when given.
+  std::optional<Value> Get(const Key& key, Stats* stats = nullptr) const {
+    // The memtable is always empty in a tree fed only through Ingest.
+    if (!memtable_.empty()) {
+      if (const auto hit = memtable_.Find(key); hit.has_value()) {
+        return LiveValue(*hit);
+      }
     }
-    if (!options_.background_compaction) {
-      return GetSingleThreaded(key);
+    const EpochManager::Guard guard = epoch_.Pin();
+    const Layout& layout = *layout_.Acquire();
+    // L0 runs newest-first, then deeper levels.
+    for (auto it = layout.l0.rbegin(); it != layout.l0.rend(); ++it) {
+      if (const auto found = (*it)->Get(key, stats); found.has_value()) {
+        return LiveValue(*found);
+      }
     }
-    // Snapshot the run pointers under the lock; the runs themselves are
-    // immutable, so probing outside the lock is safe even while a worker
-    // installs a new level layout.
-    std::vector<RunPtr> l0;
-    std::vector<RunPtr> levels;
-    SnapshotComponents(&l0, &levels);
-    return GetFromRuns(l0, levels, key);
+    for (const RunPtr& run : layout.levels) {
+      if (run == nullptr) continue;
+      if (const auto found = run->Get(key, stats); found.has_value()) {
+        return LiveValue(*found);
+      }
+    }
+    return std::nullopt;
   }
 
   // Batched point lookups with up to the engine's queue depth of page
@@ -170,12 +195,12 @@ class LsmTree {
   // DiskRun's ResolveTarget/StepPage, and a cursor advances to the next
   // run only after the current run's page walk misses). This overload
   // lazily creates one engine from Options::io_backend / io_queue_depth,
-  // owned by the client thread per the class's one-client contract;
-  // out[] must hold n slots.
-  void GetBatch(const Key* keys, size_t n, std::optional<Value>* out) const
+  // owned by the client thread; out[] must hold n slots.
+  void GetBatch(const Key* keys, size_t n, std::optional<Value>* out,
+                Stats* stats = nullptr) const
     requires Store::kPaged
   {
-    GetBatch(store_.EnsureEngine(options_), keys, n, out);
+    GetBatch(store_.EnsureEngine(options_), keys, n, out, stats);
   }
 
   // Explicit-engine overload (a storage::AsyncReadEngine): concurrent
@@ -183,13 +208,15 @@ class LsmTree {
   // `engine` must be idle.
   template <typename Engine>
   void GetBatch(Engine* engine, const Key* keys, size_t n,
-                std::optional<Value>* out) const
+                std::optional<Value>* out, Stats* stats = nullptr) const
     requires Store::kPaged
   {
     // One snapshot serves the whole batch, probed in Get's order; the runs
-    // themselves are immutable, so cursors probe them lock-free even while
-    // a worker installs a new layout.
-    const std::vector<RunPtr> runs = RunsNewestFirst();
+    // are immutable, so cursors probe them even while a worker installs a
+    // new layout.
+    const std::vector<RunRef> runs = Runs();
+    Stats local;
+    Stats& st = stats != nullptr ? *stats : local;
     typename Store::Pool::PagePinStream stream(&store_.pool(), engine);
     const uint64_t reads_before = engine->stats().reads_submitted;
     struct Cursor {
@@ -203,10 +230,10 @@ class LsmTree {
     // chain is exhausted (miss recorded).
     const auto submit_next = [&](Cursor& c, const Key& key) {
       for (; c.run < runs.size(); ++c.run) {
-        const auto t = runs[c.run]->ResolveTarget(key, &stats_);
+        const auto t = runs[c.run]->ResolveTarget(key, &st);
         if (!t.has_value()) continue;
         c.t = *t;
-        ++stats_.pages_touched;
+        ++st.pages_touched;
         c.ticket = stream.Begin(runs[c.run]->pages_[c.t.page]);
         c.pending = true;
         return;
@@ -232,8 +259,8 @@ class LsmTree {
           const typename Store::Pool::PageRef ref = stream.Take(c.ticket);
           const Run& run = *runs[c.run];
           std::optional<RunEntry<Value>> found;
-          if (!run.StepPage(*ref, &c.t, keys[c.i], &stats_, &found)) {
-            ++stats_.pages_touched;
+          if (!run.StepPage(*ref, &c.t, keys[c.i], &st, &found)) {
+            ++st.pages_touched;
             c.ticket = stream.Begin(run.pages_[c.t.page]);
             return false;
           }
@@ -247,8 +274,8 @@ class LsmTree {
           return !c.pending;
         },
         [&] { stream.WaitAny(); });
-    stats_.batched_lookups += n;
-    stats_.async_page_reads += engine->stats().reads_submitted - reads_before;
+    st.batched_lookups += n;
+    st.async_page_reads += engine->stats().reads_submitted - reads_before;
   }
 
   // Backend actually serving the engine-less GetBatch overload (resolved
@@ -259,13 +286,13 @@ class LsmTree {
 
   // Live entries with lo <= key <= hi, merged across all components.
   void RangeScan(const Key& lo, const Key& hi,
-                 std::vector<std::pair<Key, Value>>* out) const {
-    const std::vector<RunPtr> runs = RunsNewestFirst();
+                 std::vector<std::pair<Key, Value>>* out,
+                 Stats* stats = nullptr) const {
     // One sorted stream per component, newest first: memtable, then runs.
     std::vector<std::vector<KV>> streams(1);
     memtable_.RangeScan(lo, hi, &streams[0]);
-    for (const RunPtr& run : runs) {
-      streams.push_back(run->Scan(lo, hi, &stats_));
+    for (const RunRef& run : Runs()) {
+      streams.push_back(run->Scan(lo, hi, stats));
     }
     MergeLive(std::move(streams), out);
   }
@@ -275,15 +302,43 @@ class LsmTree {
     if (memtable_.empty()) return;
     std::vector<KV> entries;
     memtable_.DrainSorted(&entries);
-    RunPtr run = store_.MakeRun(std::move(entries), 0, options_);
     memtable_ = SkipList<Key, RunEntry<Value>>();
-    if (!options_.background_compaction) {
-      InstallFlushSingleThreaded(std::move(run));
-      return;
+    Ingest(std::move(entries));
+  }
+
+  // Adds `entries` — sorted, unique keys, newer than everything in the
+  // tree — as one flush would, after flushing the (older) memtable. A
+  // batch of at most memtable_limit entries becomes an L0 run and then
+  // meets the usual compaction trigger; a larger one is merged with L0
+  // into the levels on the calling thread, so it lands at the shallowest
+  // level that holds it (bulk loads, or a caller's buffer that outgrew
+  // the memtable limit).
+  void Ingest(std::vector<KV> entries) {
+    Flush();
+    if (entries.empty()) return;
+    std::vector<KV> deep;  // A batch that skips L0.
+    RunPtr run;
+    if (entries.size() > options_.memtable_limit) {
+      deep = std::move(entries);
+    } else {
+      run = store_.MakeRun(std::move(entries), options_);
     }
     MutexLock lock(mu_);
-    l0_.push_back(std::move(run));
-    if (l0_.size() > options_.l0_run_limit) ScheduleCompactionLocked();
+    // A deep batch merges L0 too, so it waits out a worker draining L0.
+    while (!deep.empty() && compaction_inflight_) cv_.Wait(mu_);
+    Layout next = Snapshot();
+    if (run != nullptr) next.l0.push_back(std::move(run));
+    if (!deep.empty() || (!options_.background_compaction &&
+                          next.l0.size() > options_.l0_run_limit)) {
+      next.levels =
+          CompactIntoLevels(std::move(deep), next.l0, std::move(next.levels));
+      next.l0.clear();
+      ++inline_compactions_;
+    }
+    // Only background mode leaves L0 past its trigger.
+    const bool trigger = next.l0.size() > options_.l0_run_limit;
+    Install(std::move(next));
+    if (trigger) ScheduleCompactionLocked();
   }
 
   // Blocks until no background compaction is in flight (no-op in
@@ -295,31 +350,49 @@ class LsmTree {
     while (compaction_inflight_) cv_.Wait(mu_);
   }
 
-  size_t NumRuns() const { return RunsNewestFirst().size(); }
-
-  size_t NumLevels() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
-    return levels_.size();
+  // Every run in probe order — L0 newest first, then L1, L2, ... — from
+  // the current layout. The shared_ptrs keep the runs (and a disk run's
+  // pages) alive after the layout is replaced.
+  std::vector<std::shared_ptr<const Run>> Runs() const {
+    const EpochManager::Guard guard = epoch_.Pin();
+    const Layout& layout = *layout_.Acquire();
+    std::vector<RunRef> runs(layout.l0.rbegin(), layout.l0.rend());
+    for (const RunPtr& run : layout.levels) {
+      if (run != nullptr) runs.push_back(run);
+    }
+    return runs;
   }
 
-  // Compaction passes merged inline on the writer thread vs. on the pool.
-  // Deterministic test hooks for the two modes.
+  size_t NumRuns() const { return Runs().size(); }
+
+  size_t NumLevels() const { return Snapshot().levels.size(); }
+
+  // Entries across all runs, tombstones and shadowed versions included.
+  size_t NumRunEntries() const {
+    size_t total = 0;
+    for (const RunRef& run : Runs()) total += run->size();
+    return total;
+  }
+
+  // Compaction passes merged inline on the ingesting thread vs. on the
+  // pool. Deterministic test hooks for the two modes.
   size_t inline_compactions() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
+    MutexLock lock(mu_);
     return inline_compactions_;
   }
   size_t background_compactions() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
+    MutexLock lock(mu_);
     return background_compactions_;
   }
-
-  const typename Store::Stats& stats() const { return stats_; }
-  void ResetStats() const { stats_ = typename Store::Stats{}; }
 
   // The disk store's page file and buffer pool.
   const auto& file() const requires Store::kPaged { return store_.file(); }
   auto& pool() requires Store::kPaged { return store_.pool(); }
   const auto& pool() const requires Store::kPaged { return store_.pool(); }
+
+  // The manager readers pin; a caller that composes the tree with its own
+  // epoch-published state can publish on it and pin once for both.
+  EpochManager& epoch() const { return epoch_; }
 
   // In-memory footprint: memtable, each run's in-memory state (all of a
   // SortedRun; a DiskRun's fences, model and filter — its records are on
@@ -327,7 +400,7 @@ class LsmTree {
   size_t SizeBytes() const {
     size_t total =
         sizeof(*this) + memtable_.SizeBytes() + store_.SizeBytes();
-    for (const RunPtr& run : RunsNewestFirst()) total += run->SizeBytes();
+    for (const RunRef& run : Runs()) total += run->SizeBytes();
     return total;
   }
 
@@ -339,30 +412,32 @@ class LsmTree {
   // leveled capacity schedule — each occupied level fits its capacity
   // except the deepest, which absorbs overflow when the tree is full —
   // and the store's own contracts (the disk store's page allocator and
-  // buffer-pool table). Aborts on violation. Test hook.
+  // buffer-pool table). Aborts on violation. Test hook; checks one
+  // layout, so it may run beside readers, ingests and compactions.
   void CheckInvariants() const {
-    MutexLockMaybe lock(&mu_, options_.background_compaction);
     memtable_.CheckInvariants();
     LIDX_INVARIANT(memtable_.size() < options_.memtable_limit ||
                        options_.memtable_limit == 0,
                    "lsm: memtable below flush threshold");
+    const Layout layout = Snapshot();
     const size_t l0_bound = options_.background_compaction
                                 ? BacklogBound() + 1
                                 : options_.l0_run_limit;
-    LIDX_INVARIANT(l0_.size() <= l0_bound,
+    LIDX_INVARIANT(layout.l0.size() <= l0_bound,
                    "lsm: L0 run count within compaction trigger");
-    for (const auto& run : l0_) {
+    for (const auto& run : layout.l0) {
       LIDX_INVARIANT(run != nullptr, "lsm: L0 run allocated");
       run->CheckInvariants();
       LIDX_INVARIANT(run->size() <= options_.memtable_limit,
                      "lsm: L0 run no larger than one memtable flush");
     }
-    LIDX_INVARIANT(levels_.size() <= kMaxLevels, "lsm: level count bound");
-    for (size_t level = 0; level < levels_.size(); ++level) {
-      if (levels_[level] == nullptr) continue;
-      levels_[level]->CheckInvariants();
+    LIDX_INVARIANT(layout.levels.size() <= kMaxLevels,
+                   "lsm: level count bound");
+    for (size_t level = 0; level < layout.levels.size(); ++level) {
+      if (layout.levels[level] == nullptr) continue;
+      layout.levels[level]->CheckInvariants();
       LIDX_INVARIANT(
-          levels_[level]->size() <= LevelCapacity(level) ||
+          layout.levels[level]->size() <= LevelCapacity(level) ||
               level + 1 >= kMaxLevels,
           "lsm: level sizes follow the leveled capacity schedule");
     }
@@ -372,17 +447,22 @@ class LsmTree {
   // Total learned-model bytes across runs (0 in binary-search mode).
   size_t ModelSizeBytes() const {
     size_t total = 0;
-    for (const RunPtr& run : RunsNewestFirst()) total += run->ModelSizeBytes();
+    for (const RunRef& run : Runs()) total += run->ModelSizeBytes();
     return total;
   }
 
  private:
-  using Run = typename Store::Run;
-  // Shared (not unique) so background compaction can replace the level
-  // layout while concurrent reads keep probing the old runs — and so a
-  // disk run's pages are freed only after its last reader is gone.
+  // Shared (not unique): successive layouts share the runs they did not
+  // rewrite, and a run — with a disk run's pages — is freed only when the
+  // last layout or snapshot holding it is gone.
   using RunPtr = std::shared_ptr<Run>;
-  using KV = std::pair<Key, RunEntry<Value>>;
+  using RunRef = std::shared_ptr<const Run>;
+
+  // One immutable run layout, published whole.
+  struct Layout {
+    std::vector<RunPtr> l0;      // Oldest first.
+    std::vector<RunPtr> levels;  // levels[i] = L(i+1), single run or null.
+  };
 
   void MaybeFlush() {
     if (memtable_.size() >= options_.memtable_limit) Flush();
@@ -398,135 +478,81 @@ class LsmTree {
     return options_.l0_run_limit * (options_.max_pending_compactions + 1);
   }
 
-  void SnapshotComponents(std::vector<RunPtr>* l0,
-                          std::vector<RunPtr>* levels) const {
-    MutexLock lock(mu_);
-    *l0 = l0_;
-    *levels = levels_;
+  // A copy of the current layout; its shared_ptrs keep the runs alive
+  // after the pin drops.
+  Layout Snapshot() const {
+    const EpochManager::Guard guard = epoch_.Pin();
+    return *layout_.Acquire();
   }
 
-  // Synchronous-mode fast paths: the class contract says one client thread
-  // and no background workers, so the component fields cannot be contended
-  // and the lock is skipped. AssertHeld() tells the analysis the guarded
-  // fields are safe here; these sites are allowlisted in
-  // docs/STATIC_ANALYSIS.md.
-  std::optional<Value> GetSingleThreaded(const Key& key) const {
-    mu_.AssertHeld();
-    return GetFromRuns(l0_, levels_, key);
+  // Publishes `next` and reclaims at once rather than every 64 retires:
+  // with no reader pinned, two epoch advances free the layout just
+  // replaced and every run only it held (a disk run's pages return to the
+  // file's free list).
+  void Install(Layout next) LIDX_REQUIRES(mu_) {
+    layout_.Publish(new Layout(std::move(next)));
+    epoch_.ReclaimSome();
+    epoch_.ReclaimSome();
   }
 
-  void CopyComponentsSingleThreaded(std::vector<RunPtr>* l0,
-                                    std::vector<RunPtr>* levels) const {
-    mu_.AssertHeld();
-    *l0 = l0_;
-    *levels = levels_;
-  }
-
-  // Every run in probe order — L0 newest-first, then L1, L2, ... — from a
-  // snapshot taken under the lock in background mode.
-  std::vector<RunPtr> RunsNewestFirst() const {
-    std::vector<RunPtr> l0;
-    std::vector<RunPtr> levels;
-    if (options_.background_compaction) {
-      SnapshotComponents(&l0, &levels);
-    } else {
-      CopyComponentsSingleThreaded(&l0, &levels);
-    }
-    std::vector<RunPtr> runs(l0.rbegin(), l0.rend());
-    for (RunPtr& run : levels) {
-      if (run != nullptr) runs.push_back(std::move(run));
-    }
-    return runs;
-  }
-
-  void InstallFlushSingleThreaded(RunPtr run) {
-    mu_.AssertHeld();
-    l0_.push_back(std::move(run));
-    MaybeCompact();
-  }
-
-  std::optional<Value> GetFromRuns(const std::vector<RunPtr>& l0,
-                                   const std::vector<RunPtr>& levels,
-                                   const Key& key) const {
-    // L0 runs newest-first, then deeper levels.
-    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-      if (const auto found = (*it)->Get(key, &stats_); found.has_value()) {
-        return LiveValue(*found);
-      }
-    }
-    for (const auto& run : levels) {
-      if (run == nullptr) continue;
-      if (const auto found = run->Get(key, &stats_); found.has_value()) {
-        return LiveValue(*found);
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Synchronous-mode compaction: merge inline on the caller's thread.
-  void MaybeCompact() LIDX_REQUIRES(mu_) {
-    if (l0_.size() <= options_.l0_run_limit) return;
-    std::vector<RunPtr> batch = std::move(l0_);
-    l0_.clear();
-    levels_ = CompactIntoLevels(batch, std::move(levels_));
-    ++inline_compactions_;
-  }
-
-  // Schedules (or piggybacks on) the single background worker. Called with
-  // mu_ held; may release it (inside cv_.Wait) while waiting out the
-  // backlog bound.
+  // Background mode, L0 past its trigger: starts the worker, or — when
+  // one is already draining L0 — stalls the writer while it has outrun
+  // compaction by the whole backlog allowance (the bounded queue). May
+  // release mu_ inside cv_.Wait.
   void ScheduleCompactionLocked() LIDX_REQUIRES(mu_) {
-    if (!compaction_inflight_) {
-      compaction_inflight_ = true;
-      ThreadPool::Shared().Submit([this] { BackgroundCompact(); });
-      return;
-    }
-    // A worker is already draining L0 and will keep looping until it is
-    // back under the trigger; only stall the writer when it has outrun
-    // compaction by the whole backlog allowance (the bounded queue).
     const size_t bound = BacklogBound();
-    while (l0_.size() > bound && compaction_inflight_) cv_.Wait(mu_);
-    if (!compaction_inflight_ && l0_.size() > options_.l0_run_limit) {
+    while (compaction_inflight_ && Snapshot().l0.size() > bound) {
+      cv_.Wait(mu_);
+    }
+    if (!compaction_inflight_ &&
+        Snapshot().l0.size() > options_.l0_run_limit) {
       compaction_inflight_ = true;
       ThreadPool::Shared().Submit([this] { BackgroundCompact(); });
     }
   }
 
-  // Pool-worker body: repeatedly snapshot the L0 batch plus levels, merge
-  // outside the lock, and install the result. The merge reads only
-  // immutable runs and options_ (a disk run drains through positional
-  // reads and new pages come from the thread-safe allocator, so neither
-  // pollutes the cache nor races foreground reads). New runs flushed while
-  // merging append behind the snapshot, so erasing the batch prefix
-  // afterwards is exact.
+  // Pool-worker body: repeatedly snapshot the layout, merge its L0 batch
+  // into the levels outside the lock, and install the result. The merge
+  // reads only immutable runs and options_ (a disk run drains through
+  // positional reads and new pages come from the thread-safe allocator,
+  // so neither pollutes the cache nor races foreground reads). Runs
+  // flushed while merging append behind the batch, and nothing else
+  // rewrites the levels while a worker is in flight, so replacing the
+  // batch prefix and the levels afterwards is exact.
   void BackgroundCompact() {
     mu_.Lock();
-    while (l0_.size() > options_.l0_run_limit) {
-      const std::vector<RunPtr> batch(l0_.begin(), l0_.end());
-      std::vector<RunPtr> levels = levels_;
+    for (Layout batch = Snapshot(); batch.l0.size() > options_.l0_run_limit;
+         batch = Snapshot()) {
       mu_.Unlock();
-      std::vector<RunPtr> next = CompactIntoLevels(batch, std::move(levels));
+      std::vector<RunPtr> levels =
+          CompactIntoLevels({}, batch.l0, std::move(batch.levels));
       mu_.Lock();
-      l0_.erase(l0_.begin(),
-                l0_.begin() + static_cast<std::ptrdiff_t>(batch.size()));
-      levels_ = std::move(next);
+      Layout next = Snapshot();
+      next.l0.erase(next.l0.begin(),
+                    next.l0.begin() +
+                        static_cast<std::ptrdiff_t>(batch.l0.size()));
+      next.levels = std::move(levels);
+      Install(std::move(next));
       ++background_compactions_;
       cv_.NotifyAll();  // Writers stalled on the backlog bound.
     }
     compaction_inflight_ = false;
-    cv_.NotifyAll();  // WaitForCompactions / re-schedulers.
+    cv_.NotifyAll();  // WaitForCompactions / re-schedulers / deep ingests.
     mu_.Unlock();
   }
 
-  // Merges an L0 batch into a copy of the levels and returns the new
-  // layout. Old runs stay alive (a disk run's pages stay allocated) until
-  // the caller swaps the layout and the last shared_ptr drops, so this is
-  // safe on a pool thread while the tree keeps serving from the old runs.
-  std::vector<RunPtr> CompactIntoLevels(const std::vector<RunPtr>& l0_batch,
+  // Merges `newest` (may be empty) and an L0 batch into a copy of the
+  // levels and returns the new levels. Old runs stay alive (a disk run's
+  // pages stay allocated) until the caller installs the result and the
+  // last reference drops, so this is safe off the lock while the tree
+  // keeps serving from the old runs.
+  std::vector<RunPtr> CompactIntoLevels(std::vector<KV> newest,
+                                        const std::vector<RunPtr>& l0_batch,
                                         std::vector<RunPtr> levels) {
     std::vector<std::vector<KV>> runs;
-    runs.reserve(l0_batch.size());
+    runs.reserve(l0_batch.size() + 1);
     // Newest first so MergeStreams keeps the freshest version per key.
+    if (!newest.empty()) runs.push_back(std::move(newest));
     for (auto it = l0_batch.rbegin(); it != l0_batch.rend(); ++it) {
       runs.push_back((*it)->Drain());
     }
@@ -560,30 +586,26 @@ class LsmTree {
     if (is_bottom) DropTombstones(&entries);
     if (!entries.empty()) {
       (*levels)[level] =
-          store_.MakeRun(std::move(entries), level + 1, options_);
+          store_.MakeRun(std::move(entries), options_);
     }
   }
 
   static constexpr size_t kMaxLevels = 8;
 
   Options options_;
-  // Declared before the run vectors: members destroy in reverse order, so
-  // every run (a DiskRun frees its pages through the store) dies first.
+  // Declared before the epoch manager and the layout cell: members destroy
+  // in reverse order, so the current layout and every retired one free
+  // their runs (a DiskRun frees its pages through the store) first.
   [[no_unique_address]] Store store_;
+  mutable EpochManager epoch_;
+  ShadowCell<Layout> layout_{&epoch_};  // lidx: epoch-protected
   SkipList<Key, RunEntry<Value>> memtable_;
-  // mu_ guards the components and counters (in synchronous mode it is
-  // skipped at runtime via MutexLockMaybe/AssertHeld — single client
-  // thread by contract); the memtable and stats stay client-thread-only in
-  // both modes.
+  // mu_ serialises layout publishers and guards the scheduler state.
   mutable Mutex mu_;
   mutable CondVar cv_;
   bool compaction_inflight_ LIDX_GUARDED_BY(mu_) = false;
   size_t inline_compactions_ LIDX_GUARDED_BY(mu_) = 0;
   size_t background_compactions_ LIDX_GUARDED_BY(mu_) = 0;
-  std::vector<RunPtr> l0_ LIDX_GUARDED_BY(mu_);
-  // levels_[i] = L(i+1), single run each.
-  std::vector<RunPtr> levels_ LIDX_GUARDED_BY(mu_);
-  mutable typename Store::Stats stats_;
 };
 
 }  // namespace lidx

@@ -12,11 +12,12 @@
 
 namespace lidx {
 
-// Newest-wins k-way merge shared by LsmTree (over either run store) and
-// TieredIndex. Streams are sorted by key and ordered newest first; on a key
-// collision the entry from the newest stream survives (tombstones included
-// — dropping them is a compaction policy decision, not a merge one; see
-// DropTombstones and MergeLive below).
+// Newest-wins k-way merge shared by LsmTree (over either run store),
+// TieredIndex and ShardedIndex. Streams are sorted by key, unique within a
+// stream, and ordered newest first; on a key collision the entry from the
+// newest stream survives (tombstones included — dropping them is a
+// compaction policy decision, not a merge one; see DropTombstones and
+// MergeLive below).
 
 // Merges runs[r][bounds[r].first, bounds[r].second) across all streams.
 template <typename Key, typename Entry>
@@ -57,6 +58,7 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
     std::vector<std::vector<std::pair<Key, Entry>>> runs, size_t threads) {
   using KV = std::pair<Key, Entry>;
   static constexpr size_t kMinParallelMerge = size_t{1} << 14;
+  if (runs.size() == 1) return std::move(runs.front());  // Nothing to merge.
   size_t total = 0;
   size_t largest = 0;
   for (size_t r = 0; r < runs.size(); ++r) {

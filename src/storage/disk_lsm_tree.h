@@ -43,27 +43,25 @@ class DiskRunStore {
     // the backend at runtime (see storage/async_io.h).
     IoBackend io_backend = IoBackend::kAuto;
     size_t io_queue_depth = 32;
-    // Page codec for compacted levels (L1+). Freshly flushed L0 runs stay
-    // plain — they are short-lived and rewritten by the next compaction —
-    // while the long-lived levels take the compression win (see
-    // storage/page_codec.h; per-page plain fallback still applies).
+    // Page codec of every run, L0 included (see storage/page_codec.h;
+    // per-page plain fallback still applies).
     PageCodec level_codec = PageCodec::kPlain;
   };
 
   DiskRunStore(const std::string& path, const Options& options)
       : file_(path), pool_(&file_, options.pool_frames) {}
 
-  // Writes the run for `level` (0 = a memtable flush) to fresh pages.
+  // Writes a run (a memtable flush or a compacted level) to fresh pages.
   template <typename TreeOptions>
   std::shared_ptr<Run> MakeRun(
-      std::vector<std::pair<Key, RunEntry<Value>>> entries, size_t level,
+      std::vector<std::pair<Key, RunEntry<Value>>> entries,
       const TreeOptions& options) {
     typename Run::Options opts;
     opts.learned_epsilon = options.learned_epsilon;
     opts.bloom_bits_per_key = options.bloom_bits_per_key;
     opts.build_threads = options.compaction_threads;
     opts.simd = options.simd;
-    opts.codec = level == 0 ? PageCodec::kPlain : options.level_codec;
+    opts.codec = options.level_codec;
     return std::make_shared<Run>(std::move(entries), &file_, &pool_, opts);
   }
 
@@ -72,8 +70,8 @@ class DiskRunStore {
   BufferPool& pool() const { return pool_; }
 
   // Engine of the engine-less GetBatch overload, created on first use.
-  // Client-thread only (the tree's one-client contract makes all reads
-  // single-threaded, and background compaction never reads through it).
+  // Client-thread only (background compaction never reads through it;
+  // other reader threads bring their own engine).
   AsyncReadEngine* EnsureEngine(const Options& options) const {
     if (engine_ == nullptr) {
       engine_ = AsyncReadEngine::Create(options.io_backend,

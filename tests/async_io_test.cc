@@ -530,11 +530,12 @@ TEST(BatchedEquivalenceTest, DiskLsmTreeFuzzWithDeletesAndOverwrites) {
     std::vector<std::optional<uint64_t>> want(probes.size());
     for (size_t i = 0; i < probes.size(); ++i) want[i] = tree.Get(probes[i]);
     std::vector<std::optional<uint64_t>> got(probes.size());
-    tree.GetBatch(probes.data(), probes.size(), got.data());
+    DiskIoStats io;
+    tree.GetBatch(probes.data(), probes.size(), got.data(), &io);
     for (size_t i = 0; i < probes.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << IoBackendName(backend) << " probe " << i;
     }
-    EXPECT_EQ(tree.stats().batched_lookups, probes.size());
+    EXPECT_EQ(io.batched_lookups, probes.size());
     // Depth-1 edge case via an explicit engine (degenerates to
     // submit-then-wait per lookup).
     auto one = AsyncReadEngine::Create(backend, 1);

@@ -200,6 +200,76 @@ TEST_P(LsmModeTest, RangeScanMergesComponents) {
   });
 }
 
+TEST_P(LsmModeTest, IngestMatchesStdMap) {
+  ForEachStore(GetParam(), []<typename Tree>(const auto& opts) {
+    for (const bool background : {false, true}) {
+      SCOPED_TRACE(background ? "background" : "sync");
+      typename Tree::Options tree_opts = opts;
+      tree_opts.background_compaction = background;
+      Tree lsm(tree_opts);
+      std::map<uint64_t, uint64_t> ref;
+      Rng rng(797);
+      // A batch of n distinct keys, a quarter of them tombstones.
+      const auto ingest = [&](size_t n) {
+        std::map<uint64_t, RunEntry<uint64_t>> batch;
+        while (batch.size() < n) {
+          batch[rng.NextBounded(8000)] =
+              RunEntry<uint64_t>{rng.Next(), rng.NextBounded(4) == 0};
+        }
+        for (const auto& [key, e] : batch) {
+          if (e.deleted) {
+            ref.erase(key);
+          } else {
+            ref[key] = e.value;
+          }
+        }
+        lsm.Ingest(std::vector<typename Tree::KV>(batch.begin(), batch.end()));
+      };
+      const auto check = [&] {
+        for (uint64_t key = 0; key < 8000; ++key) {
+          const auto it = ref.find(key);
+          const std::optional<uint64_t> want =
+              it == ref.end() ? std::nullopt
+                              : std::optional<uint64_t>(it->second);
+          ASSERT_EQ(lsm.Get(key), want) << key;
+        }
+        std::vector<std::pair<uint64_t, uint64_t>> got;
+        lsm.RangeScan(0, UINT64_MAX, &got);
+        const std::vector<std::pair<uint64_t, uint64_t>> want_all(
+            ref.begin(), ref.end());
+        ASSERT_EQ(got, want_all);
+      };
+      // Into an empty tree, larger than the memtable: one bottom run, its
+      // tombstones already dropped.
+      ingest(opts.memtable_limit * 5);
+      EXPECT_EQ(lsm.NumRuns(), 1u);
+      EXPECT_EQ(lsm.NumRunEntries(), ref.size());
+      check();
+      // Interleaved with Put/Delete (the memtable is older than a batch),
+      // batches both within and past the memtable limit.
+      for (int round = 0; round < 40; ++round) {
+        for (int op = 0; op < 150; ++op) {
+          const uint64_t key = rng.NextBounded(8000);
+          if (rng.NextBounded(3) == 0) {
+            lsm.Delete(key);
+            ref.erase(key);
+          } else {
+            lsm.Put(key, key + static_cast<uint64_t>(round));
+            ref[key] = key + static_cast<uint64_t>(round);
+          }
+        }
+        ingest(round % 3 == 0
+                   ? opts.memtable_limit + 1 + rng.NextBounded(800)
+                   : 1 + rng.NextBounded(opts.memtable_limit));
+        if (round % 10 == 9) check();
+      }
+      lsm.WaitForCompactions();
+      lsm.CheckInvariants();
+      check();
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, LsmModeTest,
                          ::testing::Values(RunSearchMode::kBinarySearch,
                                            RunSearchMode::kLearned),
@@ -220,16 +290,16 @@ TEST(LsmTest, LearnedModeUsesFewerSearchSteps) {
   }
   learned.Flush();
   binary.Flush();
-  learned.ResetStats();
-  binary.ResetStats();
+  LsmStats learned_stats;
+  LsmStats binary_stats;
   Rng rng(739);
   for (int probe = 0; probe < 5000; ++probe) {
     const uint64_t k = keys[rng.NextBounded(keys.size())];
-    learned.Get(k);
-    binary.Get(k);
+    learned.Get(k, &learned_stats);
+    binary.Get(k, &binary_stats);
   }
-  ASSERT_GT(binary.stats().search_steps, 0u);
-  EXPECT_LT(learned.stats().search_steps, binary.stats().search_steps / 2);
+  ASSERT_GT(binary_stats.search_steps, 0u);
+  EXPECT_LT(learned_stats.search_steps, binary_stats.search_steps / 2);
 }
 
 TEST(LsmTest, BloomCutsRunProbes) {
@@ -237,12 +307,12 @@ TEST(LsmTest, BloomCutsRunProbes) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 743);
   for (size_t i = 0; i < keys.size(); ++i) lsm.Put(keys[i], i);
   lsm.Flush();
-  lsm.ResetStats();
+  LsmStats stats;
   Rng rng(751);
   for (int probe = 0; probe < 2000; ++probe) {
-    lsm.Get(keys[rng.NextBounded(keys.size())] + 1);  // Mostly misses.
+    lsm.Get(keys[rng.NextBounded(keys.size())] + 1, &stats);  // Mostly misses.
   }
-  EXPECT_GT(lsm.stats().bloom_rejects, lsm.stats().run_probes * 5);
+  EXPECT_GT(stats.bloom_rejects, stats.run_probes * 5);
 }
 
 TEST(LsmTest, CompactionReducesRunCount) {

@@ -28,7 +28,6 @@ static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex));
 static_assert(sizeof(MutexLock) == sizeof(void*));
 static_assert(sizeof(ReaderMutexLock) == sizeof(void*));
 static_assert(sizeof(WriterMutexLock) == sizeof(void*));
-static_assert(sizeof(MutexLockMaybe) == sizeof(void*));
 
 TEST(MutexTest, MutualExclusion) {
   Mutex mu;
@@ -57,15 +56,6 @@ TEST(MutexTest, TryLock) {
     EXPECT_TRUE(mu.TryLock());
     mu.Unlock();
   }).join();
-}
-
-TEST(MutexTest, AssertHeldIsARuntimeNoOp) {
-  Mutex mu;
-  // Statically claims the capability; at runtime it must do nothing at all
-  // (in particular: not block, not require the lock).
-  mu.AssertHeld();
-  MutexLock lock(mu);
-  mu.AssertHeld();
 }
 
 TEST(SharedMutexTest, ReadersAreConcurrent) {
@@ -116,25 +106,6 @@ TEST(SharedMutexTest, WriterLockIsExclusive) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(counter, int64_t{kThreads} * kIters);
-}
-
-TEST(MutexLockMaybeTest, EnabledTakesTheLock) {
-  Mutex mu;
-  {
-    MutexLockMaybe lock(&mu, /*enable=*/true);
-    std::thread([&] { EXPECT_FALSE(mu.TryLock()); }).join();
-  }
-  // Released on scope exit.
-  ASSERT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
-TEST(MutexLockMaybeTest, DisabledLeavesTheMutexAlone) {
-  Mutex mu;
-  MutexLockMaybe lock(&mu, /*enable=*/false);
-  // The mutex was never touched: still immediately lockable.
-  ASSERT_TRUE(mu.TryLock());
-  mu.Unlock();
 }
 
 TEST(CondVarTest, WaitNotify) {

@@ -792,6 +792,28 @@ TEST_P(DiskLsmModeTest, MatchesInMemoryLsmUnderFuzz) {
   }
 }
 
+TEST_P(DiskLsmModeTest, MergedRunsFreeTheirPages) {
+  // A compaction's input runs give their pages back as soon as no reader
+  // can still see them: once compactions are idle, the file's allocated
+  // pages are exactly the live runs' pages.
+  const bool background = GetParam();
+  DiskLsm disk(FreshFile(background ? "disklsm_free_bg" : "disklsm_free"),
+               SmallDiskOptions(background));
+  Rng rng(1867);
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      disk.Put(rng.NextBounded(20000), static_cast<uint64_t>(round));
+      if (i % 7 == 0) disk.Delete(rng.NextBounded(20000));
+    }
+    disk.Flush();
+    disk.WaitForCompactions();
+    uint64_t live = 0;
+    for (const auto& run : disk.Runs()) live += run->NumPages();
+    ASSERT_EQ(disk.file().NumPages() - disk.file().FreeListSize(), live)
+        << "round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(SyncAndBackground, DiskLsmModeTest,
                          ::testing::Values(false, true));
 
@@ -819,24 +841,24 @@ TEST(DiskLsmTest, StatsCountPagesAndBloomRejects) {
   DiskLsm disk(FreshFile("disklsm_stats"), SmallDiskOptions(false));
   for (uint64_t key = 0; key < 4000; ++key) disk.Put(key * 2, key);
   disk.Flush();
-  disk.ResetStats();
+  DiskIoStats hits;
   for (uint64_t key = 0; key < 4000; ++key) {
-    ASSERT_TRUE(disk.Get(key * 2).has_value());
+    ASSERT_TRUE(disk.Get(key * 2, &hits).has_value());
   }
-  EXPECT_GT(disk.stats().pages_touched, 0u);
-  EXPECT_GT(disk.stats().run_probes, 0u);
+  EXPECT_GT(hits.pages_touched, 0u);
+  EXPECT_GT(hits.run_probes, 0u);
   // Misses are mostly absorbed by the Bloom filters, not disk reads.
-  disk.ResetStats();
+  DiskIoStats misses;
   for (uint64_t key = 0; key < 4000; ++key) {
-    ASSERT_FALSE(disk.Get(key * 2 + 1).has_value());
+    ASSERT_FALSE(disk.Get(key * 2 + 1, &misses).has_value());
   }
-  EXPECT_GT(disk.stats().bloom_rejects, 0u);
-  EXPECT_LT(disk.stats().pages_touched, 4000u);
+  EXPECT_GT(misses.bloom_rejects, 0u);
+  EXPECT_LT(misses.pages_touched, 4000u);
 }
 
 TEST(DiskLsmTest, CompressedLevelsMatchInMemoryLsmUnderFuzz) {
-  // level_codec compresses compacted levels (L0 flushes stay plain); the
-  // tree must stay content-identical to the in-memory reference.
+  // level_codec compresses every run, L0 included; the tree must stay
+  // content-identical to the in-memory reference.
   MemLsm mem(SmallMemOptions(false));
   DiskLsm::Options opts = SmallDiskOptions(false);
   opts.level_codec = PageCodec::kDelta;

@@ -11,7 +11,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "datasets/generators.h"
 #include "common/epoch.h"
 #include "lsm/lsm_tree.h"
+#include "lsm/run.h"
 #include "one_d/adaptive_rmi.h"
 #include "one_d/tiered_index.h"
 #include "one_d/dynamic_pgm.h"
@@ -33,6 +36,7 @@
 #include "one_d/radix_spline.h"
 #include "one_d/rmi.h"
 #include "serving/sharded_index.h"
+#include "storage/disk_lsm_tree.h"
 
 namespace lidx {
 namespace {
@@ -293,6 +297,90 @@ TEST(StressTest, LsmBackgroundCompactionChurn) {
   lsm.Flush();
   lsm.WaitForCompactions();
   lsm.CheckInvariants();
+}
+
+// Readers on three threads race one ingesting thread and the background
+// compactions it triggers — the TSan probe for the epoch-published run
+// layout. Every version of a key carries the same value, so a reader sees
+// either that value or (for a key a batch may delete) nothing; the base
+// keys are never deleted and must always be found.
+TEST(StressTest, DiskLsmReadersRaceIngestAndCompaction) {
+  using Tree = storage::DiskLsmTree<uint64_t, uint64_t>;
+  Tree::Options opts;
+  opts.memtable_limit = 256;
+  opts.l0_run_limit = 2;
+  opts.level_size_factor = 4;
+  opts.pool_frames = 64;
+  opts.background_compaction = true;
+  const std::string path =
+      std::string(::testing::TempDir()) + "lidx_stress_disk_lsm";
+  std::remove(path.c_str());
+  Tree tree(path, opts);
+  constexpr uint64_t kKeys = 16000;
+  const auto value_of = [](uint64_t key) { return key * 3 + 1; };
+  const auto is_base = [](uint64_t key) { return key % 4 == 0; };
+  std::vector<Tree::KV> base;
+  for (uint64_t key = 0; key < kKeys; key += 4) {
+    base.emplace_back(key, RunEntry<uint64_t>{value_of(key), false});
+  }
+  tree.Ingest(std::move(base));
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> bad_reads{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // The ingesting thread.
+    Rng rng(1039);
+    for (int b = 0; b < 300; ++b) {
+      // Mostly L0-sized batches; every 25th is past the memtable limit
+      // and merges straight into the levels.
+      const size_t n = b % 25 == 24 ? 1000 : 1 + rng.NextBounded(256);
+      std::map<uint64_t, RunEntry<uint64_t>> batch;
+      while (batch.size() < n) {
+        const uint64_t key = rng.NextBounded(kKeys);
+        const bool erase = !is_base(key) && rng.NextBounded(3) == 0;
+        batch[key] = RunEntry<uint64_t>{erase ? 0 : value_of(key), erase};
+      }
+      tree.Ingest(std::vector<Tree::KV>(batch.begin(), batch.end()));
+    }
+  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {  // Point readers.
+      Rng rng(1049 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t key = rng.NextBounded(kKeys);
+        const std::optional<uint64_t> got = tree.Get(key);
+        if (got.has_value() ? *got != value_of(key) : is_base(key)) {
+          bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {  // Range scanner.
+    Rng rng(1051);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t lo = rng.NextBounded(kKeys - 400);
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      tree.RangeScan(lo, lo + 399, &out);
+      size_t base_seen = 0;
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (i > 0 && out[i - 1].first >= out[i].first) bad_reads.fetch_add(1);
+        if (out[i].second != value_of(out[i].first)) bad_reads.fetch_add(1);
+        if (is_base(out[i].first)) ++base_seen;
+      }
+      if (base_seen != 100) bad_reads.fetch_add(1);
+    }
+  });
+
+  threads[0].join();  // The bounded ingester.
+  stop.store(true);
+  for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
+  tree.WaitForCompactions();
+  tree.CheckInvariants();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(tree.background_compactions(), 0u);
+  for (uint64_t key = 0; key < kKeys; key += 4) {
+    ASSERT_EQ(tree.Get(key), std::optional<uint64_t>(value_of(key))) << key;
+  }
 }
 
 // Sharded serving engine under a full mixed load: writers, an eraser on a

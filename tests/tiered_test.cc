@@ -1,7 +1,7 @@
 // TieredIndex tests: the hot updatable tier over cold compressed runs.
-// Fuzzed against std::map across codecs, hot-tier adapters, and migration
-// modes; plus targeted coverage of sealing visibility, tombstone
-// compaction, bulk load, and teardown with retired cold states.
+// Fuzzed against std::map across codecs and migration modes; plus targeted
+// coverage of sealing visibility, tombstone compaction, bulk load, page
+// reclamation, and teardown with retired states.
 
 #include <cstdint>
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "one_d/alex.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/tiered_index.h"
 #include "storage/page.h"
@@ -128,31 +127,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzConfig{PageCodec::kDelta, true, "delta_bg"}),
     [](const auto& info) { return std::string(info.param.tag); });
 
-TEST(TieredIndexTest, AlexHotTierMatchesMap) {
-  using Tiered =
-      TieredIndex<uint64_t, uint64_t, AlexIndex<uint64_t, RunEntry<uint64_t>>>;
-  typename Tiered::Options opts;
-  opts.hot_limit = 900;
-  opts.codec = PageCodec::kDelta;
-  Tiered tiered(FreshFile("alex"), opts);
-  std::map<uint64_t, uint64_t> want;
-  Rng rng(613);
-  for (int op = 0; op < 15000; ++op) {
-    const uint64_t key = rng.NextBounded(4000);
-    if (rng.NextBounded(4) == 0) {
-      want.erase(key);
-      tiered.Erase(key);
-    } else {
-      const uint64_t value = rng.Next();
-      want[key] = value;  // Upsert: overwrites must win over cold versions.
-      tiered.Insert(key, value);
-    }
-  }
-  tiered.FlushHot();
-  tiered.CheckInvariants();
-  CheckAgainstMap(tiered, want, 4000);
-}
-
 TEST(TieredIndexTest, MergeAllDropsTombstonesAtTheBottom) {
   typename TieredIndex<uint64_t, uint64_t>::Options opts;
   opts.hot_limit = 1 << 20;  // Only explicit flushes migrate.
@@ -213,9 +187,38 @@ TEST(TieredIndexTest, BulkLoadServesFromColdRuns) {
   tiered.CheckInvariants();
 }
 
+TEST(TieredIndexTest, MergedRunsFreeTheirPages) {
+  // A run merged away must give its pages back as soon as no reader can
+  // still see it, not dozens of migrations later: after every migration
+  // the file's allocated pages are exactly the live runs' pages.
+  std::vector<uint64_t> keys(400000);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i * 5;
+    values[i] = i;
+  }
+  typename TieredIndex<uint64_t, uint64_t>::Options opts;
+  opts.hot_limit = 4096;
+  opts.cold_run_limit = 4;
+  opts.pool_frames = 64;
+  TieredIndex<uint64_t, uint64_t> tiered(FreshFile("reclaim"), opts);
+  tiered.BulkLoad(keys, values);
+  Rng rng(619);
+  for (int migration = 0; migration < 40; ++migration) {
+    for (size_t i = 0; i < opts.hot_limit; ++i) {
+      tiered.Insert(rng.NextBounded(keys.size() * 5), i);
+    }
+    tiered.FlushHot();
+    size_t live = 0;
+    for (const auto& run : tiered.ColdRuns()) live += run->NumPages();
+    ASSERT_EQ(tiered.file()->NumPages() - tiered.file()->FreeListSize(), live)
+        << "after migration " << migration;
+  }
+}
+
 TEST(TieredIndexTest, DestructorWithPendingRetiredStatesIsClean) {
-  // Many rapid background migrations leave retired ColdStates on the
-  // internal epoch manager; destruction must free them while the pool and
+  // Many rapid background migrations leave retired sealed tiers and
+  // layouts on the tree's epoch manager; destruction must free them while the pool and
   // file are still alive (ASan would catch the use-after-free).
   typename TieredIndex<uint64_t, uint64_t>::Options opts;
   opts.hot_limit = 200;
