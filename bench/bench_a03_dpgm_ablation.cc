@@ -5,11 +5,11 @@
 // amortization — each entry is rewritten once per level it cascades
 // through — while its read cost is the number of components consulted.
 // The buffer batches writes before they enter the cascade; the growth
-// factor sets the cascade depth; per-component Bloom filters let negative
-// probes skip components. Expected shape: bigger buffers and fanout help
-// inserts and hurt nothing much at this scale; removing blooms multiplies
-// the cost of reads that miss (and of the membership pre-check inside
-// Insert).
+// factor sets the cascade depth; Bloom filters on the large components
+// (all but the oldest) let negative probes skip them. Expected shape:
+// bigger buffers and fanout help inserts and hurt nothing much at this
+// scale; removing blooms multiplies the cost of reads that miss (and of
+// the membership pre-check inside Insert).
 
 #include <cstdint>
 #include <string>

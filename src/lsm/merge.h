@@ -26,7 +26,12 @@ std::vector<std::pair<Key, Entry>> MergeRange(
     const std::vector<std::pair<size_t, size_t>>& bounds) {
   std::vector<std::pair<Key, Entry>> merged;
   std::vector<size_t> pos(runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) pos[r] = bounds[r].first;
+  size_t total = 0;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    pos[r] = bounds[r].first;
+    total += bounds[r].second - bounds[r].first;
+  }
+  merged.reserve(total);
   while (true) {
     int best = -1;
     for (size_t r = 0; r < runs.size(); ++r) {

@@ -21,9 +21,9 @@ namespace lidx {
 // absorbs writes; when full it is pushed as a run into up to log2(n)
 // static PGM components of doubling capacities, merging all occupied slots
 // below the first slot that fits. Deletes insert tombstones that
-// annihilate older entries during merges. Each component carries a Bloom
-// filter so point reads skip components that cannot contain the key —
-// the standard companion trick for log-structured designs.
+// annihilate older entries during merges. Large components except the
+// oldest carry a Bloom filter so point reads skip components that cannot
+// contain the key (see BuildSlot for why the oldest has none).
 //
 // This is the tutorial's representative of the *delta-buffer* insertion
 // strategy (§4.4), in contrast to ALEX's in-place gapped arrays: inserts
@@ -53,7 +53,9 @@ class DynamicPgm {
   };
 
   explicit DynamicPgm(const Options& options = Options())
-      : options_(options) {}
+      : options_(options) {
+    LIDX_CHECK(options_.base_capacity >= 1);
+  }
 
   // Bulk-loads sorted unique keys into the smallest slot that fits.
   void BulkLoad(std::vector<Key> keys, std::vector<Value> values) {
@@ -70,7 +72,7 @@ class DynamicPgm {
       entries.push_back({keys[i], values[i], false});
     }
     size_ = entries.size();
-    BuildSlot(slot, std::move(entries));
+    BuildSlot(slot, std::move(entries), /*oldest=*/true);
   }
 
   bool Insert(const Key& key, const Value& value) {
@@ -91,9 +93,8 @@ class DynamicPgm {
   std::optional<Value> Find(const Key& key) const {
     // Buffer first (newest), then slots newest-first; the first entry found
     // (live or tombstone) wins. Bloom filters skip most components.
-    const auto it = std::lower_bound(
-        buffer_.begin(), buffer_.end(), key,
-        [](const Entry& e, const Key& k) { return e.key < k; });
+    const auto it =
+        std::lower_bound(buffer_.begin(), buffer_.end(), key, KeyBelow);
     if (it != buffer_.end() && it->key == key) {
       if (it->deleted) return std::nullopt;
       return it->value;
@@ -128,10 +129,7 @@ class DynamicPgm {
     std::vector<Cursor> cursors;
     {
       const size_t pos =
-          std::lower_bound(buffer_.begin(), buffer_.end(), lo,
-                           [](const Entry& e, const Key& k) {
-                             return e.key < k;
-                           }) -
+          std::lower_bound(buffer_.begin(), buffer_.end(), lo, KeyBelow) -
           buffer_.begin();
       if (pos < buffer_.size()) {
         cursors.push_back({buffer_.data(), buffer_.size(), pos, 0});
@@ -144,6 +142,14 @@ class DynamicPgm {
       if (pos < index.size()) {
         cursors.push_back({index.values().data(), index.size(), pos, s + 1});
       }
+    }
+    if (cursors.size() == 1) {  // One component: nothing to select between.
+      const Cursor& c = cursors.front();
+      for (size_t i = c.pos; i < c.size && c.data[i].key <= hi; ++i) {
+        const Entry& e = c.data[i];
+        if (!e.deleted) out->emplace_back(e.key, e.value);
+      }
+      return;
     }
     while (true) {
       const Cursor* best = nullptr;
@@ -177,6 +183,12 @@ class DynamicPgm {
     return n;
   }
 
+  // Components carrying a Bloom filter (the large ones except the oldest).
+  size_t NumFilters() const {
+    return std::count_if(slots_.begin(), slots_.end(),
+                         [](const Slot& s) { return s.bloom != nullptr; });
+  }
+
   size_t SizeBytes() const {
     size_t total = sizeof(*this) + buffer_.capacity() * sizeof(Entry);
     for (const Slot& s : slots_) {
@@ -195,11 +207,11 @@ class DynamicPgm {
   // Structural invariants of the logarithmic method: sorted unique insert
   // buffer below its spill threshold, every component within its slot
   // capacity and internally consistent (including the PGM ε-guarantee and
-  // the Bloom filter's no-false-negative contract), and the live-entry
-  // count matching size_ after tombstone shadowing. Aborts on violation.
+  // the Bloom filter's no-false-negative contract), filters on exactly the
+  // large components but the oldest, and the live-entry count matching
+  // size_ after tombstone shadowing. Aborts on violation.
   void CheckInvariants() const {
-    LIDX_INVARIANT(buffer_.size() < options_.base_capacity ||
-                       options_.base_capacity == 0,
+    LIDX_INVARIANT(buffer_.size() < options_.base_capacity,
                    "dpgm: buffer below spill threshold");
     for (size_t i = 1; i < buffer_.size(); ++i) {
       LIDX_INVARIANT(buffer_[i - 1].key < buffer_[i].key,
@@ -223,11 +235,18 @@ class DynamicPgm {
       seen = std::move(merged);
     };
     absorb(buffer_.data(), buffer_.size());
+    size_t oldest = 0;  // Highest occupied slot.
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      if (!slots_[s].index.empty()) oldest = s;
+    }
     for (size_t s = 0; s < slots_.size(); ++s) {
       const Slot& slot = slots_[s];
       if (slot.index.empty()) continue;
       LIDX_INVARIANT(slot.index.size() <= SlotCapacity(s),
                      "dpgm: component within slot capacity");
+      LIDX_INVARIANT((slot.bloom != nullptr) ==
+                         (s != oldest && slot.index.size() >= kMinBloomEntries),
+                     "dpgm: filters on large components but the oldest");
       slot.index.CheckInvariants();
       const auto& entries = slot.index.values();
       for (size_t i = 0; i < entries.size(); ++i) {
@@ -253,6 +272,8 @@ class DynamicPgm {
     bool deleted;
   };
 
+  static bool KeyBelow(const Entry& e, const Key& k) { return e.key < k; }
+
   struct Slot {
     PgmIndex<Key, Entry> index;
     std::unique_ptr<BloomFilter> bloom;
@@ -275,9 +296,8 @@ class DynamicPgm {
   // Sorted upsert into the insert buffer; spills to the log structure when
   // the buffer reaches capacity.
   void UpsertBuffer(const Entry& entry) {
-    const auto it = std::lower_bound(
-        buffer_.begin(), buffer_.end(), entry.key,
-        [](const Entry& e, const Key& k) { return e.key < k; });
+    const auto it =
+        std::lower_bound(buffer_.begin(), buffer_.end(), entry.key, KeyBelow);
     if (it != buffer_.end() && it->key == entry.key) {
       *it = entry;
     } else {
@@ -328,7 +348,7 @@ class DynamicPgm {
                                   [](const Entry& e) { return e.deleted; }),
                    merged.end());
     }
-    BuildSlot(target, std::move(merged));
+    BuildSlot(target, std::move(merged), is_oldest);
   }
 
   // Multi-way merge keeping, per key, only the entry from the newest run
@@ -359,7 +379,8 @@ class DynamicPgm {
     return merged;
   }
 
-  void BuildSlot(size_t slot, std::vector<Entry> entries) {
+  // Builds slot `slot`; `oldest` says no older (higher) slot is occupied.
+  void BuildSlot(size_t slot, std::vector<Entry> entries, bool oldest) {
     if (entries.empty()) {
       slots_[slot] = Slot{};
       return;
@@ -370,8 +391,13 @@ class DynamicPgm {
     // Blooms only on large slots: small slots rebuild on every cascade
     // merge (the filter rebuild would dominate insert cost) and are cheap
     // to probe directly, while large slots rebuild rarely and are exactly
-    // where a skipped probe saves the most.
-    if (entries.size() >= kMinBloomEntries) {
+    // where a skipped probe saves the most. None on the oldest slot: it is
+    // the largest filter to build and rejects only keys its own search
+    // rejects, while every present-key read reaching it pays the probes
+    // (RocksDB's optimize_filters_for_hits, here the fixed rule). A slot
+    // becomes or stops being the oldest only through a cascade that
+    // rebuilds it, so the choice made here holds until then.
+    if (!oldest && entries.size() >= kMinBloomEntries) {
       slots_[slot].bloom = std::make_unique<BloomFilter>(
           entries.size(), options_.bloom_bits_per_key);
       for (const Key& k : keys) {

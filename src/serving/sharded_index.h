@@ -353,9 +353,9 @@ class ShardedIndex {
       total += state->active->capacity * sizeof(Entry);
       for (const auto& b : state->sealed) total += b->capacity * sizeof(Entry);
       if (state->delta != nullptr) {
-        total += state->delta->keys.capacity() * sizeof(Key) +
-                 state->delta->values.capacity() * sizeof(Value) +
-                 state->delta->tombstones.capacity();
+        // Entries, not capacity: the merge that built the delta reserved
+        // its inputs' sum, so the slack is one drain's duplicate keys.
+        total += state->delta->size() * sizeof(typename Run::value_type);
       }
       if (state->snapshot != nullptr) {
         if constexpr (serving_detail::HasSizeBytes<Index>) {
@@ -535,7 +535,7 @@ class ShardedIndex {
       for (const auto& b : state->sealed) {
         stat.buffered += b->size.load(std::memory_order_acquire);
       }
-      if (state->delta != nullptr) stat.delta = state->delta->keys.size();
+      if (state->delta != nullptr) stat.delta = state->delta->size();
       stat.snapshot = state->snapshot_size;
     }
     return out;
@@ -580,26 +580,20 @@ class ShardedIndex {
       const auto check_buffer = [&](const Buffer& b) {
         const size_t n = b.size.load(std::memory_order_acquire);
         LIDX_INVARIANT(n <= b.capacity, "sharded: buffer within capacity");
-        if (num_shards > 1) {
-          for (size_t i = 0; i < n; ++i) {
-            LIDX_INVARIANT(Route(*table, b.slots[i].key) == s,
-                           "sharded: buffered key routes to its shard");
-          }
+        for (size_t i = 0; i < n; ++i) {
+          LIDX_INVARIANT(num_shards == 1 || Route(*table, b.slots[i].key) == s,
+                         "sharded: buffered key routes to its shard");
         }
       };
       check_buffer(*state->active);
       for (const auto& b : state->sealed) check_buffer(*b);
       if (state->delta != nullptr) {
-        const Delta& d = *state->delta;
-        LIDX_INVARIANT(d.keys.size() == d.values.size() &&
-                           d.keys.size() == d.tombstones.size(),
-                       "sharded: delta arrays parallel");
-        invariants::CheckStrictlySorted(d.keys, "sharded: delta sorted unique");
-        if (num_shards > 1) {
-          for (const Key& k : d.keys) {
-            LIDX_INVARIANT(Route(*table, k) == s,
-                           "sharded: delta key routes to its shard");
-          }
+        const Run& d = *state->delta;
+        for (size_t i = 0; i < d.size(); ++i) {
+          LIDX_INVARIANT(i == 0 || d[i - 1].first < d[i].first,
+                         "sharded: delta sorted unique");
+          LIDX_INVARIANT(num_shards == 1 || Route(*table, d[i].first) == s,
+                         "sharded: delta key routes to its shard");
         }
       }
       if (state->snapshot != nullptr) {
@@ -636,13 +630,11 @@ class ShardedIndex {
     std::atomic<size_t> size{0};
   };
 
-  // Sorted, unique, tombstone-carrying delta level (the drained form of
-  // sealed buffers). Immutable after construction.
-  struct Delta {
-    std::vector<Key> keys;
-    std::vector<Value> values;
-    std::vector<uint8_t> tombstones;
-  };
+  // Sorted stream of one level, the input of lsm/merge.h newest-wins
+  // merges (drains and scans alike). The delta level — the drained form of
+  // sealed buffers — is one such run: sorted, unique, tombstone-carrying,
+  // and immutable once published.
+  using Run = std::vector<std::pair<Key, RunEntry<Value>>>;
 
   // One immutable version of a shard. Never mutated after its release
   // publication (the active Buffer's append tail is the one exception,
@@ -650,7 +642,7 @@ class ShardedIndex {
   struct State {
     std::shared_ptr<const Index> snapshot;
     size_t snapshot_size = 0;
-    std::shared_ptr<const Delta> delta;
+    std::shared_ptr<const Run> delta;
     std::vector<std::shared_ptr<Buffer>> sealed;  // Oldest -> newest.
     std::shared_ptr<Buffer> active;
   };
@@ -683,10 +675,6 @@ class ShardedIndex {
     std::vector<Key> boundaries;  // boundaries[s] = first key of shard s.
     std::unique_ptr<Shard[]> shards;
   };
-
-  // Sorted stream of one level, the input of lsm/merge.h newest-wins
-  // merges (drains and scans alike).
-  using Run = std::vector<std::pair<Key, RunEntry<Value>>>;
 
   State* EmptyState() {
     State* state = new State();
@@ -840,28 +828,28 @@ class ShardedIndex {
   // (definitely absent).
   std::optional<std::optional<Value>> ProbeBuffersAndDelta(
       const State& state, const Key& key, size_t* depth) const {
+    const auto hit = [](bool tombstone, const Value& value) {
+      return std::optional<std::optional<Value>>(
+          tombstone ? std::nullopt : std::optional<Value>(value));
+    };
     ++*depth;
     if (const Entry* e = ProbeBuffer(*state.active, key)) {
-      return std::optional<std::optional<Value>>(
-          e->tombstone ? std::nullopt : std::optional<Value>(e->value));
+      return hit(e->tombstone, e->value);
     }
     for (auto it = state.sealed.rbegin(); it != state.sealed.rend(); ++it) {
       ++*depth;
       if (const Entry* e = ProbeBuffer(**it, key)) {
-        return std::optional<std::optional<Value>>(
-            e->tombstone ? std::nullopt : std::optional<Value>(e->value));
+        return hit(e->tombstone, e->value);
       }
     }
     if (state.delta != nullptr) {
       ++*depth;
-      const Delta& d = *state.delta;
-      const size_t pos = static_cast<size_t>(
-          std::lower_bound(d.keys.begin(), d.keys.end(), key) -
-          d.keys.begin());
-      if (pos < d.keys.size() && d.keys[pos] == key) {
-        return std::optional<std::optional<Value>>(
-            d.tombstones[pos] ? std::nullopt
-                              : std::optional<Value>(d.values[pos]));
+      const Run& d = *state.delta;
+      const auto it = std::lower_bound(
+          d.begin(), d.end(), key,
+          [](const auto& e, const Key& k) { return e.first < k; });
+      if (it != d.end() && it->first == key) {
+        return hit(it->second.deleted, it->second.value);
       }
     }
     return std::nullopt;
@@ -997,7 +985,7 @@ class ShardedIndex {
     // without blocking writers or readers.
     std::shared_ptr<const Index> snapshot;
     size_t snapshot_size = 0;
-    std::shared_ptr<const Delta> delta;
+    std::shared_ptr<const Run> delta;
     std::vector<std::shared_ptr<Buffer>> sealed;
     {
       EpochManager::Guard guard = epoch_->Pin();
@@ -1022,31 +1010,21 @@ class ShardedIndex {
     for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
       runs.push_back(BufferToRun(**it));
     }
-    if (delta != nullptr) runs.push_back(DeltaToRun(*delta));
+    if (delta != nullptr) runs.push_back(*delta);
     Run merged = MergeStreams(std::move(runs), /*threads=*/1);
 
     std::shared_ptr<const Index> new_snapshot = snapshot;
     size_t new_snapshot_size = snapshot_size;
-    std::shared_ptr<const Delta> new_delta;
+    std::shared_ptr<const Run> new_delta;
     const size_t rebuild_threshold = std::max(
         options_.rebuild_min_delta,
         static_cast<size_t>(options_.rebuild_fraction *
                             static_cast<double>(snapshot_size)));
     if (force || merged.size() >= rebuild_threshold) {
-      RebuildSnapshot(snapshot.get(), merged, &new_snapshot,
-                      &new_snapshot_size);
+      RebuildSnapshot(merged, &new_snapshot, &new_snapshot_size);
       rebuild_count_.fetch_add(1, std::memory_order_relaxed);
     } else if (!merged.empty()) {
-      auto d = std::make_shared<Delta>();
-      d->keys.reserve(merged.size());
-      d->values.reserve(merged.size());
-      d->tombstones.reserve(merged.size());
-      for (const auto& [k, p] : merged) {
-        d->keys.push_back(k);
-        d->values.push_back(p.value);
-        d->tombstones.push_back(p.deleted ? uint8_t{1} : uint8_t{0});
-      }
-      new_delta = std::move(d);
+      new_delta = std::make_shared<const Run>(std::move(merged));
     }
 
     // Publish: splice the merged result in under the writer lock, keeping
@@ -1076,7 +1054,7 @@ class ShardedIndex {
     const size_t n = buffer.size.load(std::memory_order_acquire);
     Run run;
     run.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = n; i-- > 0;) {  // Newest first.
       const Entry& e = buffer.slots[i];
       if (e.key < lo || hi < e.key) continue;
       run.emplace_back(e.key, RunEntry<Value>{e.value, e.tombstone});
@@ -1084,47 +1062,37 @@ class ShardedIndex {
     std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
       return a.first < b.first;
     });
-    // Keep the last (newest) entry of each equal-key group.
-    size_t kept = 0;
-    for (size_t i = 0; i < run.size(); ++i) {
-      if (i + 1 == run.size() || run[i + 1].first != run[i].first) {
-        run[kept++] = run[i];
-      }
-    }
-    run.resize(kept);
+    // The stable sort keeps each equal-key group newest first.
+    run.erase(std::unique(run.begin(), run.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              run.end());
     return run;
   }
 
   // The delta's entries in [lo, hi].
-  static Run DeltaToRun(const Delta& delta,
-                        const Key& lo = std::numeric_limits<Key>::lowest(),
-                        const Key& hi = std::numeric_limits<Key>::max()) {
-    const auto begin = delta.keys.begin();
-    const size_t first =
-        static_cast<size_t>(std::lower_bound(begin, delta.keys.end(), lo) -
-                            begin);
-    const size_t last =
-        static_cast<size_t>(std::upper_bound(begin, delta.keys.end(), hi) -
-                            begin);
-    Run run;
-    run.reserve(last > first ? last - first : 0);
-    for (size_t i = first; i < last; ++i) {
-      const RunEntry<Value> entry{delta.values[i], delta.tombstones[i] != 0};
-      run.emplace_back(delta.keys[i], entry);
-    }
-    return run;
+  static Run DeltaToRun(const Run& delta, const Key& lo, const Key& hi) {
+    const auto first = std::lower_bound(
+        delta.begin(), delta.end(), lo,
+        [](const auto& e, const Key& k) { return e.first < k; });
+    const auto last = std::upper_bound(
+        first, delta.end(), hi,
+        [](const Key& k, const auto& e) { return k < e.first; });
+    return Run(first, last);
   }
 
-  // Merges the delta into a dump of the snapshot and bulk-loads a fresh
-  // index. Tombstones die here: the shard owns its whole key range, so a
-  // tombstone surviving to the bottom level deletes nothing below.
-  void RebuildSnapshot(const Index* snapshot, const Run& merged,
-                       std::shared_ptr<const Index>* out_snapshot,
-                       size_t* out_size) {
+  // Merges the delta into a dump of *snapshot (*size live entries) and
+  // replaces both with a freshly bulk-loaded index. Tombstones die here:
+  // the shard owns its whole key range, so a tombstone surviving to the
+  // bottom level deletes nothing below.
+  void RebuildSnapshot(const Run& merged,
+                       std::shared_ptr<const Index>* snapshot, size_t* size) {
     std::vector<std::pair<Key, Value>> base;
-    if (snapshot != nullptr) {
-      snapshot->RangeScan(std::numeric_limits<Key>::lowest(),
-                          std::numeric_limits<Key>::max(), &base);
+    base.reserve(*size);
+    if (*snapshot != nullptr) {
+      (*snapshot)->RangeScan(std::numeric_limits<Key>::lowest(),
+                             std::numeric_limits<Key>::max(), &base);
     }
     std::vector<Key> keys;
     std::vector<Value> values;
@@ -1150,15 +1118,15 @@ class ShardedIndex {
       }
     }
     if (keys.empty()) {
-      out_snapshot->reset();
-      *out_size = 0;
+      snapshot->reset();
+      *size = 0;
       return;
     }
     auto index = std::make_shared<Index>();
-    *out_size = keys.size();
+    *size = keys.size();
     serving_detail::BulkLoadInto<Index, Key, Value>(
         index.get(), std::move(keys), std::move(values));
-    *out_snapshot = std::move(index);
+    *snapshot = std::move(index);
   }
 
   // Live entries of shard `s` in [lo, hi]: newest-first streams — active

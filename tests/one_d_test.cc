@@ -599,5 +599,71 @@ TEST(DynamicPgmTest, TombstonesDroppedAtFullMerge) {
   }
 }
 
+TEST(DynamicPgmDeathTest, ZeroBaseCapacityIsRejected) {
+  using Index = DynamicPgm<uint64_t, uint64_t>;
+  Index::Options opts;
+  opts.base_capacity = 0;  // Every slot capacity would be 0: no run fits.
+  EXPECT_DEATH(Index index(opts), "base_capacity >= 1");
+}
+
+// The oldest component never carries a Bloom filter (a miss there ends the
+// read anyway), while a newer component of at least 16384 entries (the
+// filter threshold) does. Reads, upsert answers and scans stay exact.
+TEST(DynamicPgmTest, OldestComponentCarriesNoFilter) {
+  DynamicPgm<uint64_t, uint64_t>::Options opts;
+  opts.base_capacity = 256;
+  opts.size_factor_log2 = 2;  // Slot capacities 1024, 4096, 16384, 65536, ...
+  DynamicPgm<uint64_t, uint64_t> index(opts);
+  std::map<uint64_t, uint64_t> ref;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < 100000; ++i) {
+    keys.push_back(i * 4);
+    values.push_back(i);
+    ref[i * 4] = i;
+  }
+  const uint64_t key_space = keys.back() + 8;
+  Rng rng(331);
+  const auto check = [&] {
+    index.CheckInvariants();
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t k = rng.NextBounded(key_space);
+      const auto it = ref.find(k);
+      const auto got = index.Find(k);
+      ASSERT_EQ(got.has_value(), it != ref.end()) << k;
+      if (got.has_value()) {
+        ASSERT_EQ(*got, it->second) << k;
+      }
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> all;
+    index.RangeScan(0, UINT64_MAX, &all);
+    const std::vector<std::pair<uint64_t, uint64_t>> want(ref.begin(),
+                                                          ref.end());
+    ASSERT_EQ(all, want);
+  };
+
+  index.BulkLoad(keys, values);
+  EXPECT_EQ(index.NumComponents(), 1u);
+  EXPECT_EQ(index.NumFilters(), 0u);
+  check();
+
+  // Slots 0-2 hold at most 21504 entries, so 40000 upserts cascade into a
+  // slot-3 component of more than 16384 entries above the bulk-loaded one.
+  for (uint64_t op = 0; op < 40000; ++op) {
+    const uint64_t k = rng.NextBounded(key_space);
+    ASSERT_EQ(index.Insert(k, op), ref.count(k) == 0) << k;
+    ref[k] = op;
+  }
+  EXPECT_GE(index.NumComponents(), 2u);
+  EXPECT_GE(index.NumFilters(), 1u);
+  check();
+
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t k = rng.NextBounded(key_space);
+    ASSERT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
+  }
+  check();
+}
+
 }  // namespace
 }  // namespace lidx

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -122,7 +123,7 @@ TEST(EpochTest, MultithreadedChurnFreesEverything) {
   std::atomic<int> live{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
+    workers.emplace_back([&, t] {
       Rng rng(t + 1);
       for (int i = 0; i < kItersPerThread; ++i) {
         EpochManager::Guard guard = mgr.Pin();
@@ -431,6 +432,75 @@ TYPED_TEST(ShardedIndexTest, DrainsRebuildSnapshot) {
   std::vector<uint64_t> probes;
   for (const auto& [k, v] : ref) probes.push_back(k);
   ExpectMatchesReference(index, ref, probes);
+}
+
+// The delta is rewritten by every drain: overwrites and tombstones on a
+// small key set must keep the newest version per key across dozens of
+// drains before any rebuild, and across the forced rebuilds after them.
+TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
+  using Engine = ShardedIndex<TypeParam>;
+  typename Engine::Options opts;
+  opts.num_shards = 3;
+  opts.buffer_capacity = 8;
+  opts.rebuild_min_delta = size_t{1} << 20;  // Only the forced rebuilds.
+  opts.background_drain = false;
+  Engine index(opts);
+
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  Reference ref;
+  for (uint64_t k = 0; k < 3000; k += 10) {
+    keys.push_back(k);
+    values.push_back(k + 1);
+    ref[k] = k + 1;
+  }
+  index.BulkLoad(keys, values);
+
+  // 48 hot keys below 240, loaded and fresh: all in the first shard.
+  std::vector<uint64_t> probes;
+  for (uint64_t k = 0; k < 240; k += 5) probes.push_back(k);
+  for (uint64_t k = 235; k < 3100; k += 97) probes.push_back(k);
+  const auto check = [&] {
+    ExpectMatchesReference(index, ref, probes);
+    std::vector<uint64_t> batch(probes.size());
+    index.FindBatch(probes.data(), probes.size(), batch.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const auto it = ref.find(probes[i]);
+      EXPECT_EQ(batch[i], it == ref.end() ? 0 : it->second) << probes[i];
+    }
+    ExpectRangeMatches(index, ref, 0, UINT64_MAX);
+  };
+
+  Rng rng(23);
+  std::set<uint64_t> drained;  // Distinct keys of every drained write.
+  uint64_t last = 0;           // The newest write stays in the active buffer.
+  for (int step = 0; step < 600; ++step) {
+    const uint64_t drains_before = index.GetStats().drains;
+    const uint64_t k = rng.NextBounded(48) * 5;
+    if (step > 0) drained.insert(last);
+    last = k;
+    if (rng.NextBounded(4) == 0) {
+      EXPECT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
+    } else {
+      index.Insert(k, k * 1000 + static_cast<uint64_t>(step));
+      ref[k] = k * 1000 + static_cast<uint64_t>(step);
+    }
+    if (index.GetStats().drains == drains_before) continue;
+    const auto stats = index.TakeShardStats();
+    EXPECT_EQ(stats.shards[0].delta, drained.size()) << "step " << step;
+    for (size_t s = 1; s < stats.shards.size(); ++s) {
+      EXPECT_EQ(stats.shards[s].delta + stats.shards[s].buffered, 0u);
+    }
+    check();
+  }
+  EXPECT_GE(index.GetStats().drains, 50u);
+  EXPECT_EQ(index.GetStats().rebuilds, 0u);
+
+  for (size_t s = 0; s < index.num_shards(); ++s) index.RequestShardRebuild(s);
+  EXPECT_GT(index.GetStats().rebuilds, 0u);
+  EXPECT_EQ(index.TakeShardStats().shards[0].delta, 0u);
+  index.CheckInvariants();
+  check();
 }
 
 // Concurrent smoke: readers and a checker run against writers on a live
