@@ -3,22 +3,26 @@
 //
 // Tutorial claim (§6.3): a deployed learned index must notice when its
 // model no longer fits the live workload and retrain itself — without an
-// operator and without blocking lookups. Two legs, one per adaptation
-// client:
+// operator and without blocking lookups. Both legs run the one adaptation
+// loop, a ShardedAdaptor ticked by an AdaptationEngine over a ShardedIndex;
+// they differ in the inner index and so in the sensed error:
 //
-//  * Leg A (model error): an under-provisioned AdaptiveRmi observes its
-//    own lookup errors; the controller's kGrow decisions retrain shadow
-//    models at larger budgets on pool workers until the error bound fits.
-//    The no-adaptation baseline serves the same workload on the same
-//    frozen starting model and stays degraded.
-//  * Leg B (traffic skew): a ShardedIndex serving a skewed stream routes
-//    ~all lookups to one shard. The ShardedAdaptor senses the imbalance
-//    from per-shard counters and re-cuts boundaries traffic-weighted; the
-//    baseline keeps its data-quantile boundaries and stays imbalanced.
+//  * Leg A (model error): one shard of an under-provisioned RMI (4 stage-2
+//    models) records every lookup's observed position error. The
+//    controller's kGrow decisions double the shard count with
+//    traffic-weighted cuts on a pool worker — each shard trains its own 4
+//    models, so the model budget doubles and lands on the hot key range —
+//    until the p99 error fits. The no-adaptation baseline serves the same
+//    workload on the same starting model and stays degraded.
+//  * Leg B (traffic skew): a ShardedIndex<DynamicPgm> serving a skewed
+//    stream routes ~all lookups to one shard. The adaptor senses the
+//    imbalance from the per-shard read counts and re-cuts boundaries
+//    traffic-weighted; the baseline keeps its data-quantile boundaries and
+//    stays imbalanced.
 //
 // What to look for:
 //  * Leg A: observed mean / p99 error collapses by >= 2x within a few
-//    maintenance rounds; the baseline's error does not move.
+//    ticks; the baseline's error does not move.
 //  * Leg B: the hottest shard's traffic share drops from ~num_shards x
 //    fair to ~1-2x fair after one rebalance tick; baseline stays at the
 //    initial skew.
@@ -28,19 +32,22 @@
 // are enforced when n_keys >= 200k.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adapt/engine.h"
 #include "adapt/serving_adapter.h"
 #include "bench_util.h"
 #include "common/macros.h"
 #include "common/timer.h"
 #include "datasets/generators.h"
-#include "one_d/adaptive_rmi.h"
 #include "one_d/dynamic_pgm.h"
+#include "one_d/rmi.h"
 #include "serving/sharded_index.h"
 
 namespace lidx {
@@ -70,7 +77,21 @@ ErrorMonitor::SegmentSnapshot Aggregate(const ErrorMonitor::Snapshot& snap) {
   return all;
 }
 
-// ---- Leg A: AdaptiveRmi model-error recovery ----------------------------
+// ---- Leg A: learned-shard model-error recovery -------------------------
+
+constexpr size_t kModelsPerShard = 4;
+
+// Deliberately under-provisioned: 4 stage-2 models per shard, so a single
+// shard over a clustered key set this size has inflated errors the
+// controller must fix.
+struct FourModelRmi : Rmi<uint64_t, uint64_t> {
+  void Build(std::vector<uint64_t> keys, std::vector<uint64_t> values) {
+    Rmi::Options options;
+    options.num_models = kModelsPerShard;
+    Rmi::Build(std::move(keys), std::move(values), options);
+  }
+};
+using LearnedServing = ShardedIndex<FourModelRmi>;
 
 struct PhaseStats {
   double mean_error = 0.0;
@@ -80,71 +101,95 @@ struct PhaseStats {
   size_t rebuilds = 0;
 };
 
-PhaseStats RunRmiPhase(AdaptiveRmi<uint64_t, uint64_t>* index,
+// Serves one phase. The last quarter is the measured window: the engine (if
+// any) is stopped first, which waits out an in-flight tick, so the window's
+// errors all come from one table — the model the phase converged to.
+PhaseStats RunRmiPhase(LearnedServing* index, AdaptationEngine* engine,
                        ShiftingStream* stream, size_t ops) {
-  Timer timer;
+  const size_t measured = std::max<size_t>(1, ops / 4);
   uint64_t sink = 0;
-  for (size_t i = 0; i < ops; ++i) {
+  Timer timer;
+  for (size_t i = measured; i < ops; ++i) {
     sink += index->Find(stream->Next()).value_or(0);
   }
-  const double seconds = timer.ElapsedSeconds();
+  double seconds = timer.ElapsedSeconds();
+  if (engine != nullptr) engine->Stop();
+  const auto before = index->TakeShardStats();
+  timer.Reset();
+  for (size_t i = 0; i < measured; ++i) {
+    sink += index->Find(stream->Next()).value_or(0);
+  }
+  seconds += timer.ElapsedSeconds();
   DoNotOptimize(sink);
-  // Let in-flight background maintenance settle so the phase report is a
-  // stable point (the lookups above never waited on it).
-  index->WaitForMaintenance();
-  const auto window = Aggregate(index->ObservedErrors());
+  const auto after = index->TakeShardStats();
+  if (engine != nullptr) engine->Start();
+  const auto window = Aggregate(after.reads.DeltaSince(before.reads));
+  const LearnedServing::Stats stats = index->GetStats();
   PhaseStats out;
   out.mean_error = window.MeanError();
   out.p99_error = window.QuantileError(0.99);
   out.mops = static_cast<double>(ops) / seconds / 1e6;
-  out.budget = index->current_model_budget();
-  out.rebuilds = index->rebuilds();
+  out.budget = after.reads.segments.size() * kModelsPerShard;
+  out.rebuilds = stats.rebalances + stats.rebuilds;
   return out;
 }
 
 std::vector<JsonRow> RunLegA(const Config& config) {
   bench::PrintHeader(
-      "E23a — drift-triggered model retraining (AdaptiveRmi)",
-      "background kGrow retraining collapses observed error bounds; the "
-      "frozen baseline stays degraded");
+      "E23a — drift-triggered model retraining (ShardedIndex<Rmi>)",
+      "background kGrow re-cuts collapse observed error bounds; the frozen "
+      "baseline stays degraded");
 
   const auto keys =
       GenerateKeys(KeyDistribution::kClustered, config.n_keys, 2023);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = i;
 
-  // Deliberately under-provisioned: 4 stage-2 models for a clustered key
-  // set this size guarantees inflated errors the controller must fix.
-  AdaptiveRmi<uint64_t, uint64_t>::Options adapted_opts;
-  adapted_opts.rmi.num_models = 4;
-  adapted_opts.max_model_budget = size_t{1} << 14;
-  AdaptiveRmi<uint64_t, uint64_t> adapted(adapted_opts);
+  LearnedServing::Options sopts;
+  sopts.num_shards = 1;
+  sopts.collect_shard_stats = true;
+  LearnedServing adapted(sopts);
   adapted.BulkLoad(keys, values);
-
-  auto frozen_opts = adapted_opts;
-  frozen_opts.auto_maintain = false;  // The no-adaptation baseline.
-  AdaptiveRmi<uint64_t, uint64_t> frozen(frozen_opts);
+  LearnedServing frozen(sopts);  // The no-adaptation baseline.
   frozen.BulkLoad(keys, values);
+
+  // The controller reads position errors, so it runs at its own
+  // (position-unit) defaults rather than the adaptor's probe-depth ones.
+  // Skew is kGrow's job here: its re-cuts are traffic-weighted already.
+  // The load never drops, so the loop only grows; with shrinks on, a
+  // calm window halves the shards and the next window grows them back.
+  ShardedAdaptor<LearnedServing>::Options aopts;
+  aopts.controller = AdaptController::Options();
+  aopts.controller.allow_rebalance = false;
+  aopts.controller.allow_shrink = false;
+  aopts.drift = ModelDriftDetector::Options();
+  aopts.max_shards = (size_t{1} << 14) / kModelsPerShard;
+  AdaptationEngine::Options eopts;
+  eopts.tick_period = std::chrono::milliseconds(5);
+  AdaptationEngine engine(eopts);
+  ShardedAdaptor<LearnedServing> adaptor(&adapted, aopts);
+  adaptor.RegisterWith(&engine);
+  engine.Start();
 
   // The query distribution steps between thirds of the key space — the
   // shift a drift detector has to ride through without false-resetting.
-  ShiftingStream::Options sopts;
-  sopts.phases = {{0.0, 0.34, 0.6}, {0.33, 0.67, 0.6}, {0.66, 1.0, 0.6}};
-  sopts.ops_per_phase = config.ops_per_phase;
-  ShiftingStream adapted_stream(keys, sopts);
-  ShiftingStream frozen_stream(keys, sopts);
+  ShiftingStream::Options wopts;
+  wopts.phases = {{0.0, 0.34, 0.6}, {0.33, 0.67, 0.6}, {0.66, 1.0, 0.6}};
+  wopts.ops_per_phase = config.ops_per_phase;
+  ShiftingStream adapted_stream(keys, wopts);
+  ShiftingStream frozen_stream(keys, wopts);
 
   std::printf("%-7s %12s %12s %12s %10s %10s   %s\n", "phase", "mean_err",
               "p99_err", "Mops/s", "budget", "rebuilds", "variant");
   std::vector<JsonRow> rows;
   PhaseStats last_adapted;
   PhaseStats last_frozen;
-  const size_t phases = sopts.phases.size() + 1;  // Wrap once: 4 windows.
+  const size_t phases = wopts.phases.size() + 1;  // Wrap once: 4 windows.
   for (size_t p = 0; p < phases; ++p) {
     const PhaseStats a =
-        RunRmiPhase(&adapted, &adapted_stream, config.ops_per_phase);
+        RunRmiPhase(&adapted, &engine, &adapted_stream, config.ops_per_phase);
     const PhaseStats f =
-        RunRmiPhase(&frozen, &frozen_stream, config.ops_per_phase);
+        RunRmiPhase(&frozen, nullptr, &frozen_stream, config.ops_per_phase);
     last_adapted = a;
     last_frozen = f;
     std::printf("%-7zu %12.1f %12.1f %12.2f %10zu %10zu   adapted\n", p,
@@ -163,18 +208,20 @@ std::vector<JsonRow> RunLegA(const Config& config) {
                       JsonField::Num("rebuilds", s.rebuilds)});
     }
   }
+  engine.Stop();
 
   if (config.n_keys >= 200'000) {
     // Adaptation typically converges within the first phase, so "recovered"
     // is measured against the frozen baseline — the same starting model
     // serving the same stream without the adaptation loop.
     LIDX_CHECK(last_adapted.rebuilds >= 1);
-    LIDX_CHECK(last_adapted.budget > 4);
+    LIDX_CHECK(last_adapted.budget > kModelsPerShard);
     LIDX_CHECK(last_adapted.mean_error * 2.0 <= last_frozen.mean_error);
     LIDX_CHECK(last_adapted.p99_error * 2.0 <= last_frozen.p99_error);
     std::printf("[check] adaptation recovered the error bound; baseline "
                 "stayed degraded\n");
   }
+  adapted.CheckInvariants();
   return rows;
 }
 
@@ -204,21 +251,19 @@ RoundStats RunServingRound(Serving* index, ShiftingStream* stream,
   // bracket lookups only (rebalances happen between rounds), so the delta
   // is valid whenever the version matches and raw counts are right after
   // a swap.
-  const bool continuous = before.table_version == after.table_version &&
-                          before.shards.size() == after.shards.size();
-  uint64_t total = 0;
+  const ErrorMonitor::Snapshot window =
+      before.table_version == after.table_version
+          ? after.reads.DeltaSince(before.reads)
+          : after.reads;
   uint64_t max_shard = 0;
-  for (size_t s = 0; s < after.shards.size(); ++s) {
-    const uint64_t delta =
-        continuous ? after.shards[s].lookups - before.shards[s].lookups
-                   : after.shards[s].lookups;
-    total += delta;
-    max_shard = std::max(max_shard, delta);
+  for (const auto& seg : window.segments) {
+    max_shard = std::max(max_shard, seg.ops);
   }
+  const uint64_t total = window.TotalOps();
   if (total > 0) {
     out.imbalance = static_cast<double>(max_shard) /
                     (static_cast<double>(total) /
-                     static_cast<double>(after.shards.size()));
+                     static_cast<double>(window.segments.size()));
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "adapt/serving_adapter.h"
 #include "common/random.h"
 #include "datasets/generators.h"
 #include "datasets/workload.h"
@@ -19,7 +20,6 @@
 #include "multi_d/qd_tree.h"
 #include "multi_d/zm_index.h"
 #include "multi_d/zm_index3d.h"
-#include "one_d/adaptive_rmi.h"
 #include "one_d/alex.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/fiting_tree.h"
@@ -181,13 +181,22 @@ int main() {
          proof);
   }
   {
-    AdaptiveRmi<uint64_t, uint64_t> adaptive;
-    adaptive.BulkLoad(keys, values);
-    adaptive.Find(keys[42]);
+    using Learned = ShardedIndex<Rmi<uint64_t, uint64_t>>;
+    Learned::Options opts;
+    opts.collect_shard_stats = true;
+    Learned learned(opts);
+    learned.BulkLoad(keys, values);
+    for (size_t i = 0; i < keys.size(); i += 97) learned.Find(keys[i]);
+    ShardedAdaptor<Learned>::Options adapt;
+    adapt.controller = AdaptController::Options();  // Position units.
+    ShardedAdaptor<Learned> adaptor(&learned, adapt);
+    const AdaptDecision decision = adaptor.Tick();
     std::snprintf(proof, sizeof(proof),
-                  "drift monitor armed (mean err %.1f)",
-                  adaptive.MeanErrorWindow());
-    Stop("Adaptive RMI", "1-D / model re-training loop (challenge 6.3)",
+                  "error monitor armed (%llu reads sensed, decision: %s)",
+                  static_cast<unsigned long long>(
+                      learned.TakeShardStats().reads.TotalOps()),
+                  AdaptActionName(decision.action));
+    Stop("Sharded RMI", "1-D / model re-training loop (challenge 6.3)",
          proof);
   }
 

@@ -33,11 +33,13 @@ namespace lidx {
 //  * TickNow() runs one synchronous tick on the caller — the deterministic
 //    spelling used by tests and benchmarks.
 //
-// Contracts: callbacks must not call Register/Unregister/Stop from inside
-// a tick (the tick holds the registration mutex), and — like everything
-// pool-reachable — must never block on pool futures (lidx-lint
-// pool-blocking-get). Unregister returns only after any in-flight tick has
-// finished, so a client may destroy itself immediately afterwards.
+// Contracts: callbacks must not register, drop a Registration or call Stop
+// from inside a tick (the tick holds the registration mutex), and — like
+// everything pool-reachable — must never block on pool futures (lidx-lint
+// pool-blocking-get). Dropping a Registration returns only after any
+// in-flight tick has finished, so a client may destroy itself immediately
+// afterwards. Every Registration must be dropped before the engine is
+// destroyed; the destructor aborts otherwise.
 class AdaptationEngine {
  public:
   struct Options {
@@ -60,30 +62,54 @@ class AdaptationEngine {
         pool_(options.pool != nullptr ? options.pool
                                       : &ThreadPool::Shared()) {}
 
-  ~AdaptationEngine() { Stop(); }
+  ~AdaptationEngine() {
+    Stop();
+    MutexLock lock(mu_);
+    LIDX_CHECK(clients_.empty() && "engine destroyed with a live registration");
+  }
 
   AdaptationEngine(const AdaptationEngine&) = delete;
   AdaptationEngine& operator=(const AdaptationEngine&) = delete;
 
-  // Registers a client tick callback; returns a handle for Unregister.
-  // The name shows up nowhere hot — it exists for debugging and stats.
-  size_t Register(std::string name, std::function<void()> tick) {
+  // Move-only handle to one registered callback. Dropping it (destruction,
+  // Reset, or move-assigning over it) unregisters the callback and waits
+  // out any in-flight tick, so the callback's captures may die right after.
+  class Registration {
+   public:
+    Registration() = default;
+    Registration(Registration&& other) noexcept
+        : engine_(std::exchange(other.engine_, nullptr)), id_(other.id_) {}
+    Registration& operator=(Registration&& other) noexcept {
+      if (this != &other) {
+        Reset();
+        engine_ = std::exchange(other.engine_, nullptr);
+        id_ = other.id_;
+      }
+      return *this;
+    }
+    ~Registration() { Reset(); }
+
+    void Reset() {
+      if (engine_ != nullptr) std::exchange(engine_, nullptr)->Unregister(id_);
+    }
+
+   private:
+    friend class AdaptationEngine;
+    Registration(AdaptationEngine* engine, size_t id)
+        : engine_(engine), id_(id) {}
+
+    AdaptationEngine* engine_ = nullptr;
+    size_t id_ = 0;
+  };
+
+  // Registers a client tick callback for as long as the returned handle
+  // lives. The name shows up nowhere hot — it exists for debugging.
+  [[nodiscard]] Registration Register(std::string name,
+                                      std::function<void()> tick) {
     MutexLock lock(mu_);
     const size_t id = next_id_++;
     clients_.push_back(Client{id, std::move(name), std::move(tick)});
-    return id;
-  }
-
-  // Removes a client. Blocks until any in-flight tick has drained, so the
-  // callback's captures may be destroyed as soon as this returns.
-  void Unregister(size_t id) {
-    MutexLock lock(mu_);
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i].id == id) {
-        clients_.erase(clients_.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
+    return Registration(this, id);
   }
 
   // Starts the periodic service. Idempotent.
@@ -141,6 +167,18 @@ class AdaptationEngine {
     std::string name;
     std::function<void()> tick;
   };
+
+  // Removes a client (Registration's drop). Blocks until any in-flight
+  // tick has drained, because RunTick holds mu_.
+  void Unregister(size_t id) {
+    MutexLock lock(mu_);
+    for (size_t i = 0; i < clients_.size(); ++i) {
+      if (clients_[i].id == id) {
+        clients_.erase(clients_.begin() + static_cast<ptrdiff_t>(i));
+        break;
+      }
+    }
+  }
 
   void TimerLoop() {
     for (;;) {

@@ -9,24 +9,31 @@
 
 #include "adapt/controller.h"
 #include "adapt/engine.h"
+#include "adapt/error_monitor.h"
 #include "models/drift.h"
 
 namespace lidx {
 
 // Adaptation bridge for the sharded serving layer: turns ShardedIndex's
-// per-shard counters into controller signals and controller decisions back
-// into serving-layer actions. The shard-level "error" is *probe depth*
-// (read amplification): a healthy shard answers from its snapshot in ~3
-// probes, while piled-up sealed buffers or a hot delta push the count up —
-// the serving-side analogue of a learned model's position error.
+// per-shard read monitor into controller signals and controller decisions
+// back into serving-layer actions (tutorial §6.3: watch the live errors,
+// decide, rebuild in the background). What a shard's "error" is depends on
+// its inner index: a learned inner that exposes PredictPosition/LowerBound
+// (Rmi) reports its snapshot's observed position error, every other inner
+// reports probe depth (read amplification: a healthy shard answers in ~3
+// probes, piled-up sealed buffers or a hot delta push the count up).
 //
 //   signal                         decision     action
 //   ------------------------------ ------------ ---------------------------
-//   deep probes beyond capacity    kGrow        Rebalance(2x shards)
-//   probe-depth drift (staleness)  kRetrain     RequestShardRebuild(shard)
+//   p99 error beyond capacity      kGrow        Rebalance(2x shards)
+//   error drift (staleness)        kRetrain     RequestShardRebuild(shard)
 //   traffic skew across shards     kRebalance   Rebalance(same shard count,
 //                                               traffic-weighted cuts)
 //   sustained calm                 kShrink      Rebalance(shards / 2)
+//
+// Every shard trains its own models, so for a learned inner the model
+// budget is shards x models per shard, and kGrow's traffic-weighted cuts
+// spend the doubled budget on the hot key range.
 //
 // Tick() runs one sense -> decide -> act cycle. It is not thread-safe by
 // itself; the AdaptationEngine serializes ticks (register via
@@ -35,15 +42,16 @@ template <typename ShardedIndexT>
 class ShardedAdaptor {
  public:
   struct Options {
-    // target_error is interpreted in probe-depth units: active + delta +
-    // snapshot model + last-mile is the healthy baseline.
+    // The defaults are calibrated in probe-depth units: active + delta +
+    // snapshot model + last-mile is the healthy baseline. A learned inner
+    // reports positions; pass AdaptController's defaults for it instead.
     AdaptController::Options controller = [] {
       AdaptController::Options c;
       c.target_error = 4.0;
       c.inflation_factor = 2.0;
       return c;
     }();
-    // Per-shard drift detection over window-mean probe depth.
+    // Per-shard drift detection over the window-mean error.
     ModelDriftDetector::Options drift = [] {
       ModelDriftDetector::Options d;
       d.delta = 0.25;
@@ -65,51 +73,38 @@ class ShardedAdaptor {
   ShardedAdaptor(const ShardedAdaptor&) = delete;
   ShardedAdaptor& operator=(const ShardedAdaptor&) = delete;
 
-  ~ShardedAdaptor() {
-    if (engine_ != nullptr) engine_->Unregister(engine_id_);
-  }
-
-  // Registers this adaptor's Tick with the engine. Call at most once; the
-  // destructor unregisters (and thereby waits out any in-flight tick), so
-  // the engine must outlive the adaptor: declare it first.
+  // Registers this adaptor's Tick with the engine for the adaptor's
+  // lifetime. A second call drops the first registration. The engine must
+  // outlive the adaptor (declare it first); it aborts if it does not.
   void RegisterWith(AdaptationEngine* engine) {
-    engine_ = engine;
-    engine_id_ = engine->Register("sharded-adaptor", [this] { Tick(); });
+    registration_ = engine->Register("sharded-adaptor", [this] { Tick(); });
   }
 
   // One sense -> decide -> act cycle; returns the decision taken.
   AdaptDecision Tick() {
-    using Snapshot = typename ShardedIndexT::ShardStatsSnapshot;
-    Snapshot cur = index_->TakeShardStats();
-    const size_t n = cur.shards.size();
+    typename ShardedIndexT::ShardStatsSnapshot cur = index_->TakeShardStats();
+    const size_t n = cur.reads.segments.size();
     // A table swap (rebalance) restarts the counters and may change the
     // shard count; the old window and detectors describe segments that no
     // longer exist. Start a fresh window: the post-swap counters *are*
     // the deltas.
-    const bool continuous = prev_valid_ &&
-                            prev_.table_version == cur.table_version &&
-                            prev_.shards.size() == n;
+    const bool continuous =
+        prev_valid_ && prev_.table_version == cur.table_version;
     if (!continuous && bank_.size() != std::max<size_t>(n, 1)) {
       bank_ = DriftDetectorBank(n, options_.drift);
     } else if (!continuous) {
       bank_.ResetAll();
     }
+    const ErrorMonitor::Snapshot window =
+        continuous ? cur.reads.DeltaSince(prev_.reads) : cur.reads;
     std::vector<SegmentSignal> signals(n);
     for (size_t s = 0; s < n; ++s) {
-      const auto& c = cur.shards[s];
-      const uint64_t ops =
-          continuous ? c.lookups - prev_.shards[s].lookups : c.lookups;
-      const uint64_t depth = continuous
-                                 ? c.probe_depth - prev_.shards[s].probe_depth
-                                 : c.probe_depth;
+      const ErrorMonitor::SegmentSnapshot& seg = window.segments[s];
       SegmentSignal& sig = signals[s];
-      sig.ops = ops;
-      if (ops > 0) {
-        sig.mean_error =
-            static_cast<double>(depth) / static_cast<double>(ops);
-        // No per-shard quantile sketch: the window mean stands in for the
-        // tail, so inflation_factor is calibrated against means.
-        sig.tail_error = sig.mean_error;
+      sig.ops = seg.ops;
+      if (seg.ops > 0) {
+        sig.mean_error = seg.MeanError();
+        sig.tail_error = seg.QuantileError(0.99);
         sig.drifted = bank_.Observe(s, sig.mean_error);
       } else {
         sig.drifted = bank_.drifted(s);
@@ -171,8 +166,9 @@ class ShardedAdaptor {
   AdaptDecision last_decision_;
   uint64_t ticks_ = 0;
   uint64_t actions_taken_ = 0;
-  AdaptationEngine* engine_ = nullptr;
-  size_t engine_id_ = 0;
+  // Last member: destroyed first, so no tick runs into a half-destroyed
+  // adaptor.
+  AdaptationEngine::Registration registration_;
 };
 
 }  // namespace lidx

@@ -79,10 +79,10 @@ class ThreadPool {
   // Pops one queued task and runs it on the calling thread. Returns false
   // if the queue was empty. The escape hatch for waits that are not
   // ParallelFor-shaped: a thread that must wait for pool-side progress
-  // (ShardedIndex::WaitForDrains, AdaptiveRmi::WaitForMaintenance) calls
-  // this in its spin loop so the work it waits on cannot sit queued behind
-  // the waiter itself on a small pool — the same caller-participates rule
-  // that makes nested ParallelFor deadlock-free.
+  // (ShardedIndex::WaitForDrains) calls this in its spin loop so the work
+  // it waits on cannot sit queued behind the waiter itself on a small pool
+  // — the same caller-participates rule that makes nested ParallelFor
+  // deadlock-free.
   bool TryRunOne() {
     std::function<void()> task;
     {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/error_monitor.h"
 #include "common/epoch.h"
 #include "common/invariants.h"
 #include "common/macros.h"
@@ -51,6 +52,15 @@ template <typename Index, typename Key, typename Value>
 concept HasLookupBatch = requires(const Index& index, const Key* k, size_t n,
                                   Value* out) {
   index.LookupBatch(k, n, out);
+};
+
+// An inner index whose snapshot can report its own observed position error
+// (today Rmi): the read monitor records |PredictPosition - LowerBound| for
+// it instead of probe depth.
+template <typename Index, typename Key>
+concept HasPositionError = requires(const Index& index, const Key& key) {
+  { index.PredictPosition(key) } -> std::convertible_to<size_t>;
+  { index.LowerBound(key) } -> std::convertible_to<size_t>;
 };
 
 template <typename Index>
@@ -99,10 +109,13 @@ concept HasSizeBytes = requires(const Index& index) {
 //
 // Adaptation hooks (the serving-side "sense" and "act" surface used by
 // src/adapt/):
-//  * With Options::collect_shard_stats, readers bump per-shard lookup and
-//    probe-depth counters (own cache line; relaxed). TakeShardStats()
-//    snapshots them together with per-level entry counts — the signal a
-//    controller turns into skew / staleness decisions.
+//  * With Options::collect_shard_stats, every read records one observation
+//    into the table's ErrorMonitor (one padded segment per shard, relaxed
+//    counters): the snapshot model's position error for an inner index
+//    with PredictPosition/LowerBound, probe depth for every other inner.
+//    TakeShardStats() snapshots the monitor together with per-level entry
+//    counts — the signal a controller turns into capacity / skew /
+//    staleness decisions.
 //  * Rebalance(new_num_shards) re-learns the partitioning online: it
 //    collects every live entry, recomputes boundaries as *traffic-weighted*
 //    quantiles (pure data quantiles when stats are off), bulk-loads fresh
@@ -117,8 +130,8 @@ concept HasSizeBytes = requires(const Index& index) {
 // Memory-order contract (kept in sync with common/epoch.h):
 //  * `table_` and Shard::state are published with release stores and read
 //    with acquire loads; Tables and States are immutable after publication
-//    (the active Buffer's append tail and the shard stat counters are the
-//    exceptions, governed by Buffer::size and relaxed atomics).
+//    (the active Buffer's append tail and the read monitor's counters are
+//    the exceptions, governed by Buffer::size and relaxed atomics).
 //  * Buffer entries are published by a release store of Buffer::size;
 //    readers acquire-load size and may then read slots [0, size). Slots
 //    are append-only — a published entry is never overwritten.
@@ -153,10 +166,10 @@ class ShardedIndex {
     bool background_drain = true;
     // Threads used to bulk-load the per-shard snapshots.
     size_t build_threads = 1;
-    // Count per-shard lookups and probe depth on the read path (two
-    // relaxed fetch_adds per lookup on a shard-private cache line). Off
-    // by default so read scaling benchmarks are unaffected; the
-    // adaptation layer turns it on to sense skew and read amplification.
+    // Record every read into a per-shard ErrorMonitor segment (relaxed
+    // counters on a shard-private cache line). Off by default so read
+    // scaling benchmarks are unaffected; the adaptation layer turns it on
+    // to sense model error, read amplification and skew.
     bool collect_shard_stats = false;
   };
 
@@ -165,11 +178,9 @@ class ShardedIndex {
       : options_(options), epoch_(epoch) {
     LIDX_CHECK(options_.num_shards >= 1);
     LIDX_CHECK(options_.buffer_capacity >= 1);
-    Table* table = new Table();
+    Table* table = new Table(options_.num_shards, options_.collect_shard_stats);
     table->version = next_table_version_.fetch_add(1, std::memory_order_relaxed);
-    table->num_shards = options_.num_shards;
     table->boundaries.assign(options_.num_shards, Key{});
-    table->shards = std::make_unique<Shard[]>(options_.num_shards);
     for (size_t s = 0; s < options_.num_shards; ++s) {
       table->shards[s].state.store(EmptyState(), std::memory_order_relaxed);
     }
@@ -223,22 +234,21 @@ class ShardedIndex {
     EpochManager::Guard guard = epoch_->Pin();
     const Table* table = table_.load(std::memory_order_acquire);
     epoch_->AssertProtected(table);
-    const Shard& shard = table->shards[Route(*table, key)];
-    const State* state = shard.state.load(std::memory_order_acquire);
+    const size_t s = Route(*table, key);
+    const State* state = table->shards[s].state.load(std::memory_order_acquire);
     epoch_->AssertProtected(state);
     size_t depth = 0;
+    const Index* probed = nullptr;
     std::optional<Value> result;
     if (std::optional<std::optional<Value>> hit =
             ProbeBuffersAndDelta(*state, key, &depth)) {
       result = *hit;
     } else if (state->snapshot != nullptr) {
       depth += 2;  // Model traversal plus last-mile search.
-      result = state->snapshot->Find(key);
+      probed = state->snapshot.get();
+      result = probed->Find(key);
     }
-    if (options_.collect_shard_stats) {
-      shard.lookups.fetch_add(1, std::memory_order_relaxed);
-      shard.probe_depth.fetch_add(depth, std::memory_order_relaxed);
-    }
+    if (options_.collect_shard_stats) RecordRead(*table, s, probed, key, depth);
     return result;
   }
 
@@ -258,26 +268,24 @@ class ShardedIndex {
     const bool stats = options_.collect_shard_stats;
     for (size_t i = 0; i < count; ++i) {
       const size_t s = Route(*table, keys[i]);
-      const Shard& shard = table->shards[s];
       if (states[s] == nullptr) {
-        states[s] = shard.state.load(std::memory_order_acquire);
+        states[s] = table->shards[s].state.load(std::memory_order_acquire);
         epoch_->AssertProtected(states[s]);
       }
       const State* state = states[s];
       size_t depth = 0;
+      const Index* probed = nullptr;
       if (std::optional<std::optional<Value>> hit =
               ProbeBuffersAndDelta(*state, keys[i], &depth)) {
         out[i] = hit->has_value() ? **hit : Value{};
       } else if (state->snapshot != nullptr) {
         snapshot_pending[s].push_back(i);
         depth += 2;
+        probed = state->snapshot.get();
       } else {
         out[i] = Value{};
       }
-      if (stats) {
-        shard.lookups.fetch_add(1, std::memory_order_relaxed);
-        shard.probe_depth.fetch_add(depth, std::memory_order_relaxed);
-      }
+      if (stats) RecordRead(*table, s, probed, keys[i], depth);
     }
     for (size_t s = 0; s < num_shards; ++s) {
       const std::vector<size_t>& pending = snapshot_pending[s];
@@ -446,6 +454,7 @@ class ShardedIndex {
       std::vector<size_t> shard_ends(old_n, 0);
       std::vector<uint64_t> weights(old_n, 0);
       std::vector<std::pair<Key, Value>> pairs;
+      const ErrorMonitor::Snapshot reads = table->monitor.TakeSnapshot();
       for (size_t s = 0; s < old_n; ++s) {
         pairs.clear();
         CollectShardRange(*table, s, std::numeric_limits<Key>::lowest(),
@@ -457,7 +466,7 @@ class ShardedIndex {
         shard_ends[s] = keys.size();
         // +1 smoothing: with stats disabled every shard weighs the same
         // and the boundaries fall back to pure data quantiles.
-        weights[s] = table->shards[s].lookups.load(std::memory_order_relaxed) + 1;
+        weights[s] = reads.segments[s].ops + 1;
       }
       std::vector<Key> boundaries =
           WeightedBoundaries(keys, shard_ends, weights, new_n);
@@ -502,19 +511,21 @@ class ShardedIndex {
                  rebalance_count_.load(std::memory_order_relaxed)};
   }
 
-  // Per-shard sensing snapshot for the adaptation layer. Lookup/probe
-  // counters are cumulative for the lifetime of the current table (they
-  // restart at zero after a Rebalance — the table version tells consumers
-  // when that happened).
+  // Per-shard sensing snapshot for the adaptation layer. The read monitor
+  // is cumulative for the lifetime of the current table (it restarts at
+  // zero after a Rebalance — the table version tells consumers when that
+  // happened), so a window is reads.DeltaSince(earlier.reads) within one
+  // version.
   struct ShardStat {
-    uint64_t lookups = 0;      // Reads routed to this shard.
-    uint64_t probe_depth = 0;  // Total structures probed across those reads.
+    uint64_t lookups = 0;      // reads.segments[s].ops.
+    uint64_t probe_depth = 0;  // reads.segments[s].error_sum.
     size_t buffered = 0;       // Entries in active + sealed buffers.
     size_t delta = 0;          // Entries in the sorted delta.
     size_t snapshot = 0;       // Entries in the snapshot index.
   };
   struct ShardStatsSnapshot {
     uint64_t table_version = 0;
+    ErrorMonitor::Snapshot reads;  // One segment per shard.
     std::vector<ShardStat> shards;
   };
   ShardStatsSnapshot TakeShardStats() const {
@@ -523,13 +534,14 @@ class ShardedIndex {
     const Table* table = table_.load(std::memory_order_acquire);
     epoch_->AssertProtected(table);
     out.table_version = table->version;
+    out.reads = table->monitor.TakeSnapshot();
     out.shards.resize(table->num_shards);
     for (size_t s = 0; s < table->num_shards; ++s) {
-      const Shard& shard = table->shards[s];
       ShardStat& stat = out.shards[s];
-      stat.lookups = shard.lookups.load(std::memory_order_relaxed);
-      stat.probe_depth = shard.probe_depth.load(std::memory_order_relaxed);
-      const State* state = shard.state.load(std::memory_order_acquire);
+      stat.lookups = out.reads.segments[s].ops;
+      stat.probe_depth = out.reads.segments[s].error_sum;
+      const State* state =
+          table->shards[s].state.load(std::memory_order_acquire);
       epoch_->AssertProtected(state);
       stat.buffered = state->active->size.load(std::memory_order_acquire);
       for (const auto& b : state->sealed) {
@@ -654,11 +666,6 @@ class ShardedIndex {
     Mutex write_mu;
     std::atomic<bool> drain_scheduled{false};
     std::atomic<bool> force_rebuild{false};
-    // Sensing counters (Options::collect_shard_stats). On their own cache
-    // line so reader stat bumps never invalidate the line other readers
-    // use to load `state`.
-    alignas(64) mutable std::atomic<uint64_t> lookups{0};
-    mutable std::atomic<uint64_t> probe_depth{0};
 
     ~Shard() {
       // lidx-lint: allow(epoch-guard): table/shard teardown runs at
@@ -670,10 +677,18 @@ class ShardedIndex {
   // The whole partitioning — boundaries plus the shard array — as one
   // immutable, epoch-protected unit, so Rebalance can swap it atomically.
   struct Table {
+    Table(size_t n, bool stats)
+        : num_shards(n),
+          shards(std::make_unique<Shard[]>(n)),
+          monitor(n, stats) {}
+
     uint64_t version = 0;
-    size_t num_shards = 0;
+    size_t num_shards;
     std::vector<Key> boundaries;  // boundaries[s] = first key of shard s.
     std::unique_ptr<Shard[]> shards;
+    // Read sensing (Options::collect_shard_stats), segment s = shard s. Its
+    // padded slots keep reader stat bumps off the lines that hold `state`.
+    ErrorMonitor monitor;
   };
 
   State* EmptyState() {
@@ -716,11 +731,9 @@ class ShardedIndex {
   Table* BuildTable(const std::vector<Key>& keys,
                     const std::vector<Value>& values,
                     std::vector<Key> boundaries) {
-    Table* table = new Table();
+    Table* table = new Table(boundaries.size(), options_.collect_shard_stats);
     table->version = next_table_version_.fetch_add(1, std::memory_order_relaxed);
-    table->num_shards = boundaries.size();
     table->boundaries = std::move(boundaries);
-    table->shards = std::make_unique<Shard[]>(table->num_shards);
     const size_t n = keys.size();
     std::vector<size_t> starts(table->num_shards + 1, 0);
     for (size_t s = 1; s < table->num_shards; ++s) {
@@ -809,6 +822,24 @@ class ShardedIndex {
   static void UnlockAllShards(Table* table) LIDX_NO_THREAD_SAFETY_ANALYSIS {
     for (size_t s = 0; s < table->num_shards; ++s) {
       table->shards[s].write_mu.Unlock();
+    }
+  }
+
+  // Records one read of shard `s`: for an inner index with a position
+  // error, the error of the snapshot that answered it (`probed`; zero when
+  // a buffer or the delta answered), otherwise the probe depth.
+  static void RecordRead(const Table& table, size_t s, const Index* probed,
+                         const Key& key, size_t depth) {
+    if constexpr (serving_detail::HasPositionError<Index, Key>) {
+      size_t error = 0;
+      if (probed != nullptr) {
+        const size_t predicted = probed->PredictPosition(key);
+        const size_t actual = probed->LowerBound(key);
+        error = predicted > actual ? predicted - actual : actual - predicted;
+      }
+      table.monitor.Record(s, static_cast<double>(error));
+    } else {
+      table.monitor.Record(s, static_cast<double>(depth));
     }
   }
 

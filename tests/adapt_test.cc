@@ -1,14 +1,16 @@
 // Adaptation subsystem tests: the sensing layer (ErrorMonitor), the decide
 // layer (AdaptController policy table, DriftDetectorBank), the acting layer
-// (ShadowCell publish/retire, AdaptationEngine scheduling), and the two
-// end-to-end clients (AdaptiveRmi shadow rebuilds, ShardedIndex rebalance
-// driven by ShardedAdaptor).
+// (ShadowCell publish/retire, AdaptationEngine scheduling), and the one
+// end-to-end loop: ShardedAdaptor driving ShardedIndex rebuilds and
+// rebalances, over probe-depth (DynamicPgm) and position-error (Rmi)
+// inners.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -24,8 +26,8 @@
 #include "common/epoch.h"
 #include "common/random.h"
 #include "datasets/generators.h"
-#include "one_d/adaptive_rmi.h"
 #include "one_d/dynamic_pgm.h"
+#include "one_d/rmi.h"
 #include "serving/sharded_index.h"
 
 namespace lidx {
@@ -318,8 +320,8 @@ TEST(AdaptationEngineTest, TickNowRunsEveryRegisteredClient) {
   AdaptationEngine engine;
   std::atomic<int> a{0};
   std::atomic<int> b{0};
-  engine.Register("a", [&a] { a.fetch_add(1); });
-  engine.Register("b", [&b] { b.fetch_add(1); });
+  const auto ra = engine.Register("a", [&a] { a.fetch_add(1); });
+  const auto rb = engine.Register("b", [&b] { b.fetch_add(1); });
   EXPECT_EQ(engine.NumClients(), 2u);
   engine.TickNow();
   engine.TickNow();
@@ -333,9 +335,9 @@ TEST(AdaptationEngineTest, TickNowRunsEveryRegisteredClient) {
 TEST(AdaptationEngineTest, UnregisterStopsTheCallback) {
   AdaptationEngine engine;
   std::atomic<int> a{0};
-  const size_t id = engine.Register("a", [&a] { a.fetch_add(1); });
+  auto registration = engine.Register("a", [&a] { a.fetch_add(1); });
   engine.TickNow();
-  engine.Unregister(id);
+  registration.Reset();
   EXPECT_EQ(engine.NumClients(), 0u);
   engine.TickNow();
   EXPECT_EQ(a.load(), 1);
@@ -346,7 +348,8 @@ TEST(AdaptationEngineTest, TimerDrivesTicksUntilStopped) {
   opt.tick_period = std::chrono::milliseconds(1);
   AdaptationEngine engine(opt);
   std::atomic<int> runs{0};
-  engine.Register("counter", [&runs] { runs.fetch_add(1); });
+  const auto registration =
+      engine.Register("counter", [&runs] { runs.fetch_add(1); });
   engine.Start();
   EXPECT_TRUE(engine.running());
   const auto deadline =
@@ -369,7 +372,7 @@ TEST(AdaptationEngineTest, BusyTicksAreCoalescedNotQueued) {
   AdaptationEngine engine(opt);
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
-  engine.Register("slow", [&] {
+  const auto registration = engine.Register("slow", [&] {
     entered.store(true);
     while (!release.load()) std::this_thread::yield();
   });
@@ -381,6 +384,37 @@ TEST(AdaptationEngineTest, BusyTicksAreCoalescedNotQueued) {
   release.store(true);
   engine.Stop();
   EXPECT_GE(engine.GetStats().skipped_ticks, 1u);
+}
+
+TEST(AdaptationEngineTest, MovedRegistrationUnregistersOnce) {
+  AdaptationEngine engine;
+  std::atomic<int> a{0};
+  AdaptationEngine::Registration outer;
+  {
+    auto inner = engine.Register("a", [&a] { a.fetch_add(1); });
+    outer = std::move(inner);
+  }  // The moved-from handle owns nothing; the callback stays registered.
+  EXPECT_EQ(engine.NumClients(), 1u);
+  engine.TickNow();
+  EXPECT_EQ(a.load(), 1);
+  outer = engine.Register("b", [] {});  // Drops "a", keeps "b".
+  EXPECT_EQ(engine.NumClients(), 1u);
+  engine.TickNow();
+  EXPECT_EQ(a.load(), 1);
+  outer.Reset();
+  EXPECT_EQ(engine.NumClients(), 0u);
+}
+
+TEST(AdaptationEngineDeathTest, DestroyedWithLiveRegistrationAborts) {
+  // A registration that outlives its engine would unregister through a
+  // dangling pointer; the engine refuses to die first.
+  EXPECT_DEATH(
+      {
+        auto engine = std::make_unique<AdaptationEngine>();
+        auto registration = engine->Register("a", [] {});
+        engine.reset();
+      },
+      "live registration");
 }
 
 // ---------------------------------------------------------------------
@@ -419,26 +453,52 @@ TEST(StreamTest, ShiftingStreamStepsThroughPhases) {
 }
 
 // ---------------------------------------------------------------------
-// AdaptiveRmi: end-to-end client #1.
+// ShardedIndex<Rmi> + ShardedAdaptor: the self-retraining learned index.
 // ---------------------------------------------------------------------
 
+// An Rmi whose Build records the thread that ran it.
+struct StampingRmi : Rmi<uint64_t, uint64_t> {
+  static inline std::atomic<size_t> last_build_thread{0};
+
+  void Build(std::vector<uint64_t> keys, std::vector<uint64_t> values) {
+    Rmi::Options options;
+    options.num_models = 8;
+    Rmi::Build(std::move(keys), std::move(values), options);
+    last_build_thread.store(
+        std::hash<std::thread::id>{}(std::this_thread::get_id()),
+        std::memory_order_release);
+  }
+};
+
+// An Rmi with a fixed, small model budget per shard.
+struct SixteenModelRmi : Rmi<uint64_t, uint64_t> {
+  void Build(std::vector<uint64_t> keys, std::vector<uint64_t> values) {
+    Rmi::Options options;
+    options.num_models = 16;
+    Rmi::Build(std::move(keys), std::move(values), options);
+  }
+};
+
 TEST(AdaptiveRmiAdaptTest, ShadowRebuildRunsOffTheWriterThread) {
-  // The satellite regression for "no lookup-path rebuild stalls": with
-  // background maintenance on, the shadow rebuild must execute on a pool
-  // worker, never on the thread serving operations. This thread never
-  // lends itself to the pool before the assertion, so a rebuild stamped
-  // with our hash would mean the op path built inline.
-  AdaptiveRmi<uint64_t, uint64_t>::Options opt;
-  opt.rmi.num_models = 8;
-  opt.min_buffer_before_rebuild = 64;
-  opt.max_buffer_fraction = 0.0;  // Any buffer over the floor is pressure.
-  AdaptiveRmi<uint64_t, uint64_t> index(opt);
+  // The regression for "no write-path rebuild stalls": with background
+  // drains on, the snapshot rebuild must execute on a pool worker, never
+  // on the thread serving operations. This thread never lends itself to
+  // the pool before the assertion, so a rebuild stamped with our hash
+  // would mean the op path built inline.
+  using Index = ShardedIndex<StampingRmi>;
+  Index::Options opt;
+  opt.num_shards = 1;
+  opt.buffer_capacity = 64;
+  opt.rebuild_min_delta = 64;
+  opt.rebuild_fraction = 0.0;  // Any delta over the floor rebuilds.
+  Index index(opt);
 
   std::vector<uint64_t> keys(20000);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7 + 3;
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = i;
   index.BulkLoad(keys, values);
+  StampingRmi::last_build_thread.store(0);  // Forget the bulk load.
 
   const size_t self_hash =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -446,24 +506,32 @@ TEST(AdaptiveRmiAdaptTest, ShadowRebuildRunsOffTheWriterThread) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   uint64_t next = 0;
-  while (index.rebuilds() == 0 &&
+  while (index.GetStats().rebuilds == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     index.Insert(base + next, next);
     ++next;
   }
-  ASSERT_GE(index.rebuilds(), 1u) << "background rebuild never happened";
-  EXPECT_NE(index.last_rebuild_thread(), 0u);
-  EXPECT_NE(index.last_rebuild_thread(), self_hash);
-  index.WaitForMaintenance();
+  ASSERT_GE(index.GetStats().rebuilds, 1u)
+      << "background rebuild never happened";
+  EXPECT_NE(StampingRmi::last_build_thread.load(), 0u);
+  EXPECT_NE(StampingRmi::last_build_thread.load(), self_hash);
+  index.WaitForDrains();
 }
 
 TEST(AdaptiveRmiAdaptTest, InlineMaintenanceFuzzMatchesReferenceMap) {
-  AdaptiveRmi<uint64_t, uint64_t>::Options opt;
-  opt.rmi.num_models = 16;
-  opt.background = false;  // Deterministic: maintenance inline on op paths.
-  opt.maintenance_period = 512;
-  opt.min_buffer_before_rebuild = 128;
-  AdaptiveRmi<uint64_t, uint64_t> index(opt);
+  using Index = ShardedIndex<SixteenModelRmi>;
+  Index::Options opt;
+  opt.num_shards = 1;
+  opt.buffer_capacity = 128;
+  opt.rebuild_min_delta = 512;
+  opt.background_drain = false;  // Deterministic: drains inline on writes.
+  opt.collect_shard_stats = true;
+  Index index(opt);
+  AdaptationEngine engine;
+  ShardedAdaptor<Index>::Options aopt;
+  aopt.controller = AdaptController::Options();  // Position units.
+  ShardedAdaptor<Index> adaptor(&index, aopt);
+  adaptor.RegisterWith(&engine);
   std::map<uint64_t, uint64_t> reference;
 
   std::vector<uint64_t> keys(4096);
@@ -493,17 +561,18 @@ TEST(AdaptiveRmiAdaptTest, InlineMaintenanceFuzzMatchesReferenceMap) {
       }
     }
     if ((i + 1) % 4096 == 0) {
-      index.RunMaintenanceNow();
-      EXPECT_TRUE(index.CheckInvariants());
+      engine.TickNow();
+      index.CheckInvariants();
     }
   }
-  index.RunMaintenanceNow();
+  engine.TickNow();
   for (const auto& [key, value] : reference) {
     const auto got = index.Find(key);
     ASSERT_TRUE(got.has_value()) << "lost key " << key;
     ASSERT_EQ(*got, value);
   }
-  EXPECT_TRUE(index.CheckInvariants());
+  index.CheckInvariants();
+  EXPECT_EQ(adaptor.ticks(), 5u);
 }
 
 // ---------------------------------------------------------------------
@@ -567,8 +636,8 @@ TEST(ShardedRebalanceTest, PreservesDataAcrossShardCounts) {
 // Counts the shards that received any traffic in the current table.
 size_t ShardsTouched(const Engine& index) {
   size_t touched = 0;
-  for (const auto& stat : index.TakeShardStats().shards) {
-    if (stat.lookups > 0) ++touched;
+  for (const auto& seg : index.TakeShardStats().reads.segments) {
+    if (seg.ops > 0) ++touched;
   }
   return touched;
 }
@@ -740,44 +809,36 @@ TEST(ShardedRebalanceTest, ReadersAndWritersRideThroughRebalances) {
 
 class FakeShardedIndex {
  public:
-  struct ShardStat {
-    uint64_t lookups = 0;
-    uint64_t probe_depth = 0;
-    size_t buffered = 0;
-    size_t delta = 0;
-    size_t snapshot = 0;
-  };
   struct ShardStatsSnapshot {
     uint64_t table_version = 0;
-    std::vector<ShardStat> shards;
+    ErrorMonitor::Snapshot reads;
   };
 
-  explicit FakeShardedIndex(size_t num_shards) {
-    stats_.table_version = 1;
-    stats_.shards.resize(num_shards);
-  }
+  explicit FakeShardedIndex(size_t num_shards)
+      : monitor_(std::make_unique<ErrorMonitor>(num_shards)) {}
 
-  size_t num_shards() const { return stats_.shards.size(); }
-  ShardStatsSnapshot TakeShardStats() const { return stats_; }
+  size_t num_shards() const { return monitor_->segments(); }
+  ShardStatsSnapshot TakeShardStats() const {
+    return {table_version_, monitor_->TakeSnapshot()};
+  }
 
   bool Rebalance(size_t new_num_shards) {
     rebalance_calls.push_back(new_num_shards);
-    ++stats_.table_version;  // Swap restarts the counters.
-    stats_.shards.assign(
-        new_num_shards == 0 ? stats_.shards.size() : new_num_shards,
-        ShardStat{});
+    ++table_version_;  // Swap restarts the counters.
+    monitor_ = std::make_unique<ErrorMonitor>(
+        new_num_shards == 0 ? num_shards() : new_num_shards);
     return true;
   }
 
   void RequestShardRebuild(size_t s) { rebuild_requests.push_back(s); }
 
-  // Advances the cumulative counters by one window of (ops, mean probe
-  // depth) per shard.
+  // Records one window of (ops, probe depth) per shard: `ops` reads that
+  // each probed `depth` structures.
   void AddWindow(const std::vector<std::pair<uint64_t, double>>& window) {
-    for (size_t s = 0; s < window.size() && s < stats_.shards.size(); ++s) {
-      stats_.shards[s].lookups += window[s].first;
-      stats_.shards[s].probe_depth += static_cast<uint64_t>(
-          window[s].second * static_cast<double>(window[s].first));
+    for (size_t s = 0; s < window.size() && s < num_shards(); ++s) {
+      for (uint64_t i = 0; i < window[s].first; ++i) {
+        monitor_->Record(s, window[s].second);
+      }
     }
   }
 
@@ -785,7 +846,8 @@ class FakeShardedIndex {
   std::vector<size_t> rebuild_requests;
 
  private:
-  ShardStatsSnapshot stats_;
+  uint64_t table_version_ = 1;
+  std::unique_ptr<ErrorMonitor> monitor_;
 };
 
 TEST(ShardedAdaptorTest, DeepProbesGrowTheShardCount) {
@@ -888,6 +950,61 @@ TEST(ShardedAdaptorTest, EngineDrivesTheAdaptor) {
   // Destruction unregisters; later ticks touch nothing freed.
   EXPECT_EQ(engine.NumClients(), 0u);
   engine.TickNow();
+}
+
+TEST(ShardedAdaptorTest, SecondRegisterWithDropsTheFirst) {
+  FakeShardedIndex fake(4);
+  AdaptationEngine engine;
+  {
+    ShardedAdaptor<FakeShardedIndex> adaptor(&fake);
+    adaptor.RegisterWith(&engine);
+    adaptor.RegisterWith(&engine);
+    EXPECT_EQ(engine.NumClients(), 1u);
+    engine.TickNow();
+    EXPECT_EQ(adaptor.ticks(), 1u);
+  }
+  // No stale callback with a dangling adaptor is left behind.
+  EXPECT_EQ(engine.NumClients(), 0u);
+  engine.TickNow();
+}
+
+// A learned inner records its snapshot's observed position error, on the
+// scalar and the batched read path alike.
+TEST(ShardedAdaptorTest, LearnedInnerRecordsPositionError) {
+  using Learned = ShardedIndex<Rmi<uint64_t, uint64_t>>;
+  Learned::Options opt;
+  opt.num_shards = 1;
+  opt.collect_shard_stats = true;
+  Learned index(opt);
+  const auto keys = GenerateKeys(KeyDistribution::kClustered, 20000, 61);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = i;
+  index.BulkLoad(keys, values);
+  Rmi<uint64_t, uint64_t> standalone;
+  standalone.Build(keys, values);
+
+  std::vector<uint64_t> probes;
+  for (size_t i = 0; i < keys.size(); i += 7) probes.push_back(keys[i]);
+  probes.push_back(keys.back() + 1);  // Absent keys are observed too.
+  uint64_t expected = 0;
+  for (const uint64_t k : probes) {
+    const size_t predicted = standalone.PredictPosition(k);
+    const size_t actual = standalone.LowerBound(k);
+    expected += predicted > actual ? predicted - actual : actual - predicted;
+  }
+  ASSERT_GT(expected, 0u);
+
+  for (const uint64_t k : probes) index.Find(k);
+  auto reads = index.TakeShardStats().reads;
+  ASSERT_EQ(reads.segments.size(), 1u);
+  EXPECT_EQ(reads.segments[0].ops, probes.size());
+  EXPECT_EQ(reads.segments[0].error_sum, expected);
+
+  std::vector<uint64_t> out(probes.size());
+  index.FindBatch(probes.data(), probes.size(), out.data());
+  reads = index.TakeShardStats().reads;
+  EXPECT_EQ(reads.segments[0].ops, 2 * probes.size());
+  EXPECT_EQ(reads.segments[0].error_sum, 2 * expected);
 }
 
 TEST(ShardedAdaptorTest, SkewedTrafficOnARealIndexTriggersRebalance) {

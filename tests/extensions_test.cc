@@ -7,22 +7,25 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adapt/error_monitor.h"
+#include "adapt/serving_adapter.h"
 #include "common/random.h"
 #include "datasets/generators.h"
 #include "models/drift.h"
 #include "multi_d/hm_index.h"
 #include "multi_d/learned_packing.h"
 #include "multi_d/zm_index3d.h"
-#include "one_d/adaptive_rmi.h"
 #include "one_d/fiting_tree.h"
 #include "one_d/learned_hash.h"
 #include "one_d/pgm.h"
 #include "one_d/rmi.h"
 #include "one_d/string_index.h"
+#include "serving/sharded_index.h"
 #include "spatial/geometry.h"
 #include "sfc/morton.h"
 #include "sfc/hilbert.h"
@@ -836,29 +839,56 @@ TEST(DriftDetectorTest, LatchRequiresFreshWarmupAfterReset) {
   EXPECT_TRUE(detector.Observe(10000.0));
 }
 
+// The self-retraining RMI is ShardedIndex<Rmi> plus a ShardedAdaptor:
+// buffered inserts, drains that rebuild the snapshot, and an adaptation
+// loop that grows the model budget by re-cutting into more shards.
+
+// An under-provisioned RMI: 4 stage-2 models per shard.
+struct FourModelRmi : Rmi<uint64_t, uint64_t> {
+  void Build(std::vector<uint64_t> keys, std::vector<uint64_t> values) {
+    Rmi::Options options;
+    options.num_models = 4;
+    Rmi::Build(std::move(keys), std::move(values), options);
+  }
+};
+
+// Mean observed error across every shard of a read-monitor window.
+double MeanReadError(const ErrorMonitor::Snapshot& window) {
+  uint64_t ops = 0;
+  uint64_t sum = 0;
+  for (const auto& seg : window.segments) {
+    ops += seg.ops;
+    sum += seg.error_sum;
+  }
+  return ops == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(ops);
+}
+
 TEST(AdaptiveRmiTest, LookupsAndBufferedInserts) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 50000, 1031);
-  AdaptiveRmi<uint64_t, uint64_t> index;
+  ShardedIndex<Rmi<uint64_t, uint64_t>>::Options opts;
+  opts.num_shards = 1;
+  ShardedIndex<Rmi<uint64_t, uint64_t>> index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
   for (size_t i = 0; i < keys.size(); i += 17) {
     ASSERT_EQ(index.Find(keys[i]), std::optional<uint64_t>(i));
   }
   index.Insert(keys.back() + 100, 777);
   EXPECT_EQ(index.Find(keys.back() + 100), std::optional<uint64_t>(777));
-  EXPECT_GT(index.buffered(), 0u);
+  EXPECT_GT(index.TakeShardStats().shards[0].buffered, 0u);
 }
 
 TEST(AdaptiveRmiTest, BufferPressureTriggersRebuild) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 10000, 1033);
-  AdaptiveRmi<uint64_t, uint64_t>::Options opts;
-  opts.min_buffer_before_rebuild = 128;
-  opts.max_buffer_fraction = 0.05;
-  AdaptiveRmi<uint64_t, uint64_t> index(opts);
+  ShardedIndex<Rmi<uint64_t, uint64_t>>::Options opts;
+  opts.num_shards = 1;
+  opts.rebuild_min_delta = 128;
+  opts.rebuild_fraction = 0.05;
+  ShardedIndex<Rmi<uint64_t, uint64_t>> index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
   const auto fresh = GenerateKeys(KeyDistribution::kUniform, 2000, 1039);
   for (size_t i = 0; i < fresh.size(); ++i) index.Insert(fresh[i], i);
-  index.WaitForMaintenance();  // Rebuilds run on pool workers now.
-  EXPECT_GT(index.rebuilds(), 0u);
+  index.WaitForDrains();  // Rebuilds run on pool workers.
+  EXPECT_GT(index.GetStats().rebuilds, 0u);
   // All keys still answerable after rebuilds.
   for (size_t i = 0; i < keys.size(); i += 29) {
     ASSERT_TRUE(index.Contains(keys[i])) << i;
@@ -867,26 +897,41 @@ TEST(AdaptiveRmiTest, BufferPressureTriggersRebuild) {
 
 TEST(AdaptiveRmiTest, DriftGrowsModelBudgetUntilErrorsShrink) {
   // Deliberately under-provisioned model on a hard distribution: observed
-  // errors are large, the Page-Hinkley detector fires, and each
-  // drift-rebuild quadruples the model budget until errors are small.
+  // errors are large, the controller's kGrow fires, and each grow doubles
+  // the shards (and so the model budget) until errors are small.
   const auto keys = GenerateKeys(KeyDistribution::kClustered, 100000, 1049);
-  AdaptiveRmi<uint64_t, uint64_t>::Options opts;
-  opts.rmi.num_models = 4;
-  opts.drift.threshold = 20000.0;
-  opts.max_buffer_fraction = 1000.0;  // Disable buffer-pressure rebuilds.
-  opts.min_buffer_before_rebuild = 1u << 30;
-  AdaptiveRmi<uint64_t, uint64_t> index(opts);
+  using Index = ShardedIndex<FourModelRmi>;
+  Index::Options opts;
+  opts.num_shards = 1;
+  opts.collect_shard_stats = true;
+  Index index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
-  const double initial_error = index.MeanErrorWindow();
+  ShardedAdaptor<Index>::Options aopts;
+  aopts.controller = AdaptController::Options();  // Position units.
+  aopts.drift = ModelDriftDetector::Options();
+  aopts.drift.threshold = 20000.0;
+  ShardedAdaptor<Index> adaptor(&index, aopts);
 
   Rng rng(1051);
+  double initial_error = 0.0;
   for (int i = 0; i < 200000; ++i) {
     index.Find(keys[rng.NextBounded(keys.size())]);
+    if ((i + 1) % 1024 == 0) {
+      if (i + 1 == 1024) {
+        initial_error = MeanReadError(index.TakeShardStats().reads);
+      }
+      adaptor.Tick();
+    }
   }
-  index.WaitForMaintenance();  // Rebuilds run on pool workers now.
-  EXPECT_GT(index.rebuilds(), 0u);
-  EXPECT_GT(index.current_model_budget(), 4u);
-  EXPECT_LT(index.MeanErrorWindow(), initial_error);
+  EXPECT_GT(index.GetStats().rebalances, 0u);
+  EXPECT_GT(index.num_shards() * 4, 4u);
+  const auto before = index.TakeShardStats();
+  for (int i = 0; i < 10000; ++i) {
+    index.Find(keys[rng.NextBounded(keys.size())]);
+  }
+  const double final_error =
+      MeanReadError(index.TakeShardStats().reads.DeltaSince(before.reads));
+  EXPECT_LT(final_error, initial_error);
   // Still correct after self-tuning.
   for (size_t i = 0; i < keys.size(); i += 97) {
     ASSERT_EQ(index.Find(keys[i]), std::optional<uint64_t>(i));

@@ -22,6 +22,7 @@
 #include "one_d/dynamic_pgm.h"
 #include "one_d/lipp.h"
 #include "one_d/pgm.h"
+#include "one_d/rmi.h"
 #include "serving/sharded_index.h"
 #include "serving/workload.h"
 
@@ -178,14 +179,16 @@ TEST(EpochDeathTest, UseAfterReclaimIsCaughtByAsan) {
 template <typename Inner>
 class ShardedIndexTest : public ::testing::Test {};
 
-// PgmIndex is build-only: it takes the Build(keys, values) branch of the
-// bulk-load adapter and serves FindBatch through its own LookupBatch.
+// PgmIndex and Rmi are build-only: they take the Build(keys, values)
+// branch of the bulk-load adapter and serve FindBatch through their own
+// LookupBatch. Rmi is also the inner whose reads record position error.
 using InnerTypes =
     ::testing::Types<DynamicPgm<uint64_t, uint64_t>,
                      AlexIndex<uint64_t, uint64_t>,
                      LippIndex<uint64_t, uint64_t>,
                      BPlusTree<uint64_t, uint64_t>,
-                     PgmIndex<uint64_t, uint64_t>>;
+                     PgmIndex<uint64_t, uint64_t>,
+                     Rmi<uint64_t, uint64_t>>;
 TYPED_TEST_SUITE(ShardedIndexTest, InnerTypes);
 
 using Reference = std::map<uint64_t, uint64_t>;

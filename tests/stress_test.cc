@@ -29,7 +29,6 @@
 #include "common/epoch.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/run.h"
-#include "one_d/adaptive_rmi.h"
 #include "one_d/tiered_index.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/pgm.h"
@@ -552,19 +551,34 @@ TEST(StressTest, AdaptShardedRebalanceUnderMixedLoad) {
   EpochManager::Shared().ReclaimSome();
 }
 
-// AdaptiveRmi under concurrent lookups, inserts, and self-triggered
-// background maintenance: shadow rebuilds publish through the epoch-
-// protected cell while readers probe the frozen model and record into its
-// monitor. TSan probe for the ShadowCell publish/retire path and the
-// padded monitor counters.
+// The self-retraining RMI — ShardedIndex<Rmi> driven by a ShardedAdaptor —
+// under concurrent lookups, inserts, background drains and engine ticks:
+// snapshot rebuilds and adaptor re-cuts publish through the epoch while
+// readers probe the snapshot models and record their position errors into
+// the padded monitor counters. TSan probe for that publish/retire path.
 TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
+  struct SixteenModelRmi : Rmi<uint64_t, uint64_t> {
+    void Build(std::vector<uint64_t> keys, std::vector<uint64_t> values) {
+      Rmi::Options options;
+      options.num_models = 16;
+      Rmi::Build(std::move(keys), std::move(values), options);
+    }
+  };
+  using Learned = ShardedIndex<SixteenModelRmi>;
   const auto keys = GenerateKeys(KeyDistribution::kClustered, 20000, 971);
-  AdaptiveRmi<uint64_t, uint64_t>::Options opts;
-  opts.rmi.num_models = 16;
-  opts.min_buffer_before_rebuild = 256;
-  opts.maintenance_period = 512;
-  AdaptiveRmi<uint64_t, uint64_t> index(opts);
+  Learned::Options opts;
+  opts.num_shards = 1;
+  opts.buffer_capacity = 64;
+  opts.rebuild_min_delta = 256;
+  opts.collect_shard_stats = true;
+  Learned index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
+  // Declared before the adaptor: the engine must outlive its registration.
+  AdaptationEngine engine;
+  ShardedAdaptor<Learned>::Options aopts;
+  aopts.controller = AdaptController::Options();  // Position units.
+  ShardedAdaptor<Learned> adaptor(&index, aopts);
+  adaptor.RegisterWith(&engine);
 
   constexpr int kOpsPerThread = 4000;
   std::atomic<bool> stop{false};
@@ -592,7 +606,7 @@ TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
   }
   threads.emplace_back([&] {  // Maintenance kicker.
     for (int i = 0; i < 32; ++i) {
-      index.RunMaintenanceNow();
+      engine.TickNow();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -600,10 +614,10 @@ TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
   for (int t = 0; t < 2; ++t) threads[t].join();
   stop.store(true);
   for (size_t t = 2; t < threads.size(); ++t) threads[t].join();
-  index.WaitForMaintenance();
+  index.WaitForDrains();
 
   EXPECT_EQ(bad_reads.load(), 0u);
-  EXPECT_TRUE(index.CheckInvariants());
+  index.CheckInvariants();
   for (size_t j = 0; j < keys.size(); j += 331) {
     ASSERT_EQ(index.Find(keys[j]), std::optional<uint64_t>(j));
   }
