@@ -353,8 +353,10 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
   TieredIndex<uint64_t, uint64_t> tiered(path, opts);
   const double load_ms = bench::MeasureMs([&] {
     for (const uint64_t k : shuffled) tiered.Insert(k, k ^ 0x9E3779B9u);
-    tiered.FlushHot();
+    tiered.Flush();
   });
+  // Flush waits out an in-flight background migration, so nothing stays hot.
+  LIDX_CHECK(tiered.MemtableSize() == 0);
   // Every key findable with its value after full migration; erased keys
   // tombstone away even when the base version is already on disk.
   const size_t sample = std::min<size_t>(n / 2, 50'000);
@@ -364,7 +366,7 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
     LIDX_CHECK(v.has_value() && *v == (k ^ 0x9E3779B9u));
   }
   for (size_t i = 0; i < sample / 8; ++i) {
-    tiered.Erase(data.keys[i * 8]);
+    tiered.Delete(data.keys[i * 8]);
   }
   for (size_t i = 0; i < sample / 8; ++i) {
     LIDX_CHECK(!tiered.Find(data.keys[i * 8]).has_value());
@@ -385,12 +387,12 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
   tiered.CheckInvariants();
   const size_t file_bytes = bench::FileSizeBytes(path);
   const double bytes_per_key = bench::BytesPerKey(file_bytes, n);
-  const auto runs = tiered.ColdRuns();
+  const auto runs = tiered.Runs();
   double keys_per_page = 0.0;
   size_t cold_pages = 0;
   for (const auto& run : runs) cold_pages += run->NumPages();
   if (cold_pages > 0) {
-    keys_per_page = static_cast<double>(tiered.ColdSize()) /
+    keys_per_page = static_cast<double>(tiered.NumRunEntries()) /
                     static_cast<double>(cold_pages);
   }
   // The run count is the cold tree's own bound (L0 within its trigger),
@@ -406,7 +408,8 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
       static_cast<double>(probes.size());
   table.AddRow(
       {TablePrinter::FormatDouble(load_ms, 0),
-       std::to_string(tiered.HotSize()), std::to_string(tiered.ColdSize()),
+       std::to_string(tiered.MemtableSize()),
+       std::to_string(tiered.NumRunEntries()),
        std::to_string(runs.size()), TablePrinter::FormatDouble(keys_per_page, 1),
        TablePrinter::FormatDouble(bytes_per_key, 2),
        TablePrinter::FormatDouble(
@@ -418,8 +421,8 @@ void RunTiered(const bench::Dataset1D& data, bool enforce) {
   g_json.push_back(
       {bench::JsonField::Str("section", "tiered"),
        bench::JsonField::Num("load_ms", load_ms),
-       bench::JsonField::Num("hot_size", tiered.HotSize()),
-       bench::JsonField::Num("cold_size", tiered.ColdSize()),
+       bench::JsonField::Num("hot_size", tiered.MemtableSize()),
+       bench::JsonField::Num("cold_size", tiered.NumRunEntries()),
        bench::JsonField::Num("cold_runs", runs.size()),
        bench::JsonField::Num("keys_per_page", keys_per_page),
        bench::JsonField::Num("bytes_per_key", bytes_per_key),

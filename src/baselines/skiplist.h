@@ -13,9 +13,8 @@
 
 namespace lidx {
 
-// Probabilistic skip list (Pugh 1990). Serves two roles in the library:
-// a traditional mutable baseline in its own right, and the memtable of the
-// mini LSM-tree that hosts the BOURBON-style learned run indexes.
+// Probabilistic skip list (Pugh 1990): a traditional mutable baseline for
+// the insert experiments (E2).
 template <typename Key, typename Value>
 class SkipList {
  public:

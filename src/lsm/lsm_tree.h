@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,7 +13,6 @@
 
 #include "adapt/shadow.h"
 #include "baselines/bloom.h"
-#include "baselines/skiplist.h"
 #include "common/batch.h"
 #include "common/epoch.h"
 #include "common/invariants.h"
@@ -22,6 +22,7 @@
 #include "common/thread_annotations.h"
 #include "lsm/merge.h"
 #include "lsm/run.h"
+#include "one_d/dynamic_pgm.h"
 
 namespace lidx {
 
@@ -62,7 +63,7 @@ class MemRunStore {
   void CheckInvariants() const {}
 };
 
-// Mini log-structured merge tree: skip-list memtable, immutable sorted runs,
+// Mini log-structured merge tree: a learned memtable, immutable sorted runs,
 // leveled compaction. This is the substrate for the BOURBON experiment
 // (Dai et al., OSDI 2020; tutorial §4.2, §5.6): each immutable run can be
 // searched either by binary search (WiscKey-style baseline) or through a
@@ -77,31 +78,47 @@ class MemRunStore {
 // Keys are uint64-compatible integers; deletes are tombstones that are
 // dropped when a compaction reaches the deepest occupied level.
 //
-// Compaction runs in one of two modes:
-//  - synchronous (default): a flush that trips the L0 trigger merges
-//    inline on the ingesting thread — deterministic and single-threaded.
-//  - background (Options::background_compaction): the merge is handed to
-//    the shared thread pool and the writer returns immediately. Writers
-//    only stall when the uncompacted-L0 backlog exceeds a bounded queue,
-//    which is the insert-stall fix: Put latency no longer includes
-//    multi-level merges.
+// Memtable: a DynamicPgm of RunEntry<Value>, so a tombstone shadows older
+// versions in the runs. Put and Delete write the `active` memtable under a
+// reader/writer lock. A flush seals it: under the writer lock the active
+// memtable becomes the `sealed` one, published through an epoch-protected
+// ShadowCell on the tree's epoch manager, and a fresh active starts. The
+// flush then ingests the sealed memtable as an L0 run and only afterwards
+// clears the cell. At most one memtable is sealed at a time, so a flush
+// first waits out the one still landing.
+//
+// Flushes and compactions run in one of two modes:
+//  - synchronous (default): the writer that fills the memtable flushes it
+//    inline, and a flush that trips the L0 trigger merges inline too —
+//    deterministic and single-threaded.
+//  - background (Options::background_compaction): flushes and the merges
+//    they trigger run on the shared thread pool and the writer returns
+//    immediately. A writer stalls only when it fills the memtable while
+//    the previous flush is still landing; a flush stalls when the
+//    uncompacted-L0 backlog exceeds a bounded queue. That is the
+//    insert-stall fix: Put latency no longer includes multi-level merges.
 // In both modes the merge itself can use Options::compaction_threads
 // workers: the k-way merge partitions by key range (byte-identical to the
 // serial merge) and the new run's learned model trains blockwise.
 //
-// Read protocol: the run layout (L0 plus levels) is one immutable Layout
-// published through an epoch-protected ShadowCell, in both modes. Readers
-// pin the tree's epoch manager and probe the layout they acquired; every
-// layout change (flush, ingest, compaction) builds a new Layout and
-// publishes it, and the replaced one — with any run only it held — is
-// freed once no reader can still see it.
+// Read protocol: a read probes the active memtable under the shared lock,
+// then pins the tree's epoch manager once for the sealed memtable and the
+// run layout (L0 plus levels) — one immutable Layout published through an
+// epoch-protected ShadowCell. The seal publishes the sealed memtable while
+// holding the writer lock, and a flush publishes its run before clearing
+// the cell, so a key missing from the active memtable at probe time is in
+// the sealed memtable the reader acquires or already in the layout; no
+// interleaving hides it. Every layout change (flush, ingest, compaction)
+// builds a new Layout and publishes it, and the replaced one — with any
+// run only it held — is freed, like a landed sealed memtable, once no
+// reader can still see it.
 //
 // Thread-safety contract: one thread at a time writes (Put, Delete, Flush,
-// Ingest). Put and Delete fill the memtable, which every read probes, so
-// a tree written through them is read only on the writing thread. A tree
-// fed only through Ingest (TieredIndex's cold side) serves Get, GetBatch,
-// RangeScan and the size/invariant accessors on any thread, concurrently
-// with ingests and compactions.
+// Ingest). Get, GetBatch (each thread with its own engine), RangeScan and
+// the size/invariant accessors run on any thread, concurrently with the
+// writer and with flushes and compactions. RangeScan merges a
+// per-component snapshot and is not atomic with concurrent writes (a scan
+// overlapping an update may reflect it in some keys and not others).
 template <typename Key, typename Value,
           typename Store = MemRunStore<Key, Value>>
 class LsmTree {
@@ -123,9 +140,9 @@ class LsmTree {
     size_t compaction_threads = 1;
     // Passed through to every run (see SortedRun/DiskRun::Options::simd).
     bool simd = true;
-    // Off-thread flush-triggered merges (see class comment).
+    // Off-thread flushes and flush-triggered merges (see class comment).
     bool background_compaction = false;
-    // Backlog allowance in background mode: writers stall once L0 holds
+    // Backlog allowance in background mode: flushes stall once L0 holds
     // more than l0_run_limit * (max_pending_compactions + 1) runs, which
     // bounds both memory and the staleness a compaction must absorb.
     size_t max_pending_compactions = 2;
@@ -151,24 +168,25 @@ class LsmTree {
   LsmTree& operator=(const LsmTree&) = delete;
 
   void Put(const Key& key, const Value& value) {
-    memtable_.Insert(key, RunEntry<Value>{value, false});
-    MaybeFlush();
+    Write(key, RunEntry<Value>{value, false});
   }
 
-  void Delete(const Key& key) {
-    memtable_.Insert(key, RunEntry<Value>{Value{}, true});
-    MaybeFlush();
-  }
+  void Delete(const Key& key) { Write(key, RunEntry<Value>{Value{}, true}); }
 
   // Probe counters accumulate into `stats` when given.
   std::optional<Value> Get(const Key& key, Stats* stats = nullptr) const {
-    // The memtable is always empty in a tree fed only through Ingest.
-    if (!memtable_.empty()) {
-      if (const auto hit = memtable_.Find(key); hit.has_value()) {
+    {
+      ReaderMutexLock lock(mem_mu_);
+      if (const auto hit = active_.Find(key); hit.has_value()) {
         return LiveValue(*hit);
       }
     }
     const EpochManager::Guard guard = epoch_.Pin();
+    if (const Memtable* sealed = sealed_.Acquire()) {
+      if (const auto hit = sealed->Find(key); hit.has_value()) {
+        return LiveValue(*hit);
+      }
+    }
     const Layout& layout = *layout_.Acquire();
     // L0 runs newest-first, then deeper levels.
     for (auto it = layout.l0.rbegin(); it != layout.l0.rend(); ++it) {
@@ -186,14 +204,14 @@ class LsmTree {
   }
 
   // Batched point lookups with up to the engine's queue depth of page
-  // reads in flight across the whole component stack: the AMAC group
-  // scheduler (InterleavedIoRun) drives one cursor per key, and each
-  // cursor probes the memtable synchronously, then chains through the
-  // runs newest-first — the same order as Get — parking on a
-  // PagePinStream ticket whenever a run's filter + model admit a page.
-  // Results are identical to calling Get per key (both paths share
-  // DiskRun's ResolveTarget/StepPage, and a cursor advances to the next
-  // run only after the current run's page walk misses). This overload
+  // reads in flight across the whole component stack: the memtables are
+  // probed first (every key in the active one, then in the sealed one —
+  // Get's order), then the AMAC group scheduler (InterleavedIoRun) drives
+  // one cursor per remaining key, chaining through the runs newest-first
+  // and parking on a PagePinStream ticket whenever a run's filter + model
+  // admit a page. Results are identical to calling Get per key (both paths
+  // share DiskRun's ResolveTarget/StepPage, and a cursor advances to the
+  // next run only after the current run's page walk misses). This overload
   // lazily creates one engine from Options::io_backend / io_queue_depth,
   // owned by the client thread; out[] must hold n slots.
   void GetBatch(const Key* keys, size_t n, std::optional<Value>* out,
@@ -211,9 +229,19 @@ class LsmTree {
                 std::optional<Value>* out, Stats* stats = nullptr) const
     requires Store::kPaged
   {
-    // One snapshot serves the whole batch, probed in Get's order; the runs
-    // are immutable, so cursors probe them even while a worker installs a
-    // new layout.
+    std::vector<bool> resolved(n);  // Answered by a memtable.
+    ForEachMemtable([&](const Memtable& memtable) {
+      for (size_t i = 0; i < n; ++i) {
+        if (resolved[i]) continue;
+        if (const auto hit = memtable.Find(keys[i]); hit.has_value()) {
+          out[i] = LiveValue(*hit);
+          resolved[i] = true;
+        }
+      }
+    });
+    // One run snapshot, taken after the memtable probes (Get's order),
+    // serves the whole batch; the runs are immutable, so cursors probe them
+    // even while a worker installs a new layout.
     const std::vector<RunRef> runs = Runs();
     Stats local;
     Stats& st = stats != nullptr ? *stats : local;
@@ -247,11 +275,7 @@ class LsmTree {
           c.i = i;
           c.run = 0;
           c.pending = false;
-          if (const auto hit = memtable_.Find(keys[i]); hit.has_value()) {
-            out[i] = LiveValue(*hit);
-            return;
-          }
-          submit_next(c, keys[i]);
+          if (!resolved[i]) submit_next(c, keys[i]);
         },
         [&](Cursor& c) {
           if (!c.pending) return true;
@@ -288,22 +312,24 @@ class LsmTree {
   void RangeScan(const Key& lo, const Key& hi,
                  std::vector<std::pair<Key, Value>>* out,
                  Stats* stats = nullptr) const {
-    // One sorted stream per component, newest first: memtable, then runs.
-    std::vector<std::vector<KV>> streams(1);
-    memtable_.RangeScan(lo, hi, &streams[0]);
+    // One sorted stream per component, newest first: the memtables, then
+    // the runs (snapshotted after the memtables, Get's order).
+    std::vector<std::vector<KV>> streams;
+    ForEachMemtable([&](const Memtable& memtable) {
+      memtable.RangeScan(lo, hi, &streams.emplace_back());
+    });
     for (const RunRef& run : Runs()) {
       streams.push_back(run->Scan(lo, hi, stats));
     }
     MergeLive(std::move(streams), out);
   }
 
-  // Forces the memtable into run form (tests / benchmarks).
+  // Forces the memtable into run form: waits out a flush in flight, seals
+  // what the memtable holds now, and returns once that flush has landed
+  // (in background mode a compaction it triggers may still be running).
   void Flush() {
-    if (memtable_.empty()) return;
-    std::vector<KV> entries;
-    memtable_.DrainSorted(&entries);
-    memtable_ = SkipList<Key, RunEntry<Value>>();
-    Ingest(std::move(entries));
+    Seal();
+    WaitForFlush();
   }
 
   // Adds `entries` — sorted, unique keys, newer than everything in the
@@ -315,39 +341,16 @@ class LsmTree {
   // the memtable limit).
   void Ingest(std::vector<KV> entries) {
     Flush();
-    if (entries.empty()) return;
-    std::vector<KV> deep;  // A batch that skips L0.
-    RunPtr run;
-    if (entries.size() > options_.memtable_limit) {
-      deep = std::move(entries);
-    } else {
-      run = store_.MakeRun(std::move(entries), options_);
-    }
-    MutexLock lock(mu_);
-    // A deep batch merges L0 too, so it waits out a worker draining L0.
-    while (!deep.empty() && compaction_inflight_) cv_.Wait(mu_);
-    Layout next = Snapshot();
-    if (run != nullptr) next.l0.push_back(std::move(run));
-    if (!deep.empty() || (!options_.background_compaction &&
-                          next.l0.size() > options_.l0_run_limit)) {
-      next.levels =
-          CompactIntoLevels(std::move(deep), next.l0, std::move(next.levels));
-      next.l0.clear();
-      ++inline_compactions_;
-    }
-    // Only background mode leaves L0 past its trigger.
-    const bool trigger = next.l0.size() > options_.l0_run_limit;
-    Install(std::move(next));
-    if (trigger) ScheduleCompactionLocked();
+    Land(std::move(entries));
   }
 
-  // Blocks until no background compaction is in flight (no-op in
-  // synchronous mode). The destructor calls this, so a tree never dies —
-  // and a page file never closes — while a pool worker still uses it.
+  // Blocks until no background flush or compaction is in flight (they
+  // never are in synchronous mode). The destructor calls this, so a tree
+  // never dies — and a page file never closes — while a pool worker still
+  // uses it.
   void WaitForCompactions() {
-    if (!options_.background_compaction) return;
     MutexLock lock(mu_);
-    while (compaction_inflight_) cv_.Wait(mu_);
+    while (flush_inflight_ || compaction_inflight_) cv_.Wait(mu_);
   }
 
   // Every run in probe order — L0 newest first, then L1, L2, ... — from
@@ -361,6 +364,15 @@ class LsmTree {
       if (run != nullptr) runs.push_back(run);
     }
     return runs;
+  }
+
+  // Entries (live and tombstone) not yet in a run: the active memtable plus
+  // a sealed one still landing.
+  size_t MemtableSize() const {
+    size_t total = 0;
+    ForEachMemtable(
+        [&](const Memtable& memtable) { total += memtable.size(); });
+    return total;
   }
 
   size_t NumRuns() const { return Runs().size(); }
@@ -390,35 +402,37 @@ class LsmTree {
   auto& pool() requires Store::kPaged { return store_.pool(); }
   const auto& pool() const requires Store::kPaged { return store_.pool(); }
 
-  // The manager readers pin; a caller that composes the tree with its own
-  // epoch-published state can publish on it and pin once for both.
-  EpochManager& epoch() const { return epoch_; }
-
-  // In-memory footprint: memtable, each run's in-memory state (all of a
+  // In-memory footprint: memtables, each run's in-memory state (all of a
   // SortedRun; a DiskRun's fences, model and filter — its records are on
   // disk), plus whatever the store owns (the disk store's buffer pool).
   size_t SizeBytes() const {
-    size_t total =
-        sizeof(*this) + memtable_.SizeBytes() + store_.SizeBytes();
+    size_t total = sizeof(*this) + store_.SizeBytes();
+    ForEachMemtable(
+        [&](const Memtable& memtable) { total += memtable.SizeBytes(); });
     for (const RunRef& run : Runs()) total += run->SizeBytes();
     return total;
   }
 
-  // Structural invariants: memtable below its flush threshold, the L0 run
-  // count within its compaction trigger (or, in background mode, within
-  // the bounded backlog a scheduled compaction is allowed to absorb),
-  // every run internally consistent (sorted, Bloom/ε contracts; a disk
-  // run re-reads and CRC-checks its pages), level sizes respecting the
-  // leveled capacity schedule — each occupied level fits its capacity
-  // except the deepest, which absorbs overflow when the tree is full —
-  // and the store's own contracts (the disk store's page allocator and
-  // buffer-pool table). Aborts on violation. Test hook; checks one
-  // layout, so it may run beside readers, ingests and compactions.
+  // Structural invariants: memtables internally consistent and within the
+  // flush threshold, the L0 run count within its compaction trigger (or,
+  // in background mode, within the bounded backlog a scheduled compaction
+  // is allowed to absorb), every run internally consistent (sorted,
+  // Bloom/ε contracts; a disk run re-reads and CRC-checks its pages), level
+  // sizes respecting the leveled capacity schedule — each occupied level
+  // fits its capacity except the deepest, which absorbs overflow when the
+  // tree is full — and the store's own contracts (the disk store's page
+  // allocator and buffer-pool table). Aborts on violation. Test hook;
+  // checks one layout, so it may run beside the writer, readers, flushes
+  // and compactions.
   void CheckInvariants() const {
-    memtable_.CheckInvariants();
-    LIDX_INVARIANT(memtable_.size() < options_.memtable_limit ||
-                       options_.memtable_limit == 0,
-                   "lsm: memtable below flush threshold");
+    // A Put that fills the memtable seals it right after releasing the
+    // lock, so a concurrent check may see it exactly full.
+    ForEachMemtable([&](const Memtable& memtable) {
+      memtable.CheckInvariants();
+      LIDX_INVARIANT(memtable.size() <= options_.memtable_limit ||
+                         options_.memtable_limit == 0,
+                     "lsm: memtable within its flush threshold");
+    });
     const Layout layout = Snapshot();
     const size_t l0_bound = options_.background_compaction
                                 ? BacklogBound() + 1
@@ -458,14 +472,115 @@ class LsmTree {
   using RunPtr = std::shared_ptr<Run>;
   using RunRef = std::shared_ptr<const Run>;
 
+  // The memtable: default options, so its layout is reproducible outside
+  // the tree (perfbench replays the tiered shape's hot tier with one).
+  using Memtable = DynamicPgm<Key, RunEntry<Value>>;
+
   // One immutable run layout, published whole.
   struct Layout {
     std::vector<RunPtr> l0;      // Oldest first.
     std::vector<RunPtr> levels;  // levels[i] = L(i+1), single run or null.
   };
 
-  void MaybeFlush() {
-    if (memtable_.size() >= options_.memtable_limit) Flush();
+  // Calls `f` on the active memtable under the shared lock, then on the
+  // sealed one (if any) under an epoch pin: the order every read probes.
+  template <typename F>
+  void ForEachMemtable(F&& f) const {
+    {
+      ReaderMutexLock lock(mem_mu_);
+      f(active_);
+    }
+    const EpochManager::Guard guard = epoch_.Pin();
+    if (const Memtable* sealed = sealed_.Acquire()) f(*sealed);
+  }
+
+  // Memtable::Insert overwrites, so one insert serves keys old and new.
+  void Write(const Key& key, const RunEntry<Value>& entry) {
+    bool full;
+    {
+      WriterMutexLock lock(mem_mu_);
+      active_.Insert(key, entry);
+      full = active_.size() >= options_.memtable_limit;
+    }
+    if (full) Seal();
+  }
+
+  // Seals the active memtable (a no-op when it is empty) and lands it as a
+  // flush, inline or on the pool. At most one memtable is sealed, so a
+  // flush still landing is waited out first; in background mode that is
+  // where a writer that outruns its flushes stalls. The seal publishes the
+  // sealed memtable under the writer lock, which is what makes the read
+  // protocol exhaustive (class comment). Writer thread only.
+  void Seal() {
+    WaitForFlush();
+    const Memtable* sealed;
+    {
+      WriterMutexLock lock(mem_mu_);
+      if (active_.empty()) return;
+      sealed = new Memtable(std::move(active_));
+      active_ = Memtable();
+      sealed_.Publish(sealed);
+    }
+    {
+      MutexLock lock(mu_);
+      flush_inflight_ = true;
+    }
+    if (options_.background_compaction) {
+      ThreadPool::Shared().Submit([this, sealed] { LandFlush(sealed); });
+    } else {
+      LandFlush(sealed);
+    }
+  }
+
+  // Ingests the sealed memtable, then clears the cell: the run is published
+  // before readers stop probing the sealed memtable. `sealed` stays valid
+  // until the cell is cleared, which only this flush does.
+  void LandFlush(const Memtable* sealed) {
+    std::vector<KV> entries;
+    sealed->RangeScan(std::numeric_limits<Key>::lowest(),
+                      std::numeric_limits<Key>::max(), &entries);
+    Land(std::move(entries));
+    MutexLock lock(mu_);
+    sealed_.Publish(nullptr);
+    // Free the sealed memtable now rather than every 64 retires (Install).
+    epoch_.ReclaimSome();
+    epoch_.ReclaimSome();
+    flush_inflight_ = false;
+    cv_.NotifyAll();  // WaitForFlush / WaitForCompactions.
+  }
+
+  void WaitForFlush() {
+    MutexLock lock(mu_);
+    while (flush_inflight_) cv_.Wait(mu_);
+  }
+
+  // Adds a sorted batch newer than every run (Ingest's contract): an L0 run,
+  // or a merge into the levels for a batch past the memtable limit.
+  void Land(std::vector<KV> entries) {
+    if (entries.empty()) return;
+    std::vector<KV> deep;  // A batch that skips L0.
+    RunPtr run;
+    if (entries.size() > options_.memtable_limit) {
+      deep = std::move(entries);
+    } else {
+      run = store_.MakeRun(std::move(entries), options_);
+    }
+    MutexLock lock(mu_);
+    // A deep batch merges L0 too, so it waits out a worker draining L0.
+    while (!deep.empty() && compaction_inflight_) cv_.Wait(mu_);
+    Layout next = Snapshot();
+    if (run != nullptr) next.l0.push_back(std::move(run));
+    if (!deep.empty() || (!options_.background_compaction &&
+                          next.l0.size() > options_.l0_run_limit)) {
+      next.levels =
+          CompactIntoLevels(std::move(deep), next.l0, std::move(next.levels));
+      next.l0.clear();
+      ++inline_compactions_;
+    }
+    // Only background mode leaves L0 past its trigger.
+    const bool trigger = next.l0.size() > options_.l0_run_limit;
+    Install(std::move(next));
+    if (trigger) ScheduleCompactionLocked();
   }
 
   size_t LevelCapacity(size_t level) const {
@@ -598,11 +713,14 @@ class LsmTree {
   // their runs (a DiskRun frees its pages through the store) first.
   [[no_unique_address]] Store store_;
   mutable EpochManager epoch_;
-  ShadowCell<Layout> layout_{&epoch_};  // lidx: epoch-protected
-  SkipList<Key, RunEntry<Value>> memtable_;
+  ShadowCell<Layout> layout_{&epoch_};      // lidx: epoch-protected
+  ShadowCell<Memtable> sealed_{&epoch_};    // lidx: epoch-protected
+  mutable SharedMutex mem_mu_;
+  Memtable active_ LIDX_GUARDED_BY(mem_mu_);
   // mu_ serialises layout publishers and guards the scheduler state.
   mutable Mutex mu_;
   mutable CondVar cv_;
+  bool flush_inflight_ LIDX_GUARDED_BY(mu_) = false;
   bool compaction_inflight_ LIDX_GUARDED_BY(mu_) = false;
   size_t inline_compactions_ LIDX_GUARDED_BY(mu_) = 0;
   size_t background_compactions_ LIDX_GUARDED_BY(mu_) = 0;

@@ -12,8 +12,8 @@
 
 namespace lidx {
 
-// Newest-wins k-way merge shared by LsmTree (over either run store),
-// TieredIndex and ShardedIndex. Streams are sorted by key, unique within a
+// Newest-wins k-way merge shared by LsmTree (over either run store, and
+// so TieredIndex) and ShardedIndex. Streams are sorted by key, unique within a
 // stream, and ordered newest first; on a key collision the entry from the
 // newest stream survives (tombstones included — dropping them is a
 // compaction policy decision, not a merge one; see DropTombstones and

@@ -275,10 +275,9 @@ TEST(StressTest, LookupBatchConcurrentWithInvariantCheckers) {
 
 TEST(StressTest, LsmBackgroundCompactionChurn) {
   // The client thread floods the tree with puts/gets/deletes/invariant
-  // checks while the pool worker compacts underneath — the TSan probe for
-  // the l0_/levels_ snapshot-and-install protocol. (The LSM contract is
-  // one client thread plus the internal worker; the memtable is
-  // deliberately client-thread-only, so the checks run from the client.)
+  // checks while pool workers flush and compact underneath — the TSan
+  // probe for the layout snapshot-and-install protocol from the writer's
+  // side. (LsmWriterRacesReaders adds reader threads.)
   LsmTree<uint64_t, uint64_t>::Options opts;
   opts.memtable_limit = 128;
   opts.l0_run_limit = 2;
@@ -633,11 +632,13 @@ TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
 }
 
 // TieredIndex under its concurrency contract: one writer driving constant
-// background migrations (seal -> compressed run build -> merge-all ->
-// shadow publish) while point readers and range scanners race the swaps.
-// The seal/publish protocol makes every key visible in some tier at all
+// background migrations (seal the hot tier -> ingest it as a compressed L0
+// run -> clear the sealed cell, with leveled compactions on the pool)
+// while point readers and range scanners race the swaps. The
+// seal/publish protocol makes every key visible in some tier at all
 // times, so a reader miss on a never-erased key is a protocol bug; TSan
-// additionally vets the epoch-retired ColdStates and the hot-tier lock.
+// additionally vets the hot-tier lock and the epoch-retired sealed tiers
+// and run layouts.
 TEST(StressTest, TieredIndexMigrationsRacingReaders) {
   const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 1013);
   typename TieredIndex<uint64_t, uint64_t>::Options opts;
@@ -663,7 +664,7 @@ TEST(StressTest, TieredIndexMigrationsRacingReaders) {
     for (int i = 0; i < kWriterOps; ++i) {
       const size_t j = rng.NextBounded(keys.size());
       if (j % 5 == 4 && rng.NextBounded(2) == 0) {
-        tiered.Erase(keys[j]);
+        tiered.Delete(keys[j]);
       } else {
         tiered.Insert(keys[j], j);
       }
@@ -705,14 +706,185 @@ TEST(StressTest, TieredIndexMigrationsRacingReaders) {
   stop.store(true);
   for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
 
-  tiered.WaitForMigration();
-  tiered.FlushHot();
+  tiered.WaitForCompactions();
+  tiered.Flush();
   tiered.CheckInvariants();
   EXPECT_EQ(bad_reads.load(), 0u);
   // Stable keys survived the churn with their rank values.
   for (size_t j = 0; j < keys.size(); j += 97) {
     if (j % 5 == 4) continue;
     ASSERT_EQ(tiered.Find(keys[j]), std::optional<uint64_t>(j)) << j;
+  }
+}
+
+// One writer (Put/Delete over a 256-entry memtable, so it seals and
+// flushes constantly) races point readers, a range scanner and, on the
+// paged store, a GetBatch reader with its own engine. Every key maps to
+// its rank. Even ranks are ingested up front; those with rank % 10 == 4
+// are the writer's to delete and re-put, the rest stay. Odd ranks are
+// fresh: the writer puts each once, in shuffled order, and publishes how
+// many it has put, so a reader knows which fresh keys must be visible.
+// A fresh key exists nowhere but in the component the flush is moving it
+// through, so a seal or flush that hides it for a moment is a missed read.
+// Returns the bad reads.
+template <typename Tree>
+size_t RaceLsmWriterAgainstReaders(Tree& tree,
+                                   const std::vector<uint64_t>& keys) {
+  std::vector<typename Tree::KV> base;
+  std::vector<size_t> fresh;  // Ranks in put order.
+  for (size_t j = 0; j < keys.size(); ++j) {
+    if (j % 2 == 0) {
+      base.emplace_back(keys[j], RunEntry<uint64_t>{j, false});
+    } else {
+      fresh.push_back(j);
+    }
+  }
+  tree.Ingest(std::move(base));
+  Rng shuffle(1061);
+  for (size_t i = fresh.size(); i > 1; --i) {
+    std::swap(fresh[i - 1], fresh[shuffle.NextBounded(i)]);
+  }
+  std::vector<size_t> put_order(keys.size());  // Rank -> index in fresh.
+  for (size_t i = 0; i < fresh.size(); ++i) put_order[fresh[i]] = i;
+  std::atomic<size_t> published{0};  // Fresh keys put so far.
+  // Whether rank j must be found, given a `published` read before the
+  // lookup; a key that may be missing must still carry its rank if found.
+  const auto must_exist = [&](size_t j, size_t put) {
+    return j % 2 == 0 ? j % 10 != 4 : put_order[j] < put;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> bad_reads{0};
+  const auto check = [&](size_t j, size_t put,
+                         const std::optional<uint64_t>& got) {
+    if (got.has_value() ? *got != j : must_exist(j, put)) {
+      bad_reads.fetch_add(1);
+    }
+  };
+  // Half the probes go to the most recently put fresh keys, the ones a
+  // seal or flush is moving.
+  const auto pick = [&](Rng& rng, size_t put) {
+    if (put == 0 || rng.NextBounded(2) == 0) {
+      return static_cast<size_t>(rng.NextBounded(keys.size()));
+    }
+    const size_t window = std::min<size_t>(put, 512);
+    return fresh[put - 1 - rng.NextBounded(window)];
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // The single writer.
+    Rng rng(1063);
+    for (int i = 0; i < 12000; ++i) {
+      const size_t put = published.load(std::memory_order_relaxed);
+      if (i % 3 != 2 && put < fresh.size()) {
+        tree.Put(keys[fresh[put]], fresh[put]);
+        published.store(put + 1, std::memory_order_release);
+        continue;
+      }
+      const size_t j = rng.NextBounded(keys.size() / 10) * 10 + 4;
+      if (rng.NextBounded(2) == 0) {
+        tree.Delete(keys[j]);
+      } else {
+        tree.Put(keys[j], j);
+      }
+    }
+  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {  // Point readers.
+      Rng rng(1069 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const size_t put = published.load(std::memory_order_acquire);
+        const size_t j = pick(rng, put);
+        check(j, put, tree.Get(keys[j]));
+      }
+    });
+  }
+  threads.emplace_back([&] {  // Range scanner across component boundaries.
+    Rng rng(1087);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const size_t put = published.load(std::memory_order_acquire);
+      const size_t j = rng.NextBounded(keys.size() - 600);
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      tree.RangeScan(keys[j], keys[j + 500], &out);
+      size_t found = 0;
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (i > 0 && out[i - 1].first >= out[i].first) bad_reads.fetch_add(1);
+        const auto it =
+            std::lower_bound(keys.begin(), keys.end(), out[i].first);
+        if (it == keys.end() || *it != out[i].first) {
+          bad_reads.fetch_add(1);
+          continue;
+        }
+        const size_t rank = static_cast<size_t>(it - keys.begin());
+        check(rank, put, out[i].second);
+        found += must_exist(rank, put);
+      }
+      size_t want = 0;
+      for (size_t r = j; r <= j + 500; ++r) want += must_exist(r, put);
+      if (found != want) bad_reads.fetch_add(1);
+    }
+  });
+  if constexpr (requires { tree.io_engine(); }) {
+    threads.emplace_back([&] {  // Batched reader with its own engine.
+      auto engine =
+          storage::AsyncReadEngine::Create(storage::IoBackend::kAuto, 8);
+      Rng rng(1091);
+      std::vector<uint64_t> probes(64);
+      std::vector<size_t> ranks(probes.size());
+      std::vector<std::optional<uint64_t>> got(probes.size());
+      while (!stop.load(std::memory_order_relaxed)) {
+        const size_t put = published.load(std::memory_order_acquire);
+        for (size_t i = 0; i < probes.size(); ++i) {
+          ranks[i] = pick(rng, put);
+          probes[i] = keys[ranks[i]];
+        }
+        tree.GetBatch(engine.get(), probes.data(), probes.size(), got.data());
+        for (size_t i = 0; i < probes.size(); ++i) {
+          check(ranks[i], put, got[i]);
+        }
+      }
+    });
+  }
+  threads[0].join();  // The bounded writer.
+  stop.store(true);
+  for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
+  tree.Flush();
+  tree.WaitForCompactions();
+  tree.CheckInvariants();
+  EXPECT_EQ(tree.MemtableSize(), 0u);
+  const size_t put = published.load();
+  for (size_t j = 0; j < keys.size(); ++j) check(j, put, tree.Get(keys[j]));
+  return bad_reads.load();
+}
+
+// LsmTree's write path under its concurrency contract, on both run stores
+// and in both flush modes: inline flushes race the readers from the
+// writer thread, background ones from pool workers.
+TEST(StressTest, LsmWriterRacesReaders) {
+  const auto keys = GenerateKeys(KeyDistribution::kUniform, 20000, 1093);
+  for (const bool background : {false, true}) {
+    SCOPED_TRACE(background ? "background" : "inline");
+    {
+      LsmTree<uint64_t, uint64_t>::Options opts;
+      opts.memtable_limit = 256;
+      opts.l0_run_limit = 2;
+      opts.level_size_factor = 4;
+      opts.background_compaction = background;
+      LsmTree<uint64_t, uint64_t> tree(opts);
+      EXPECT_EQ(RaceLsmWriterAgainstReaders(tree, keys), 0u) << "memory";
+    }
+    {
+      using Tree = storage::DiskLsmTree<uint64_t, uint64_t>;
+      Tree::Options opts;
+      opts.memtable_limit = 256;
+      opts.l0_run_limit = 2;
+      opts.level_size_factor = 4;
+      opts.pool_frames = 64;
+      opts.background_compaction = background;
+      const std::string path =
+          std::string(::testing::TempDir()) + "lidx_stress_lsm_writer";
+      std::remove(path.c_str());
+      Tree tree(path, opts);
+      EXPECT_EQ(RaceLsmWriterAgainstReaders(tree, keys), 0u) << "disk";
+    }
   }
 }
 

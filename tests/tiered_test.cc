@@ -1,18 +1,24 @@
-// TieredIndex tests: the hot updatable tier over cold compressed runs.
-// Fuzzed against std::map across codecs and migration modes; plus targeted
-// coverage of sealing visibility, tombstone compaction, bulk load, page
-// reclamation, and teardown with retired states.
+// TieredIndex tests: the hot updatable tier (the DiskLsmTree's memtable)
+// over cold compressed runs. Fuzzed against std::map across codecs and
+// migration modes; plus targeted coverage of sealing visibility, tombstone
+// compaction, bulk load, page reclamation, flushing behind an in-flight
+// migration, and teardown with retired states.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/tiered_index.h"
@@ -97,7 +103,7 @@ TEST_P(TieredFuzzTest, MatchesMapUnderMixedOps) {
       }
       case 3:
         want.erase(key);
-        tiered.Erase(key);
+        tiered.Delete(key);
         break;
       default: {
         const auto it = want.find(key);
@@ -109,13 +115,13 @@ TEST_P(TieredFuzzTest, MatchesMapUnderMixedOps) {
       }
     }
   }
-  tiered.WaitForMigration();
+  tiered.WaitForCompactions();
   tiered.CheckInvariants();
   CheckAgainstMap(tiered, want, kKeySpace);
   // Everything findable after forcing the remaining hot span to disk too.
-  tiered.FlushHot();
+  tiered.Flush();
   tiered.CheckInvariants();
-  EXPECT_EQ(tiered.HotSize(), 0u);
+  EXPECT_EQ(tiered.MemtableSize(), 0u);
   CheckAgainstMap(tiered, want, kKeySpace);
 }
 
@@ -133,14 +139,14 @@ TEST(TieredIndexTest, MergeAllDropsTombstonesAtTheBottom) {
   opts.cold_run_limit = 1;   // Every migration merges to a single run.
   TieredIndex<uint64_t, uint64_t> tiered(FreshFile("tombstones"), opts);
   for (uint64_t key = 0; key < 2000; ++key) tiered.Insert(key, key + 1);
-  tiered.FlushHot();
-  ASSERT_EQ(tiered.ColdSize(), 2000u);
+  tiered.Flush();
+  ASSERT_EQ(tiered.NumRunEntries(), 2000u);
   // Erase half; after the merge-all the tombstones must not survive in
   // the (single, bottom) run.
-  for (uint64_t key = 0; key < 2000; key += 2) tiered.Erase(key);
-  tiered.FlushHot();
-  ASSERT_EQ(tiered.ColdRuns().size(), 1u);
-  EXPECT_EQ(tiered.ColdSize(), 1000u);
+  for (uint64_t key = 0; key < 2000; key += 2) tiered.Delete(key);
+  tiered.Flush();
+  ASSERT_EQ(tiered.Runs().size(), 1u);
+  EXPECT_EQ(tiered.NumRunEntries(), 1000u);
   for (uint64_t key = 0; key < 2000; ++key) {
     ASSERT_EQ(tiered.Find(key).has_value(), key % 2 == 1) << key;
   }
@@ -152,13 +158,13 @@ TEST(TieredIndexTest, HotOverwriteShadowsColdVersion) {
   opts.hot_limit = 1 << 20;
   TieredIndex<uint64_t, uint64_t> tiered(FreshFile("shadow"), opts);
   tiered.Insert(42, 1);
-  tiered.FlushHot();
+  tiered.Flush();
   ASSERT_EQ(tiered.Find(42), std::optional<uint64_t>(1));
   tiered.Insert(42, 2);  // Newer hot version over the disk-resident one.
   EXPECT_EQ(tiered.Find(42), std::optional<uint64_t>(2));
-  tiered.Erase(42);  // Tombstone over the disk-resident version.
+  tiered.Delete(42);  // Tombstone over the disk-resident version.
   EXPECT_FALSE(tiered.Find(42).has_value());
-  tiered.FlushHot();
+  tiered.Flush();
   EXPECT_FALSE(tiered.Find(42).has_value());
 }
 
@@ -173,15 +179,15 @@ TEST(TieredIndexTest, BulkLoadServesFromColdRuns) {
   opts.codec = PageCodec::kDelta;
   TieredIndex<uint64_t, uint64_t> tiered(FreshFile("bulk"), opts);
   tiered.BulkLoad(keys, values);
-  EXPECT_EQ(tiered.HotSize(), 0u);
-  EXPECT_EQ(tiered.ColdSize(), keys.size());
+  EXPECT_EQ(tiered.MemtableSize(), 0u);
+  EXPECT_EQ(tiered.NumRunEntries(), keys.size());
   for (size_t i = 0; i < keys.size(); i += 37) {
     ASSERT_EQ(tiered.Find(keys[i]), std::optional<uint64_t>(values[i]));
     ASSERT_FALSE(tiered.Find(keys[i] + 1).has_value());
   }
   // Updates over the bulk-loaded base follow the normal tier path.
   tiered.Insert(keys[5], 999);
-  tiered.Erase(keys[6]);
+  tiered.Delete(keys[6]);
   EXPECT_EQ(tiered.Find(keys[5]), std::optional<uint64_t>(999));
   EXPECT_FALSE(tiered.Find(keys[6]).has_value());
   tiered.CheckInvariants();
@@ -208,9 +214,9 @@ TEST(TieredIndexTest, MergedRunsFreeTheirPages) {
     for (size_t i = 0; i < opts.hot_limit; ++i) {
       tiered.Insert(rng.NextBounded(keys.size() * 5), i);
     }
-    tiered.FlushHot();
+    tiered.Flush();
     size_t live = 0;
-    for (const auto& run : tiered.ColdRuns()) live += run->NumPages();
+    for (const auto& run : tiered.Runs()) live += run->NumPages();
     ASSERT_EQ(tiered.file()->NumPages() - tiered.file()->FreeListSize(), live)
         << "after migration " << migration;
   }
@@ -229,7 +235,51 @@ TEST(TieredIndexTest, DestructorWithPendingRetiredStatesIsClean) {
   for (int op = 0; op < 5000; ++op) {
     tiered.Insert(rng.NextBounded(10000), rng.Next());
   }
-  // No FlushHot/WaitForMigration: the destructor handles in-flight state.
+  // No Flush/WaitForCompactions: the destructor handles in-flight state.
+}
+
+TEST(TieredIndexTest, FlushWaitsOutAnInFlightMigration) {
+  // Flush must empty the hot tier even while an earlier background
+  // migration is still in flight: it waits that one out, then seals what
+  // arrived since. Every shared-pool worker is parked so the first
+  // migration stays queued until Flush is already waiting on it.
+  typename TieredIndex<uint64_t, uint64_t>::Options opts;
+  opts.hot_limit = 100;
+  opts.background_migration = true;
+  TieredIndex<uint64_t, uint64_t> tiered(FreshFile("flush_inflight"), opts);
+  // Shared with the parked workers, which may poll it after the test ends.
+  struct Gate {
+    std::atomic<size_t> parked{0};
+    std::atomic<bool> release{false};
+  };
+  const auto gate = std::make_shared<Gate>();
+  ThreadPool& pool = ThreadPool::Shared();
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([gate] {
+      gate->parked.fetch_add(1);
+      while (!gate->release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  while (gate->parked.load() < pool.num_threads()) std::this_thread::yield();
+  // The 100th insert seals a migration that stays queued; 50 more follow.
+  // (EXPECT, not ASSERT: an early return would leave the workers parked.)
+  for (uint64_t key = 0; key < 150; ++key) tiered.Insert(key, key + 1);
+  EXPECT_EQ(tiered.MemtableSize(), 150u);
+  EXPECT_EQ(tiered.NumRunEntries(), 0u);
+  std::thread releaser([gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate->release.store(true);
+  });
+  tiered.Flush();
+  releaser.join();
+  EXPECT_EQ(tiered.MemtableSize(), 0u);
+  EXPECT_EQ(tiered.NumRunEntries(), 150u);
+  for (uint64_t key = 0; key < 150; ++key) {
+    ASSERT_EQ(tiered.Find(key), std::optional<uint64_t>(key + 1)) << key;
+  }
+  tiered.CheckInvariants();
 }
 
 TEST(TieredIndexTest, ColdRunsUseConfiguredCodecAndCompress) {
@@ -238,8 +288,8 @@ TEST(TieredIndexTest, ColdRunsUseConfiguredCodecAndCompress) {
   opts.codec = PageCodec::kDelta;
   TieredIndex<uint64_t, uint64_t> tiered(FreshFile("codec"), opts);
   for (uint64_t key = 0; key < 50000; ++key) tiered.Insert(key * 3, key);
-  tiered.FlushHot();
-  const auto runs = tiered.ColdRuns();
+  tiered.Flush();
+  const auto runs = tiered.Runs();
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0]->codec(), PageCodec::kDelta);
   EXPECT_GT(runs[0]->NumPackedPages(), 0u);
