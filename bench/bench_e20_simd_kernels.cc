@@ -15,7 +15,9 @@
 //
 // All comparisons run the *same* dispatched entry points with the process
 // dispatch level forced (simd::SetLevel), so scalar and vector rows
-// measure identical harness overhead.
+// measure identical harness overhead. The end-to-end section builds each
+// index once and times it at SetLevel(kScalar) ("off", the inlined scalar
+// search paths) and at the best level ("on").
 
 #include <algorithm>
 #include <cstdint>
@@ -271,12 +273,14 @@ void RunBloomSection() {
 
 // ----- End-to-end index sweep ----------------------------------------------
 
+// One built index, measured at the forced scalar level ("off": the
+// inlined scalar search paths) and at the best level ("on").
 template <typename Index>
 void SweepE2e(const std::string& dist, const std::string& name,
-              const Index& on, const Index& off,
-              const std::vector<uint64_t>& queries) {
+              const Index& idx, const std::vector<uint64_t>& queries) {
   std::vector<uint64_t> out(queries.size());
-  auto find_mops = [&](const Index& idx) {
+  auto find_mops = [&](simd::Level level) {
+    simd::SetLevel(level);
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       uint64_t checksum = 0;
@@ -288,7 +292,8 @@ void SweepE2e(const std::string& dist, const std::string& name,
     }
     return best;
   };
-  auto batch_mops = [&](const Index& idx) {
+  auto batch_mops = [&](simd::Level level) {
+    simd::SetLevel(level);
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       best = std::max(best, bench::MeasureThroughputMops(
@@ -301,10 +306,11 @@ void SweepE2e(const std::string& dist, const std::string& name,
     }
     return best;
   };
-  const double find_off = find_mops(off);
-  const double find_on = find_mops(on);
-  const double batch_off = batch_mops(off);
-  const double batch_on = batch_mops(on);
+  const simd::Level best = simd::DetectBestLevel();
+  const double find_off = find_mops(simd::Level::kScalar);
+  const double find_on = find_mops(best);
+  const double batch_off = batch_mops(simd::Level::kScalar);
+  const double batch_on = batch_mops(best);
   std::printf("%-12s %-12s %10.2f %10.2f %9.2fx %10.2f %10.2f %9.2fx\n",
               dist.c_str(), name.c_str(), find_off, find_on,
               find_off > 0 ? find_on / find_off : 0, batch_off, batch_on,
@@ -320,9 +326,9 @@ void SweepE2e(const std::string& dist, const std::string& name,
 }
 
 void RunE2eSection() {
-  simd::SetLevel(simd::DetectBestLevel());
   std::printf("\n-- end-to-end lookups, %zu keys, %zu queries "
-              "(Options::simd off vs on) --\n", kE2eKeys, kE2eLookups);
+              "(off = SetLevel(kScalar), on = best level %s) --\n",
+              kE2eKeys, kE2eLookups, simd::LevelName(simd::DetectBestLevel()));
   std::printf("%-12s %-12s %10s %10s %10s %10s %10s %10s\n", "dist", "index",
               "find-off", "find-on", "find-x", "batch-off", "batch-on",
               "batch-x");
@@ -335,28 +341,19 @@ void RunE2eSection() {
     std::vector<uint64_t> queries(kE2eLookups);
     for (auto& q : queries) q = data.keys[rng.NextBounded(data.keys.size())];
     {
-      Rmi<uint64_t, uint64_t>::Options opt_on, opt_off;
-      opt_off.simd = false;
-      Rmi<uint64_t, uint64_t> on, off;
-      on.Build(data.keys, data.values, opt_on);
-      off.Build(data.keys, data.values, opt_off);
-      SweepE2e(dist_name, "RMI", on, off, queries);
+      Rmi<uint64_t, uint64_t> rmi;
+      rmi.Build(data.keys, data.values);
+      SweepE2e(dist_name, "RMI", rmi, queries);
     }
     {
-      PgmIndex<uint64_t, uint64_t>::Options opt_on, opt_off;
-      opt_off.simd = false;
-      PgmIndex<uint64_t, uint64_t> on, off;
-      on.Build(data.keys, data.values, opt_on);
-      off.Build(data.keys, data.values, opt_off);
-      SweepE2e(dist_name, "PGM", on, off, queries);
+      PgmIndex<uint64_t, uint64_t> pgm;
+      pgm.Build(data.keys, data.values);
+      SweepE2e(dist_name, "PGM", pgm, queries);
     }
     {
-      RadixSpline<uint64_t, uint64_t>::Options opt_on, opt_off;
-      opt_off.simd = false;
-      RadixSpline<uint64_t, uint64_t> on, off;
-      on.Build(data.keys, data.values, opt_on);
-      off.Build(data.keys, data.values, opt_off);
-      SweepE2e(dist_name, "RadixSpline", on, off, queries);
+      RadixSpline<uint64_t, uint64_t> rs;
+      rs.Build(data.keys, data.values);
+      SweepE2e(dist_name, "RadixSpline", rs, queries);
     }
   }
 }

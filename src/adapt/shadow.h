@@ -8,10 +8,9 @@
 namespace lidx {
 
 // Acting layer of the adaptation subsystem: an atomically published,
-// epoch-retired pointer slot with a single-flight build latch. This is the
-// unlink-then-retire discipline of serving/sharded_index.h packaged as a
-// reusable cell so every adaptation client swaps shadow-built structures
-// the same way:
+// epoch-retired pointer slot. This is the unlink-then-retire discipline of
+// serving/sharded_index.h packaged as a reusable cell so every adaptation
+// client swaps shadow-built structures the same way:
 //
 //   builder (pool worker)                reader (any thread)
 //   ---------------------                -------------------
@@ -24,11 +23,6 @@ namespace lidx {
 // linearization point, and the old value is retired *after* the unlink so
 // the three-epoch reclaimer (common/epoch.h) frees it only once every
 // pinned reader has moved on.
-//
-// The single-flight latch (TryBeginBuild/EndBuild) serializes builders —
-// adaptation wants at most one shadow build per cell in flight; a trigger
-// that loses the race simply skips, the in-flight build already reacts to
-// the same signal.
 template <typename T>
 class ShadowCell {
  public:
@@ -63,23 +57,10 @@ class ShadowCell {
     if (old != nullptr) epoch_->RetireDelete(old);
   }
 
-  // Single-flight latch: returns true if the caller won the right to run
-  // the next shadow build and must later call EndBuild().
-  bool TryBeginBuild() {
-    return !build_inflight_.exchange(true, std::memory_order_acq_rel);
-  }
-
-  void EndBuild() { build_inflight_.store(false, std::memory_order_release); }
-
-  bool BuildInFlight() const {
-    return build_inflight_.load(std::memory_order_acquire);
-  }
-
   EpochManager* epoch() const { return epoch_; }
 
  private:
   std::atomic<const T*> current_{nullptr};  // lidx: epoch-protected
-  std::atomic<bool> build_inflight_{false};
   EpochManager* epoch_;
 };
 

@@ -42,7 +42,6 @@ class BPlusTree {
       root_ = other.root_;
       size_ = other.size_;
       height_ = other.height_;
-      simd_ = other.simd_;
       other.root_ = nullptr;
       other.size_ = 0;
       other.height_ = 0;
@@ -312,12 +311,6 @@ class BPlusTree {
   bool empty() const { return size_ == 0; }
   int height() const { return height_; }
 
-  // Route node-local searches through the SIMD kernel layer (common/simd.h)
-  // when the key type is eligible. Results are identical either way; off =
-  // scalar A/B baseline. The process-wide LIDX_SIMD env cap still applies.
-  void set_simd(bool enabled) { simd_ = enabled; }
-  bool simd() const { return simd_; }
-
   // Total heap footprint of all nodes (index size metric in benchmarks).
   size_t SizeBytes() const { return SizeBytesRecursive(root_, height_); }
 
@@ -383,14 +376,14 @@ class BPlusTree {
 
   int LeafLowerBound(const Leaf* leaf, const Key& key) const {
     return static_cast<int>(BoundedLowerBound(
-        leaf->keys, key, 0, static_cast<size_t>(leaf->count), simd_));
+        leaf->keys, key, 0, static_cast<size_t>(leaf->count)));
   }
 
   // Index of the child whose subtree may contain `key`: the last child with
   // separator <= key (first child if key is below every separator).
   int ChildIndex(const Internal* node, const Key& key) const {
     const int ub = static_cast<int>(BoundedLowerBound(
-        node->keys, key, 1, static_cast<size_t>(node->count), simd_));
+        node->keys, key, 1, static_cast<size_t>(node->count)));
     return (ub < node->count && node->keys[ub] == key) ? ub : ub - 1;
   }
 
@@ -775,7 +768,6 @@ class BPlusTree {
   Node* root_ = nullptr;
   size_t size_ = 0;
   int height_ = 0;  // 0 = empty, 1 = single leaf.
-  bool simd_ = true;
 };
 
 }  // namespace lidx

@@ -110,15 +110,6 @@ class SkipList {
     }
   }
 
-  // Drains the whole list in key order (used to flush a memtable).
-  void DrainSorted(std::vector<std::pair<Key, Value>>* out) const {
-    const SkipNode* node = head_->next[0];
-    while (node != nullptr) {
-      out->emplace_back(node->key, node->value);
-      node = node->next[0];
-    }
-  }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 

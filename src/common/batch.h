@@ -137,11 +137,12 @@ inline void InterleavedIoRun(size_t n, size_t group, InitFn&& init,
 // exponential-search fallback, which runs scalar — it is off the hot
 // path by construction).
 //
-// With `use_simd`, the staged binary probes narrow the window only until
-// it fits kSimdFinishMax entries; the next Advance() then resolves the
-// remainder with one vectorized count-less-than pass over the span, whose
-// cache lines were all prefetched by the preceding probe. Fewer scheduler
-// passes per lookup, same certified result.
+// When simd::Vectorized() (read once, in Begin), the staged binary probes
+// narrow the window only until it fits kSimdFinishMax entries; the next
+// Advance() then resolves the remainder with one vectorized count-less-than
+// pass over the span, whose cache lines were all prefetched by the
+// preceding probe. Fewer scheduler passes per lookup, same certified
+// result.
 //
 // Usage inside a batch cursor:
 //   Begin(data, key, pred, err_lo, err_hi, n)   once per lookup
@@ -157,7 +158,7 @@ class WindowSearchCursor {
 
   template <typename Vec>
   void Begin(const Vec& data, Key key, size_t pred, size_t err_lo,
-             size_t err_hi, size_t n, bool use_simd = true) {
+             size_t err_hi, size_t n) {
     total_ = n;
     if (n == 0) {
       result_ = 0;
@@ -165,7 +166,7 @@ class WindowSearchCursor {
       return;
     }
     done_ = false;
-    use_simd_ = use_simd;
+    vectorized_ = simd::kEligible<Vec, Key> && simd::Vectorized();
     const SearchWindow w = ClampSearchWindow(pred, err_lo, err_hi, n);
     lo_ = w.lo;
     hi_ = w.hi;
@@ -183,7 +184,7 @@ class WindowSearchCursor {
   bool Advance(const Vec& data, Key key) {
     if (done_) return true;
     if constexpr (simd::kEligible<Vec, Key>) {
-      if (use_simd_ && left_ > 1 && left_ <= kSimdFinishMax) {
+      if (vectorized_ && left_ > 1 && left_ <= kSimdFinishMax) {
         // The window [base_, base_ + left_) is known to bracket the lower
         // bound of [lo_, hi_), so base_ + count-less-than is that lower
         // bound — the same value the remaining binary probes would reach.
@@ -219,8 +220,7 @@ class WindowSearchCursor {
     const bool right_ok = (r < hi_) || hi_ == total_;
     result_ = LIDX_LIKELY(left_ok && right_ok)
                   ? r
-                  : ExponentialSearchLowerBound(data, key, r, 0, total_,
-                                                use_simd_);
+                  : ExponentialSearchLowerBound(data, key, r, 0, total_);
     done_ = true;
     return true;
   }
@@ -228,7 +228,7 @@ class WindowSearchCursor {
   template <typename Vec>
   void PrefetchNext(const Vec& data) {
     if constexpr (simd::kEligible<Vec, Key>) {
-      if (use_simd_ && left_ > 1 && left_ <= kSimdFinishMax) {
+      if (vectorized_ && left_ > 1 && left_ <= kSimdFinishMax) {
         // Next Advance() runs the vectorized finish over the whole span:
         // fetch every cache line it will touch.
         constexpr size_t kPerLine = 64 / sizeof(Key);
@@ -250,7 +250,7 @@ class WindowSearchCursor {
   size_t hi_ = 0;
   size_t total_ = 0;
   size_t result_ = 0;
-  bool use_simd_ = true;
+  bool vectorized_ = true;
   bool done_ = true;
 };
 

@@ -31,15 +31,13 @@ size_t BinarySearchLowerBound(const Vec& data, Key key, size_t lo, size_t hi) {
 }
 
 // Lower bound over [lo, hi) that routes through the SIMD kernel layer when
-// the range is contiguous uint64_t/double storage and `use_simd` is set
-// (and the process-wide dispatch — cpuid + LIDX_SIMD env — agrees);
+// the range is contiguous uint64_t/double storage and simd::Vectorized();
 // branch-reduced scalar binary search otherwise. Results are identical on
 // every path: the lower bound of a sorted range is unique.
 template <typename Vec, typename Key>
-size_t BoundedLowerBound(const Vec& data, Key key, size_t lo, size_t hi,
-                         bool use_simd) {
+size_t BoundedLowerBound(const Vec& data, Key key, size_t lo, size_t hi) {
   if constexpr (simd::kEligible<Vec, Key>) {
-    if (use_simd && lo < hi) {
+    if (lo < hi && simd::Vectorized()) {
       return simd::LowerBound(std::data(data), lo, hi, key);
     }
   }
@@ -78,8 +76,7 @@ inline SearchWindow ClampSearchWindow(size_t pred, size_t err_lo,
 // hi == SIZE_MAX cannot wrap.
 template <typename Vec, typename Key>
 size_t ExponentialSearchLowerBound(const Vec& data, Key key, size_t predicted,
-                                   size_t lo, size_t hi,
-                                   bool use_simd = true) {
+                                   size_t lo, size_t hi) {
   if (lo >= hi) return lo;
   size_t pos = predicted;
   if (pos < lo) pos = lo;
@@ -96,7 +93,7 @@ size_t ExponentialSearchLowerBound(const Vec& data, Key key, size_t predicted,
       off = (off <= room / 2) ? off << 1 : room;
     }
     const size_t right = (off < room) ? pos + off + 1 : hi;
-    return BoundedLowerBound(data, key, prev + 1, right, use_simd);
+    return BoundedLowerBound(data, key, prev + 1, right);
   }
   // Gallop left: widen pos - off until the left edge is < key, saturating
   // at lo.
@@ -111,7 +108,7 @@ size_t ExponentialSearchLowerBound(const Vec& data, Key key, size_t predicted,
     off = (off <= room / 2) ? off << 1 : room;
   }
   const size_t left = exhausted ? lo : pos - off;
-  return BoundedLowerBound(data, key, left, pos + 1, use_simd);
+  return BoundedLowerBound(data, key, left, pos + 1);
 }
 
 // Interpolation search: effective on near-uniform data, used by the
@@ -149,19 +146,17 @@ size_t InterpolationSearchLowerBound(const Vec& data, Key key, size_t lo,
 // lookup key absent from the data can route to a neighboring model whose
 // bounds do not cover it. If the windowed result cannot be certified as the
 // global lower bound, fall back to exponential search (rare, so the common
-// path stays tight). The window probe itself runs through the SIMD kernel
-// layer when `use_simd` allows and the range is eligible.
+// path stays tight).
 template <typename Vec, typename Key>
 size_t WindowLowerBoundWithFixup(const Vec& data, Key key, size_t pred,
-                                 size_t err_lo, size_t err_hi, size_t n,
-                                 bool use_simd = true) {
+                                 size_t err_lo, size_t err_hi, size_t n) {
   if (n == 0) return 0;
   const SearchWindow w = ClampSearchWindow(pred, err_lo, err_hi, n);
-  const size_t r = BoundedLowerBound(data, key, w.lo, w.hi, use_simd);
+  const size_t r = BoundedLowerBound(data, key, w.lo, w.hi);
   const bool left_ok = (r > w.lo) || w.lo == 0 || data[w.lo - 1] < key;
   const bool right_ok = (r < w.hi) || w.hi == n;
   if (LIDX_LIKELY(left_ok && right_ok)) return r;
-  return ExponentialSearchLowerBound(data, key, r, 0, n, use_simd);
+  return ExponentialSearchLowerBound(data, key, r, 0, n);
 }
 
 }  // namespace lidx

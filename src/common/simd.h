@@ -30,12 +30,14 @@
 //      (__builtin_cpu_supports("avx2")) and picks the best supported
 //      level, capped by the LIDX_SIMD environment variable
 //      ("scalar"/"off"/"0", "sse2", "avx2", "neon"; anything else = auto).
-//   3. Per call site: indexes expose an Options::simd switch; when false
-//      the call site bypasses the table and runs its scalar path.
+//   3. Per call site: a call site with an inlined scalar path takes it
+//      when simd::Vectorized() is false (the active level is kScalar) and
+//      its vector path otherwise. The active level is the only runtime
+//      scalar-vs-SIMD switch; there is no per-index one.
 //
-// simd::SetLevel() swaps the whole table (used by tests to force the
-// fallback). It is not thread-safe against concurrent lookups; call it
-// before spawning readers.
+// simd::SetLevel() swaps the whole table (used by tests and benches for
+// the scalar A/B). It is not thread-safe against concurrent lookups; call
+// it before spawning readers.
 
 #if !defined(LIDX_SIMD_DISABLED) && defined(__x86_64__)
 #define LIDX_SIMD_X86 1
@@ -691,6 +693,9 @@ inline KernelTable& MutableTable() {
 
 inline const KernelTable& Active() { return MutableTable(); }
 inline Level ActiveLevel() { return Active().level; }
+
+// Dispatch rule 3: true unless the active level is kScalar.
+inline bool Vectorized() { return ActiveLevel() != Level::kScalar; }
 
 // Test hook: force a dispatch level (clamped to what this binary/CPU
 // supports). Not thread-safe against concurrent lookups.

@@ -55,7 +55,6 @@ class MemRunStore {
     opts.learned_epsilon = options.learned_epsilon;
     opts.bloom_bits_per_key = options.bloom_bits_per_key;
     opts.build_threads = options.compaction_threads;
-    opts.simd = options.simd;
     return std::make_shared<Run>(std::move(entries), opts);
   }
 
@@ -138,8 +137,6 @@ class LsmTree {
     // Threads for major compactions (range-partitioned merge + blocked
     // model training). 1 = fully serial, byte-identical by construction.
     size_t compaction_threads = 1;
-    // Passed through to every run (see SortedRun/DiskRun::Options::simd).
-    bool simd = true;
     // Off-thread flushes and flush-triggered merges (see class comment).
     bool background_compaction = false;
     // Backlog allowance in background mode: flushes stall once L0 holds

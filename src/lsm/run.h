@@ -60,12 +60,6 @@ class SortedRun {
     // preserve ε). Large runs produced by deep compactions are where this
     // matters. 1 = fully serial.
     size_t build_threads = 1;
-    // Resolve learned-mode ε-windows with the SIMD kernel layer
-    // (common/simd.h) when the key type is eligible. The binary-search
-    // baseline mode deliberately stays scalar — it is the classic
-    // algorithm being compared against. The process-wide LIDX_SIMD env
-    // cap still applies.
-    bool simd = true;
   };
 
   SortedRun(std::vector<std::pair<Key, RunEntry<Value>>> entries,
@@ -113,9 +107,11 @@ class SortedRun {
       hi = w.hi;
       // The ε-window is a handful of cache lines: one vectorized
       // count-less-than pass resolves it (counted as a single search step
-      // in the E6 metric).
+      // in the E6 metric). At the kScalar level the window takes the
+      // counted binary search below; the binary-search baseline mode
+      // always does — it is the classic algorithm being compared against.
       if constexpr (simd::kEligible<std::vector<Key>, Key>) {
-        if (options_.simd) {
+        if (simd::Vectorized()) {
           if (stats != nullptr) ++stats->search_steps;
           const size_t r =
               lo + simd::CountLess(keys_.data() + lo, hi - lo, key);

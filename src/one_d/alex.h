@@ -60,12 +60,6 @@ class AlexIndex {
     // identical to the serial build for every thread count (boundaries are
     // computed before the fan-out). 1 = fully serial.
     size_t build_threads = 1;
-    // Route lookups through the SIMD kernel layer (common/simd.h) when the
-    // key type is eligible: the internal-node boundary search and the data
-    // node's gapped-array scan. Results are identical either way; off =
-    // scalar A/B baseline. The process-wide LIDX_SIMD env cap still
-    // applies.
-    bool simd = true;
   };
 
   explicit AlexIndex(const Options& options = Options()) : options_(options) {
@@ -112,7 +106,7 @@ class AlexIndex {
     const Node* node = root_;
     while (!node->is_data) {
       const InternalNode* in = static_cast<const InternalNode*>(node);
-      node = in->children[in->Route(key, options_.simd)];
+      node = in->children[in->Route(key)];
     }
     return static_cast<const DataNode*>(node)->Find(key);
   }
@@ -173,7 +167,7 @@ class AlexIndex {
             case kRoute: {
               const InternalNode* in =
                   static_cast<const InternalNode*>(c.node);
-              c.node = in->children[in->Route(c.key, options_.simd)];
+              c.node = in->children[in->Route(c.key)];
               LIDX_PREFETCH_READ(&c.node->is_data);
               c.stage = kEnter;
               return false;
@@ -192,7 +186,7 @@ class AlexIndex {
     Node* node = root_;
     while (!node->is_data) {
       InternalNode* in = static_cast<InternalNode*>(node);
-      node = in->children[in->Route(key, options_.simd)];
+      node = in->children[in->Route(key)];
     }
     if (static_cast<DataNode*>(node)->Erase(key)) {
       --size_;
@@ -480,8 +474,7 @@ class AlexIndex {
     size_t LowerBoundSlot(const Key& key) const {
       const size_t pred =
           model_.PredictClamped(static_cast<double>(key), keys_.size());
-      return ExponentialSearchLowerBound(keys_, key, pred, 0, keys_.size(),
-                                         options_.simd);
+      return ExponentialSearchLowerBound(keys_, key, pred, 0, keys_.size());
     }
 
     // Nearest unoccupied slot to `slot` (left or right); prefers the closer
@@ -520,14 +513,14 @@ class AlexIndex {
     InternalNode() : Node(/*data=*/false) {}
 
     // Child index for `key`: last boundary <= key.
-    size_t Route(const Key& key, bool use_simd = true) const {
+    size_t Route(const Key& key) const {
       const size_t n = boundaries.size();
       size_t lb;
       if (trained_) {
         const size_t pred =
             model.PredictClamped(static_cast<double>(key), n);
         lb = WindowLowerBoundWithFixup(boundaries, key, pred, err_lo + 1,
-                                       err_hi + 1, n, use_simd);
+                                       err_hi + 1, n);
       } else {
         lb = BinarySearchLowerBound(boundaries, key, 0, n);
       }
@@ -656,7 +649,7 @@ class AlexIndex {
     }
 
     InternalNode* in = static_cast<InternalNode*>(node);
-    const size_t ci = in->Route(key, options_.simd);
+    const size_t ci = in->Route(key);
     InsertResult child_result = InsertRecursive(in->children[ci], key, value);
     // Track a new global minimum so routing stays exact.
     if (ci == 0 && key < in->boundaries[0]) {
@@ -698,7 +691,7 @@ class AlexIndex {
       return;
     }
     const InternalNode* in = static_cast<const InternalNode*>(node);
-    const size_t first = in->Route(lo, options_.simd);
+    const size_t first = in->Route(lo);
     for (size_t c = first; c < in->children.size(); ++c) {
       if (c > first && in->boundaries[c] > hi) break;
       RangeRecursive(in->children[c], lo, hi, out);

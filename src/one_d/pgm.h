@@ -41,10 +41,6 @@ class PgmIndex {
     // the serial pass, so the layout is thread-count-dependent, but every
     // segment carries the same ε-guarantee. 1 = fully serial.
     size_t build_threads = 1;
-    // Route lookups through the SIMD kernel layer (common/simd.h) when the
-    // key type is eligible. Results are identical either way; off = scalar
-    // A/B baseline. The process-wide LIDX_SIMD env cap still applies.
-    bool simd = true;
   };
 
   PgmIndex() = default;
@@ -56,7 +52,6 @@ class PgmIndex {
     values_ = std::move(values);
     epsilon_ = options.epsilon;
     epsilon_internal_ = options.epsilon_internal;
-    simd_ = options.simd;
     levels_.clear();
     if (keys_.empty()) return;
 
@@ -90,7 +85,7 @@ class PgmIndex {
     // Root level: plain binary search over at most kRootFanout segments.
     const Level& root = levels_.back();
     size_t seg = PredecessorSegment(root, k, /*hint=*/root.Size(),
-                                    /*use_hint=*/false, 0, simd_);
+                                    /*use_hint=*/false, 0);
     // Walk down: each level's segment predicts a position among the next
     // level's first keys.
     for (size_t l = levels_.size() - 1; l > 0; --l) {
@@ -99,13 +94,13 @@ class PgmIndex {
       const size_t pred = level.segments[seg].model.PredictClamped(
           k, below.Size());
       seg = PredecessorSegment(below, k, pred, /*use_hint=*/true,
-                               epsilon_internal_, simd_);
+                               epsilon_internal_);
     }
     // Data level: the found segment predicts the final position.
     const PlaSegment& s = levels_[0].segments[seg];
     const size_t pred = s.model.PredictClamped(k, n);
     return WindowLowerBoundWithFixup(keys_, key, pred, epsilon_ + 1,
-                                     epsilon_ + 1, n, simd_);
+                                     epsilon_ + 1, n);
   }
 
   std::optional<Value> Find(const Key& key) const {
@@ -150,8 +145,7 @@ class PgmIndex {
       if (c.level == 0) {
         const PlaSegment& s = levels_[0].segments[c.seg];
         const size_t pred = s.model.PredictClamped(c.k, n);
-        c.data_search.Begin(keys_, c.key, pred, epsilon_ + 1, epsilon_ + 1,
-                            n, simd_);
+        c.data_search.Begin(keys_, c.key, pred, epsilon_ + 1, epsilon_ + 1, n);
         c.stage = kDataSearch;
         return;
       }
@@ -159,7 +153,7 @@ class PgmIndex {
       const size_t pred = levels_[c.level].segments[c.seg].model.PredictClamped(
           c.k, below.Size());
       c.seg_search.Begin(below.first_keys, c.k, pred, epsilon_internal_ + 1,
-                         epsilon_internal_ + 1, below.Size(), simd_);
+                         epsilon_internal_ + 1, below.Size());
       c.stage = kSegSearch;
     };
     InterleavedRun<G, Cursor>(
@@ -170,7 +164,7 @@ class PgmIndex {
           c.k = static_cast<double>(c.key);
           const Level& root = levels_.back();
           c.seg = PredecessorSegment(root, c.k, root.Size(),
-                                     /*use_hint=*/false, 0, simd_);
+                                     /*use_hint=*/false, 0);
           c.level = levels_.size() - 1;
           descend(c);
         },
@@ -355,14 +349,12 @@ class PgmIndex {
   // Index of the last segment whose first_key <= k (0 if k precedes all).
   // With use_hint, searches a certified window around `hint` first.
   static size_t PredecessorSegment(const Level& level, double k, size_t hint,
-                                   bool use_hint, size_t epsilon,
-                                   bool use_simd) {
+                                   bool use_hint, size_t epsilon) {
     const auto& fk = level.first_keys;
     const size_t n = fk.size();
     size_t lb;
     if (use_hint) {
-      lb = WindowLowerBoundWithFixup(fk, k, hint, epsilon + 1, epsilon + 1,
-                                     n, use_simd);
+      lb = WindowLowerBoundWithFixup(fk, k, hint, epsilon + 1, epsilon + 1, n);
     } else {
       lb = BinarySearchLowerBound(fk, k, 0, n);
     }
@@ -376,7 +368,6 @@ class PgmIndex {
   std::vector<Level> levels_;
   size_t epsilon_ = 64;
   size_t epsilon_internal_ = 8;
-  bool simd_ = true;
 };
 
 }  // namespace lidx

@@ -41,10 +41,6 @@ class RadixSpline {
     // knot list is thread-count-dependent, but the interpolation guarantee
     // is unchanged. 1 = fully serial.
     size_t build_threads = 1;
-    // Route lookups through the SIMD kernel layer (common/simd.h) when the
-    // key type is eligible. Results are identical either way; off = scalar
-    // A/B baseline. The process-wide LIDX_SIMD env cap still applies.
-    bool simd = true;
   };
 
   RadixSpline() = default;
@@ -56,7 +52,6 @@ class RadixSpline {
     values_ = std::move(values);
     epsilon_ = options.epsilon;
     num_radix_bits_ = options.num_radix_bits;
-    simd_ = options.simd;
     knots_.clear();
     radix_table_.clear();
     if (keys_.empty()) return;
@@ -107,7 +102,7 @@ class RadixSpline {
       pred = std::min(n - 1, static_cast<size_t>(predicted));
     }
     return WindowLowerBoundWithFixup(keys_, key, pred, epsilon_ + 1,
-                                     epsilon_ + 1, n, simd_);
+                                     epsilon_ + 1, n);
   }
 
   std::optional<Value> Find(const Key& key) const {
@@ -197,8 +192,7 @@ class RadixSpline {
               if (predicted > 0.0) {
                 pred = std::min(n - 1, static_cast<size_t>(predicted));
               }
-              c.search.Begin(keys_, c.key, pred, epsilon_ + 1, epsilon_ + 1,
-                             n, simd_);
+              c.search.Begin(keys_, c.key, pred, epsilon_ + 1, epsilon_ + 1, n);
               c.stage = kSearch;
               return false;
             }
@@ -323,7 +317,6 @@ class RadixSpline {
   size_t epsilon_ = 32;
   int num_radix_bits_ = 18;
   int shift_ = 0;
-  bool simd_ = true;
 };
 
 }  // namespace lidx

@@ -41,10 +41,6 @@ class Rmi {
     // threads, and each stage-2 model trains on exactly its serial
     // partition). 1 = fully serial.
     size_t build_threads = 1;
-    // Route lookups through the SIMD kernel layer (common/simd.h) when the
-    // key type is eligible. Results are identical either way; off = scalar
-    // A/B baseline. The process-wide LIDX_SIMD env cap still applies.
-    bool simd = true;
   };
 
   Rmi() = default;
@@ -56,7 +52,6 @@ class Rmi {
     LIDX_CHECK(options.num_models >= 1);
     keys_ = std::move(keys);
     values_ = std::move(values);
-    simd_ = options.simd;
     const size_t n = keys_.size();
     num_models_ = std::min(options.num_models, std::max<size_t>(1, n));
     models_.assign(num_models_, ModelWithBounds{});
@@ -110,8 +105,7 @@ class Rmi {
     if (n == 0) return 0;
     const ModelWithBounds& m = models_[RouteToModel(key)];
     const size_t pred = m.model.PredictClamped(static_cast<double>(key), n);
-    return WindowLowerBoundWithFixup(keys_, key, pred, m.err_lo, m.err_hi, n,
-                                     simd_);
+    return WindowLowerBoundWithFixup(keys_, key, pred, m.err_lo, m.err_hi, n);
   }
 
   std::optional<Value> Find(const Key& key) const {
@@ -155,8 +149,7 @@ class Rmi {
     size_t route_end = 0;  // Keys [route_end - chunk, route_end) are cached.
     size_t route_begin = 0;
     const bool batch_route =
-        simd_ && simd::kEligible<std::vector<Key>, Key> &&
-        simd::ActiveLevel() != simd::Level::kScalar;
+        simd::kEligible<std::vector<Key>, Key> && simd::Vectorized();
     InterleavedRun<G, Cursor>(
         count,
         [&](Cursor& c, size_t i) {
@@ -190,8 +183,7 @@ class Rmi {
               const ModelWithBounds& m = models_[c.model];
               const size_t pred =
                   m.model.PredictClamped(static_cast<double>(c.key), n);
-              c.search.Begin(keys_, c.key, pred, m.err_lo, m.err_hi, n,
-                             simd_);
+              c.search.Begin(keys_, c.key, pred, m.err_lo, m.err_hi, n);
               c.stage = 1;
               return false;
             }
@@ -386,7 +378,6 @@ class Rmi {
   LinearModel stage1_;
   std::vector<ModelWithBounds> models_;
   size_t num_models_ = 0;
-  bool simd_ = true;
 };
 
 }  // namespace lidx

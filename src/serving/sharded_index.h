@@ -155,8 +155,6 @@ class ShardedIndex {
     // cheaper read-side scans but more frequent seals; keep >= 1000/x to
     // hold seals (the slowest insert path) under the p999 mark.
     size_t buffer_capacity = 128;
-    // CDF sample size used to learn shard boundaries at BulkLoad.
-    size_t sample_size = 8192;
     // The snapshot is rebuilt when the merged delta exceeds
     // max(rebuild_min_delta, rebuild_fraction * snapshot entries).
     size_t rebuild_min_delta = 4096;
@@ -212,11 +210,11 @@ class ShardedIndex {
     const size_t shards_n = options_.num_shards;
     std::vector<Key> boundaries(shards_n, n == 0 ? Key{} : keys.front());
     if (n > 0) {
-      // Sample the CDF: up to sample_size evenly spaced (key, rank)
+      // Sample the CDF: up to kBoundarySample evenly spaced (key, rank)
       // points, then place boundary s at the sample's s/num_shards
       // quantile. With sorted input the sample quantile converges on the
       // exact rank quantile as the sample grows.
-      const size_t sample_n = std::min(options_.sample_size, n);
+      const size_t sample_n = std::min(kBoundarySample, n);
       for (size_t s = 1; s < shards_n; ++s) {
         const size_t sample_rank = s * sample_n / shards_n;
         boundaries[s] =
@@ -626,6 +624,14 @@ class ShardedIndex {
   }
 
  private:
+  // CDF sample BulkLoad learns shard boundaries from. Exact rank quantiles
+  // (boundary s at keys[s * n / num_shards]) balance no better, and on 2M
+  // keys in 16 shards they doubled perfbench's bulk-load time: at those
+  // shard sizes glibc's adaptive mmap/trim thresholds return each shard's
+  // buffers to the kernel and the next build faults them back in (fixed
+  // thresholds close the gap).
+  static constexpr size_t kBoundarySample = 8192;
+
   struct Entry {
     Key key;
     Value value;

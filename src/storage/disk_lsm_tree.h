@@ -60,7 +60,6 @@ class DiskRunStore {
     opts.learned_epsilon = options.learned_epsilon;
     opts.bloom_bits_per_key = options.bloom_bits_per_key;
     opts.build_threads = options.compaction_threads;
-    opts.simd = options.simd;
     opts.codec = options.level_codec;
     return std::make_shared<Run>(std::move(entries), &file_, &pool_, opts);
   }

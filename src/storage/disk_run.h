@@ -86,11 +86,6 @@ class DiskRun {
     double bloom_bits_per_key = 10.0;
     // Threads for the model-training pass (blocked PLA, seams preserve ε).
     size_t build_threads = 1;
-    // Resolve the in-page ε-window with the SIMD kernel layer
-    // (common/simd.h): the window's packed keys are gathered into a stack
-    // buffer and counted in one vectorized pass. Results are identical
-    // either way. The process-wide LIDX_SIMD env cap still applies.
-    bool simd = true;
     // Page encoding. kDelta compresses sorted u64 key pages several-fold
     // (residuals against a per-page linear fit); kFor offsets against the
     // page minimum. Per-page plain fallback applies either way.
@@ -247,7 +242,7 @@ class DiskRun {
       const BufferPool::PageRef ref = pool_->Pin(pages_[p]);
       const DataPageView<Key, Value> view(*ref);
       tmp.clear();
-      view.DecodeInto(0, view.count(), &tmp, options_.simd);
+      view.DecodeInto(0, view.count(), &tmp);
       if (view.packed()) {
         if (io != nullptr) io->records_decoded += view.count();
         pool_->RecordDecode(view.DecodedBytes(view.count()),
@@ -274,7 +269,7 @@ class DiskRun {
       LIDX_INVARIANT(file_->ReadPage(id, &page),
                      "diskrun: drain read failed (corrupt or truncated page)");
       const DataPageView<Key, Value> view(page);
-      view.DecodeInto(0, view.count(), &out, options_.simd);
+      view.DecodeInto(0, view.count(), &out);
     }
     return out;
   }
@@ -492,13 +487,15 @@ class DiskRun {
       // Records are packed (no padding), so the keys are not contiguous;
       // gather (plain) or bit-unpack (compressed) the window's keys into a
       // stack buffer and resolve it with one vectorized count-less-than
-      // pass (one search step in the I/O metric).
+      // pass (one search step in the I/O metric). At the kScalar level the
+      // window takes the counted binary search below.
       if constexpr (std::is_same_v<Key, uint64_t> ||
                     std::is_same_v<Key, double>) {
-        if (options_.simd && rlo < rhi && rhi - rlo <= simd::kLinearScanMax) {
+        if (rlo < rhi && rhi - rlo <= simd::kLinearScanMax &&
+            simd::Vectorized()) {
           const size_t len = rhi - rlo;
           Key buf[simd::kLinearScanMax];
-          view.DecodeKeys(rlo, rhi, buf, options_.simd);
+          view.DecodeKeys(rlo, rhi, buf);
           if (view.packed()) decoded += len;
           if (io != nullptr) ++io->search_steps;
           rlo += simd::CountLess(buf, len, key);

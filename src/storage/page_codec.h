@@ -476,10 +476,10 @@ class DataPageView {
     return entry;
   }
 
-  // Keys [lo, hi) into out. Packed pages go through the dispatched SIMD
-  // unpack kernel (or its scalar twin when use_simd is false) in
-  // stack-chunked batches; plain pages are a strided copy.
-  void DecodeKeys(size_t lo, size_t hi, Key* out, bool use_simd) const {
+  // Keys [lo, hi) into out. Packed pages go through the dispatched unpack
+  // kernel (UnpackBitsScalar at the kScalar level) in stack-chunked
+  // batches; plain pages are a strided copy.
+  void DecodeKeys(size_t lo, size_t hi, Key* out) const {
     LIDX_DCHECK(lo <= hi && hi <= count_);
     if (codec_ == PageCodec::kPlain) {
       for (size_t i = lo; i < hi; ++i) {
@@ -493,12 +493,7 @@ class DataPageView {
       const unsigned char* src = page_->payload() + keys_off_;
       for (size_t i = lo; i < hi;) {
         const size_t len = std::min(hi - i, kDecodeChunk);
-        if (use_simd) {
-          simd::UnpackBits(src, i * ph_.key_bits, ph_.key_bits, len, buf);
-        } else {
-          simd::UnpackBitsScalar(src, i * ph_.key_bits, ph_.key_bits, len,
-                                 buf);
-        }
+        simd::UnpackBits(src, i * ph_.key_bits, ph_.key_bits, len, buf);
         for (size_t j = 0; j < len; ++j) {
           out[i - lo + j] = static_cast<Key>(Reconstruct(
               ph_.key_base, ph_.key_span, ph_.key_res_min, i + j, buf[j]));
@@ -510,8 +505,7 @@ class DataPageView {
 
   // Appends records [lo, hi) to out.
   void DecodeInto(size_t lo, size_t hi,
-                  std::vector<std::pair<Key, RunEntry<Value>>>* out,
-                  bool use_simd) const {
+                  std::vector<std::pair<Key, RunEntry<Value>>>* out) const {
     LIDX_DCHECK(lo <= hi && hi <= count_);
     if (codec_ == PageCodec::kPlain) {
       for (size_t i = lo; i < hi; ++i) {
@@ -526,15 +520,8 @@ class DataPageView {
       const unsigned char* vsrc = page_->payload() + vals_off_;
       for (size_t i = lo; i < hi;) {
         const size_t len = std::min(hi - i, kDecodeChunk);
-        if (use_simd) {
-          simd::UnpackBits(ksrc, i * ph_.key_bits, ph_.key_bits, len, kbuf);
-          simd::UnpackBits(vsrc, i * ph_.val_bits, ph_.val_bits, len, vbuf);
-        } else {
-          simd::UnpackBitsScalar(ksrc, i * ph_.key_bits, ph_.key_bits, len,
-                                 kbuf);
-          simd::UnpackBitsScalar(vsrc, i * ph_.val_bits, ph_.val_bits, len,
-                                 vbuf);
-        }
+        simd::UnpackBits(ksrc, i * ph_.key_bits, ph_.key_bits, len, kbuf);
+        simd::UnpackBits(vsrc, i * ph_.val_bits, ph_.val_bits, len, vbuf);
         for (size_t j = 0; j < len; ++j) {
           RunEntry<Value> entry;
           entry.value = static_cast<Value>(

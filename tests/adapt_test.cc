@@ -300,18 +300,6 @@ TEST(ShadowCellTest, PublishRetiresThePreviousValue) {
   EXPECT_EQ(live.load(), 0);
 }
 
-TEST(ShadowCellTest, BuildLatchIsSingleFlight) {
-  EpochManager mgr;
-  ShadowCell<int> cell(&mgr);
-  EXPECT_FALSE(cell.BuildInFlight());
-  EXPECT_TRUE(cell.TryBeginBuild());
-  EXPECT_TRUE(cell.BuildInFlight());
-  EXPECT_FALSE(cell.TryBeginBuild());  // Loser skips; winner is building.
-  cell.EndBuild();
-  EXPECT_TRUE(cell.TryBeginBuild());
-  cell.EndBuild();
-}
-
 // ---------------------------------------------------------------------
 // AdaptationEngine (acting): tick scheduling.
 // ---------------------------------------------------------------------

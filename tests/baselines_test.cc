@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -241,7 +242,7 @@ TEST(SkipListTest, InsertFindErase) {
   list.CheckInvariants();
 }
 
-TEST(SkipListTest, DrainSortedOrder) {
+TEST(SkipListTest, FullRangeScanOrder) {
   SkipList<uint64_t, uint64_t> list;
   Rng rng(37);
   std::map<uint64_t, uint64_t> ref;
@@ -250,11 +251,11 @@ TEST(SkipListTest, DrainSortedOrder) {
     list.Insert(k, i);
     ref[k] = i;
   }
-  std::vector<std::pair<uint64_t, uint64_t>> drained;
-  list.DrainSorted(&drained);
-  ASSERT_EQ(drained.size(), ref.size());
+  std::vector<std::pair<uint64_t, uint64_t>> scanned;
+  list.RangeScan(0, std::numeric_limits<uint64_t>::max(), &scanned);
+  ASSERT_EQ(scanned.size(), ref.size());
   auto it = ref.begin();
-  for (const auto& [k, v] : drained) {
+  for (const auto& [k, v] : scanned) {
     ASSERT_EQ(k, it->first);
     ASSERT_EQ(v, it->second);
     ++it;

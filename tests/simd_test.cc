@@ -3,16 +3,19 @@
 // Every kernel must be result-identical to its scalar reference (and to
 // std::lower_bound where applicable) at every dispatch level this binary can
 // run — including the forced-scalar fallback — on random, adversarial, and
-// boundary inputs. The index-level tests then assert that flipping
-// Options::simd never changes a lookup result.
+// boundary inputs. The index-level tests then build each index once and
+// assert that its answers are the same at every dispatch level, kScalar
+// (the inlined scalar paths) included.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,33 +31,16 @@
 #include "one_d/pgm.h"
 #include "one_d/radix_spline.h"
 #include "one_d/rmi.h"
+#include "simd_levels.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_run.h"
+#include "storage/file_manager.h"
+#include "storage/io_stats.h"
 
 namespace lidx {
 namespace {
 
 constexpr size_t kMax = std::numeric_limits<size_t>::max();
-
-// Every dispatch level this binary + CPU can actually run (ClampLevel is a
-// no-op exactly for those), always including the scalar fallback.
-std::vector<simd::Level> RunnableLevels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  for (simd::Level cand : {simd::Level::kSse2, simd::Level::kAvx2,
-                           simd::Level::kNeon}) {
-    if (simd::ClampLevel(cand) == cand) levels.push_back(cand);
-  }
-  return levels;
-}
-
-// Restores the process-wide dispatch level on scope exit, so a failing test
-// cannot leak a forced level into later tests.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::ActiveLevel()) {}
-  ~LevelGuard() { simd::SetLevel(saved_); }
-
- private:
-  simd::Level saved_;
-};
 
 std::vector<uint64_t> SortedU64(size_t n, uint64_t seed, uint64_t spread) {
   std::mt19937_64 rng(seed);
@@ -407,18 +393,16 @@ TEST(ExponentialSearchTest, MatchesStdLowerBoundOnRealData) {
   const std::vector<uint64_t> data = SortedU64(5000, 57, 3);
   for (simd::Level level : RunnableLevels()) {
     simd::SetLevel(level);
-    for (bool use_simd : {false, true}) {
-      for (int iter = 0; iter < 500; ++iter) {
-        const uint64_t key = rng() % (data.back() + 2);
-        const size_t predicted = rng() % data.size();
-        const size_t expect = static_cast<size_t>(
-            std::lower_bound(data.begin(), data.end(), key) - data.begin());
-        EXPECT_EQ(ExponentialSearchLowerBound(data, key, predicted, size_t{0},
-                                              data.size(), use_simd),
-                  expect)
-            << simd::LevelName(level) << " simd=" << use_simd
-            << " key=" << key << " pred=" << predicted;
-      }
+    for (int iter = 0; iter < 1000; ++iter) {
+      const uint64_t key = rng() % (data.back() + 2);
+      const size_t predicted = rng() % data.size();
+      const size_t expect = static_cast<size_t>(
+          std::lower_bound(data.begin(), data.end(), key) - data.begin());
+      EXPECT_EQ(ExponentialSearchLowerBound(data, key, predicted, size_t{0},
+                                            data.size()),
+                expect)
+          << simd::LevelName(level) << " key=" << key
+          << " pred=" << predicted;
     }
   }
 }
@@ -426,8 +410,9 @@ TEST(ExponentialSearchTest, MatchesStdLowerBoundOnRealData) {
 // ----- WindowLowerBoundWithFixup and the staged cursor ---------------------
 
 // Regardless of how wrong the prediction and error bounds are, the fixup
-// must return the global lower bound — on the scalar path, on every SIMD
-// level, and through the one-probe-per-Advance cursor.
+// must return the global lower bound — at every dispatch level (kScalar
+// takes the inlined scalar path) and through the one-probe-per-Advance
+// cursor.
 TEST(WindowSearchTest, FixupAndCursorAlwaysReturnGlobalLowerBound) {
   LevelGuard guard;
   std::mt19937_64 rng(37);
@@ -435,27 +420,23 @@ TEST(WindowSearchTest, FixupAndCursorAlwaysReturnGlobalLowerBound) {
   const size_t n = data.size();
   for (simd::Level level : RunnableLevels()) {
     simd::SetLevel(level);
-    for (bool use_simd : {false, true}) {
-      for (int iter = 0; iter < 400; ++iter) {
-        const uint64_t key = rng() % (data.back() + 2);
-        const size_t pred = rng() % (n + 10);  // Sometimes out of range.
-        const size_t err_lo = rng() % 64;
-        const size_t err_hi = rng() % 64;
-        const size_t expect = static_cast<size_t>(
-            std::lower_bound(data.begin(), data.end(), key) - data.begin());
-        EXPECT_EQ(WindowLowerBoundWithFixup(data, key, pred, err_lo, err_hi,
-                                            n, use_simd),
-                  expect)
-            << simd::LevelName(level) << " simd=" << use_simd;
-        WindowSearchCursor<uint64_t> cursor;
-        cursor.Begin(data, key, pred, err_lo, err_hi, n, use_simd);
-        int steps = 0;
-        while (!cursor.Advance(data, key)) {
-          ASSERT_LT(++steps, 200) << "cursor failed to converge";
-        }
-        EXPECT_EQ(cursor.result(), expect)
-            << simd::LevelName(level) << " simd=" << use_simd;
+    for (int iter = 0; iter < 800; ++iter) {
+      const uint64_t key = rng() % (data.back() + 2);
+      const size_t pred = rng() % (n + 10);  // Sometimes out of range.
+      const size_t err_lo = rng() % 64;
+      const size_t err_hi = rng() % 64;
+      const size_t expect = static_cast<size_t>(
+          std::lower_bound(data.begin(), data.end(), key) - data.begin());
+      EXPECT_EQ(WindowLowerBoundWithFixup(data, key, pred, err_lo, err_hi, n),
+                expect)
+          << simd::LevelName(level);
+      WindowSearchCursor<uint64_t> cursor;
+      cursor.Begin(data, key, pred, err_lo, err_hi, n);
+      int steps = 0;
+      while (!cursor.Advance(data, key)) {
+        ASSERT_LT(++steps, 200) << "cursor failed to converge";
       }
+      EXPECT_EQ(cursor.result(), expect) << simd::LevelName(level);
     }
   }
 }
@@ -527,19 +508,6 @@ TEST(BloomBatchTest, LearnedAndSandwichedBatchMatchScalar) {
 
 // ----- Index-level: Options::simd must not change any result ---------------
 
-template <typename Index>
-void ExpectSameLookups(const Index& on, const Index& off,
-                       const std::vector<uint64_t>& queries) {
-  for (uint64_t q : queries) {
-    const std::optional<uint64_t> a = on.Find(q);
-    const std::optional<uint64_t> b = off.Find(q);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "key=" << q;
-    if (a) {
-      EXPECT_EQ(*a, *b) << "key=" << q;
-    }
-  }
-}
-
 std::vector<uint64_t> UniqueSortedKeys(size_t n, uint64_t seed) {
   std::vector<uint64_t> keys = SortedU64(n, seed, 7);
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -559,6 +527,28 @@ std::vector<uint64_t> MixedQueries(const std::vector<uint64_t>& keys,
   return q;
 }
 
+// Asserts that `find` (query -> optional value) answers every query exactly
+// as std::lower_bound over the sorted `keys` with parallel `values` does,
+// at every runnable dispatch level. The structure behind `find` is built
+// once; only the level changes between passes.
+template <typename Find>
+void ExpectExactAtEveryLevel(const Find& find,
+                             const std::vector<uint64_t>& keys,
+                             const std::vector<uint64_t>& values,
+                             const std::vector<uint64_t>& queries,
+                             const char* what) {
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    for (uint64_t q : queries) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(), q);
+      std::optional<uint64_t> expect;
+      if (it != keys.end() && *it == q) expect = values[it - keys.begin()];
+      ASSERT_EQ(find(q), expect)
+          << what << " " << simd::LevelName(level) << " key=" << q;
+    }
+  }
+}
+
 TEST(IndexSimdEquivalenceTest, RmiPgmRadixSpline) {
   LevelGuard guard;
   const std::vector<uint64_t> keys = UniqueSortedKeys(30000, 71);
@@ -566,93 +556,110 @@ TEST(IndexSimdEquivalenceTest, RmiPgmRadixSpline) {
   for (size_t i = 0; i < keys.size(); ++i) values[i] = i * 3 + 1;
   const std::vector<uint64_t> queries = MixedQueries(keys, 73);
 
-  for (simd::Level level : RunnableLevels()) {
-    simd::SetLevel(level);
-    {
-      Rmi<uint64_t, uint64_t>::Options on, off;
-      off.simd = false;
-      Rmi<uint64_t, uint64_t> a, b;
-      a.Build(keys, values, on);
-      b.Build(keys, values, off);
-      ExpectSameLookups(a, b, queries);
-    }
-    {
-      PgmIndex<uint64_t, uint64_t>::Options on, off;
-      off.simd = false;
-      PgmIndex<uint64_t, uint64_t> a, b;
-      a.Build(keys, values, on);
-      b.Build(keys, values, off);
-      ExpectSameLookups(a, b, queries);
-    }
-    {
-      RadixSpline<uint64_t, uint64_t>::Options on, off;
-      off.simd = false;
-      RadixSpline<uint64_t, uint64_t> a, b;
-      a.Build(keys, values, on);
-      b.Build(keys, values, off);
-      ExpectSameLookups(a, b, queries);
-    }
-  }
+  Rmi<uint64_t, uint64_t> rmi;
+  rmi.Build(keys, values);
+  ExpectExactAtEveryLevel([&](uint64_t q) { return rmi.Find(q); }, keys,
+                          values, queries, "rmi");
+  PgmIndex<uint64_t, uint64_t> pgm;
+  pgm.Build(keys, values);
+  ExpectExactAtEveryLevel([&](uint64_t q) { return pgm.Find(q); }, keys,
+                          values, queries, "pgm");
+  RadixSpline<uint64_t, uint64_t> rs;
+  rs.Build(keys, values);
+  ExpectExactAtEveryLevel([&](uint64_t q) { return rs.Find(q); }, keys,
+                          values, queries, "rs");
 }
 
 TEST(IndexSimdEquivalenceTest, AlexAndBTree) {
   LevelGuard guard;
-  const std::vector<uint64_t> keys = UniqueSortedKeys(20000, 79);
+  std::vector<uint64_t> keys = UniqueSortedKeys(20000, 79);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = i + 7;
   const std::vector<uint64_t> queries = MixedQueries(keys, 83);
 
-  for (simd::Level level : RunnableLevels()) {
-    simd::SetLevel(level);
-    {
-      AlexIndex<uint64_t, uint64_t>::Options on, off;
-      off.simd = false;
-      AlexIndex<uint64_t, uint64_t> a(on), b(off);
-      a.BulkLoad(keys, values);
-      b.BulkLoad(keys, values);
-      // Inserts exercise the exponential slot search on both paths.
-      for (uint64_t extra = 1; extra < 200; extra += 2) {
-        a.Insert(keys.back() + extra, extra);
-        b.Insert(keys.back() + extra, extra);
-      }
-      ExpectSameLookups(a, b, queries);
-    }
-    {
-      std::vector<std::pair<uint64_t, uint64_t>> sorted(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) sorted[i] = {keys[i], values[i]};
-      BPlusTree<uint64_t, uint64_t> a, b;
-      b.set_simd(false);
-      a.BulkLoad(sorted);
-      b.BulkLoad(sorted);
-      ExpectSameLookups(a, b, queries);
-    }
+  std::vector<std::pair<uint64_t, uint64_t>> sorted(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) sorted[i] = {keys[i], values[i]};
+  BPlusTree<uint64_t, uint64_t> btree;
+  btree.BulkLoad(sorted);
+  ExpectExactAtEveryLevel([&](uint64_t q) { return btree.Find(q); }, keys,
+                          values, queries, "btree");
+
+  AlexIndex<uint64_t, uint64_t> alex;
+  alex.BulkLoad(keys, values);
+  // Inserts exercise the exponential slot search; they land past the last
+  // key, so the reference stays sorted.
+  const uint64_t last = keys.back();
+  for (uint64_t extra = 1; extra < 200; extra += 2) {
+    alex.Insert(last + extra, extra);
+    keys.push_back(last + extra);
+    values.push_back(extra);
   }
+  ExpectExactAtEveryLevel([&](uint64_t q) { return alex.Find(q); }, keys,
+                          values, queries, "alex");
 }
 
 TEST(IndexSimdEquivalenceTest, SortedRunLearnedSearch) {
   LevelGuard guard;
   const std::vector<uint64_t> keys = UniqueSortedKeys(20000, 89);
+  std::vector<uint64_t> values(keys.size());
   std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> entries;
   entries.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    entries.push_back({keys[i], RunEntry<uint64_t>{keys[i] * 2, false}});
+    values[i] = keys[i] * 2;
+    entries.push_back({keys[i], RunEntry<uint64_t>{values[i], false}});
   }
   const std::vector<uint64_t> queries = MixedQueries(keys, 97);
 
+  SortedRun<uint64_t, uint64_t> run(entries, {});
+  ExpectExactAtEveryLevel(
+      [&](uint64_t q) -> std::optional<uint64_t> {
+        const auto r = run.Get(q, nullptr);
+        if (!r) return std::nullopt;
+        return r->value;
+      },
+      keys, values, queries, "run");
+}
+
+// The kScalar level is the scalar A/B baseline: it must run the inlined
+// counted binary search over the ε-window, not the one-pass count-less-than
+// kernel (whose scalar table entry would still count as a single step).
+// Vector levels resolve each hit in exactly one step.
+TEST(SimdDispatchTest, ScalarLevelTakesTheScalarPath) {
+  LevelGuard guard;
+  const std::vector<uint64_t> keys = UniqueSortedKeys(20000, 107);
+  std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> entries;
+  entries.reserve(keys.size());
+  for (uint64_t k : keys) entries.push_back({k, RunEntry<uint64_t>{k, false}});
+  std::mt19937_64 rng(109);
+  std::vector<uint64_t> hits(500);
+  for (uint64_t& h : hits) h = keys[rng() % keys.size()];
+
+  SortedRun<uint64_t, uint64_t> run(entries, {});
+  const std::string path = ::testing::TempDir() + "lidx_simd_dispatch";
+  std::remove(path.c_str());
+  storage::FileManager file(path);
+  storage::BufferPool pool(&file, 64);
+  storage::DiskRun<uint64_t, uint64_t> disk(entries, &file, &pool, {});
+
   for (simd::Level level : RunnableLevels()) {
     simd::SetLevel(level);
-    SortedRun<uint64_t, uint64_t>::Options on, off;
-    off.simd = false;
-    SortedRun<uint64_t, uint64_t> a(entries, on), b(entries, off);
-    for (uint64_t q : queries) {
-      const auto ra = a.Get(q, nullptr);
-      const auto rb = b.Get(q, nullptr);
-      ASSERT_EQ(ra.has_value(), rb.has_value()) << "key=" << q;
-      if (ra) {
-        EXPECT_EQ(ra->value, rb->value) << "key=" << q;
+    for (uint64_t h : hits) {
+      LsmStats mem;
+      ASSERT_TRUE(run.Get(h, &mem).has_value());
+      storage::DiskIoStats io;
+      ASSERT_TRUE(disk.Get(h, &io).has_value());
+      if (level == simd::Level::kScalar) {
+        EXPECT_GT(mem.search_steps, 1u) << "SortedRun key=" << h;
+        EXPECT_GT(io.search_steps, 1u) << "DiskRun key=" << h;
+      } else {
+        EXPECT_EQ(mem.search_steps, 1u)
+            << simd::LevelName(level) << " SortedRun key=" << h;
+        EXPECT_EQ(io.search_steps, 1u)
+            << simd::LevelName(level) << " DiskRun key=" << h;
       }
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(IndexSimdEquivalenceTest, LookupBatchMatchesScalarFindAtEveryLevel) {

@@ -20,6 +20,7 @@
 #include "datasets/generators.h"
 #include "lsm/lsm_tree.h"
 #include "one_d/pgm.h"
+#include "simd_levels.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_lsm_tree.h"
 #include "storage/disk_run.h"
@@ -401,9 +402,9 @@ TEST(PageCodecTest, EncodeDecodeRoundTripAllCodecs) {
       EXPECT_TRUE(view.packed());
       EXPECT_GT(count, DRun::kRecordsPerPage);
     }
-    // Per-record access and bulk decode agree with the input, SIMD or not.
+    // Per-record access and bulk decode agree with the input.
     std::vector<std::pair<uint64_t, Entry>> decoded;
-    view.DecodeInto(0, count, &decoded, /*use_simd=*/true);
+    view.DecodeInto(0, count, &decoded);
     ASSERT_EQ(decoded.size(), count);
     for (size_t i = 0; i < count; ++i) {
       EXPECT_EQ(decoded[i].first, entries[i].first);
@@ -413,14 +414,20 @@ TEST(PageCodecTest, EncodeDecodeRoundTripAllCodecs) {
       EXPECT_EQ(view.EntryAt(i).value, entries[i].second.value);
       EXPECT_EQ(view.EntryAt(i).deleted, entries[i].second.deleted);
     }
-    // Window decodes (the ε-slice path) match the full decode.
+    // Window decodes (the ε-slice path) match the input at every dispatch
+    // level: kScalar unpacks through UnpackBitsScalar, AVX2 through the
+    // gather kernel.
+    LevelGuard guard;
     uint64_t buf[64];
-    for (const size_t lo : {size_t{0}, count / 3, count - 10}) {
-      const size_t hi = std::min(lo + 64, count);
-      view.DecodeKeys(lo, hi, buf, /*use_simd=*/false);
-      for (size_t i = lo; i < hi; ++i) EXPECT_EQ(buf[i - lo], view.KeyAt(i));
-      view.DecodeKeys(lo, hi, buf, /*use_simd=*/true);
-      for (size_t i = lo; i < hi; ++i) EXPECT_EQ(buf[i - lo], view.KeyAt(i));
+    for (simd::Level level : RunnableLevels()) {
+      simd::SetLevel(level);
+      for (const size_t lo : {size_t{0}, count / 3, count - 10}) {
+        const size_t hi = std::min(lo + 64, count);
+        view.DecodeKeys(lo, hi, buf);
+        for (size_t i = lo; i < hi; ++i) {
+          EXPECT_EQ(buf[i - lo], entries[i].first) << simd::LevelName(level);
+        }
+      }
     }
   }
 }

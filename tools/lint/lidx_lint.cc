@@ -1,6 +1,6 @@
 // lidx-lint — repo-specific lexical checks for the lidx codebase.
 //
-// Seven rules encode invariants of this repo that generic tooling cannot
+// Eight rules encode invariants of this repo that generic tooling cannot
 // know (docs/STATIC_ANALYSIS.md has the full catalog with rationale):
 //
 //   raw-io             pread/pwrite must not appear outside
@@ -33,6 +33,12 @@
 //                      accessor) inside a region that establishes
 //                      protection (EpochManager::Pin()/Guard, a MutexLock,
 //                      or a LIDX_REQUIRES contract).
+//   simd-switch        no per-object scalar/SIMD switch: a `use_simd`
+//                      parameter, a `bool simd` option field or a
+//                      `set_simd` setter anywhere but common/simd.h. The
+//                      dispatch level (simd::SetLevel, LIDX_SIMD) is the
+//                      one runtime A/B; call sites branch on
+//                      simd::Vectorized().
 //
 // Deliberately a *lexical* checker (comments and string literals are
 // stripped, braces are matched, nothing is type-resolved): it builds with
@@ -71,7 +77,8 @@ namespace fs = std::filesystem;
 
 const char* const kAllRules[] = {"raw-io", "raw-uring", "cast-io",
                                  "raw-unpack", "pageref-escape",
-                                 "pool-blocking-get", "epoch-guard"};
+                                 "pool-blocking-get", "epoch-guard",
+                                 "simd-switch"};
 
 struct Finding {
   std::string file;
@@ -648,6 +655,36 @@ void CheckEpochGuard(const Source& src, std::vector<Finding>* out) {
   }
 }
 
+// ---- simd-switch ----------------------------------------------------------
+
+void CheckSimdSwitch(const Source& src, std::vector<Finding>* out) {
+  if (src.Basename() == "simd.h") return;  // Owns the dispatch level.
+  const std::string& text = src.clean();
+  const std::string message =
+      "per-object SIMD switch — the dispatch level (simd::SetLevel, "
+      "LIDX_SIMD) is the only runtime A/B; branch on simd::Vectorized()";
+  for (const char* name : {"use_simd", "use_simd_", "set_simd"}) {
+    const std::string word(name);
+    for (size_t pos = text.find(word); pos != std::string::npos;
+         pos = text.find(word, pos + 1)) {
+      if (WordAt(text, pos, word)) {
+        Report(src, pos, "simd-switch", message, out);
+      }
+    }
+  }
+  // A bool declared as `simd` or `simd_`: an option field, member or
+  // parameter.
+  const std::string kw = "bool";
+  for (size_t pos = text.find(kw); pos != std::string::npos;
+       pos = text.find(kw, pos + 1)) {
+    if (!WordAt(text, pos, kw)) continue;
+    const size_t p = SkipSpace(text, pos + kw.size());
+    if (WordAt(text, p, "simd") || WordAt(text, p, "simd_")) {
+      Report(src, p, "simd-switch", message, out);
+    }
+  }
+}
+
 // ---- driver ---------------------------------------------------------------
 
 void LintFile(Source* src, std::vector<Finding>* out) {
@@ -658,6 +695,7 @@ void LintFile(Source* src, std::vector<Finding>* out) {
   CheckPageRefEscape(*src, out);
   CheckPoolBlockingGet(*src, out);
   CheckEpochGuard(*src, out);
+  CheckSimdSwitch(*src, out);
 }
 
 bool LintableExtension(const fs::path& p) {
