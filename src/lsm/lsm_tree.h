@@ -310,7 +310,8 @@ class LsmTree {
                  std::vector<std::pair<Key, Value>>* out,
                  Stats* stats = nullptr) const {
     // One sorted stream per component, newest first: the memtables, then
-    // the runs (snapshotted after the memtables, Get's order).
+    // the runs (snapshotted after the memtables, Get's order). MergeLive
+    // borrows them and appends the live rows straight to *out.
     std::vector<std::vector<KV>> streams;
     ForEachMemtable([&](const Memtable& memtable) {
       memtable.RangeScan(lo, hi, &streams.emplace_back());
@@ -318,7 +319,8 @@ class LsmTree {
     for (const RunRef& run : Runs()) {
       streams.push_back(run->Scan(lo, hi, stats));
     }
-    MergeLive(std::move(streams), out);
+    std::vector<EntrySpan<Key, Value>> spans(streams.begin(), streams.end());
+    MergeLive<Key, Value>(spans, {}, out);
   }
 
   // Forces the memtable into run form: waits out a flush in flight, seals

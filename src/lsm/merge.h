@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,12 +14,21 @@
 
 namespace lidx {
 
-// Newest-wins k-way merge shared by LsmTree (over either run store, and
-// so TieredIndex) and ShardedIndex. Streams are sorted by key, unique within a
+// Newest-wins merges shared by LsmTree (over either run store, and so
+// TieredIndex) and ShardedIndex. Streams are sorted by key, unique within a
 // stream, and ordered newest first; on a key collision the entry from the
 // newest stream survives (tombstones included — dropping them is a
-// compaction policy decision, not a merge one; see DropTombstones and
-// MergeLive below).
+// compaction policy decision, not a merge one; see DropTombstones).
+//
+// Two sides use them. Drains and compactions produce a new run, so
+// MergeStreams (over MergeRange) owns its inputs and returns the merged
+// run. Reads produce rows: MergeLive borrows its streams as spans — slices
+// of published runs, a scan's scratch rows — and appends only the live
+// rows straight into the caller's output, with no intermediate run.
+
+// A borrowed sorted stream of tombstone-carrying entries.
+template <typename Key, typename Value>
+using EntrySpan = std::span<const std::pair<Key, RunEntry<Value>>>;
 
 // Merges runs[r][bounds[r].first, bounds[r].second) across all streams.
 template <typename Key, typename Entry>
@@ -118,16 +129,45 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
   return merged;
 }
 
-// Read side: merges newest-first scan streams (serially) and appends the
-// live rows — newest version per key, tombstones elided — to `out`.
+// Read side: merges the borrowed newest-first `streams` over `rows`, an
+// optional oldest stream of plain live rows (an index snapshot's scan, never
+// re-wrapped into entries), and appends the live rows — newest version per
+// key, tombstones elided — to `out`. Consumes `streams` (each span is
+// advanced past what it merged) and allocates nothing beyond `out`'s
+// growth. `rows` must not alias `out`.
 template <typename Key, typename Value>
 void MergeLive(
-    std::vector<std::vector<std::pair<Key, RunEntry<Value>>>> streams,
+    std::type_identity_t<std::span<EntrySpan<Key, Value>>> streams,
+    std::type_identity_t<std::span<const std::pair<Key, Value>>> rows,
     std::vector<std::pair<Key, Value>>* out) {
-  for (const auto& [key, entry] :
-       MergeStreams(std::move(streams), /*threads=*/1)) {
-    if (!entry.deleted) out->emplace_back(key, entry.value);
+  const auto row_below = [](const std::pair<Key, Value>& row, const Key& k) {
+    return row.first < k;
+  };
+  for (;;) {
+    // The smallest head; on a tie the newest stream's, found first.
+    const std::pair<Key, RunEntry<Value>>* next = nullptr;
+    for (const EntrySpan<Key, Value>& stream : streams) {
+      if (!stream.empty() &&
+          (next == nullptr || stream.front().first < next->first)) {
+        next = &stream.front();
+      }
+    }
+    if (next == nullptr) break;
+    const Key& key = next->first;
+    // Rows below the entry pass through; a row at its key is shadowed.
+    const auto below =
+        std::lower_bound(rows.begin(), rows.end(), key, row_below);
+    out->insert(out->end(), rows.begin(), below);
+    rows = rows.subspan(static_cast<size_t>(below - rows.begin()));
+    if (!rows.empty() && rows.front().first == key) rows = rows.subspan(1);
+    if (!next->second.deleted) out->emplace_back(key, next->second.value);
+    for (EntrySpan<Key, Value>& stream : streams) {
+      if (!stream.empty() && stream.front().first == key) {
+        stream = stream.subspan(1);
+      }
+    }
   }
+  out->insert(out->end(), rows.begin(), rows.end());
 }
 
 // Compaction side: a merged run that becomes the bottom of its tree has

@@ -2,10 +2,12 @@
 #define LIDX_ONE_D_DYNAMIC_PGM_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -126,13 +128,15 @@ class DynamicPgm {
       size_t pos;
       size_t age;  // Lower = newer.
     };
-    std::vector<Cursor> cursors;
+    // One cursor per component: the buffer plus at most kMaxSlots slots.
+    std::array<Cursor, kMaxSlots + 1> cursor_array;
+    size_t num_cursors = 0;
     {
       const size_t pos =
           std::lower_bound(buffer_.begin(), buffer_.end(), lo, KeyBelow) -
           buffer_.begin();
       if (pos < buffer_.size()) {
-        cursors.push_back({buffer_.data(), buffer_.size(), pos, 0});
+        cursor_array[num_cursors++] = {buffer_.data(), buffer_.size(), pos, 0};
       }
     }
     for (size_t s = 0; s < slots_.size(); ++s) {
@@ -140,9 +144,11 @@ class DynamicPgm {
       if (index.empty()) continue;
       const size_t pos = index.LowerBound(lo);
       if (pos < index.size()) {
-        cursors.push_back({index.values().data(), index.size(), pos, s + 1});
+        cursor_array[num_cursors++] = {index.values().data(), index.size(),
+                                       pos, s + 1};
       }
     }
+    const std::span<Cursor> cursors(cursor_array.data(), num_cursors);
     if (cursors.size() == 1) {  // One component: nothing to select between.
       const Cursor& c = cursors.front();
       for (size_t i = c.pos; i < c.size && c.data[i].key <= hi; ++i) {
@@ -265,6 +271,9 @@ class DynamicPgm {
 
  private:
   static constexpr size_t kMinBloomEntries = 16384;
+  // Slot i's capacity, base << ((i + 1) * size_factor_log2), needs a shift
+  // below 64, so at most 64 slots exist; RangeScan sizes its cursors by it.
+  static constexpr size_t kMaxSlots = 64;
 
   struct Entry {
     Key key;
@@ -290,6 +299,7 @@ class DynamicPgm {
   }
 
   void EnsureSlots(size_t n) {
+    LIDX_CHECK(n <= kMaxSlots);
     while (slots_.size() < n) slots_.emplace_back();
   }
 

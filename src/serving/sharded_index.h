@@ -2,6 +2,7 @@
 #define LIDX_SERVING_SHARDED_INDEX_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -102,6 +103,11 @@ concept HasSizeBytes = requires(const Index& index) {
 //    linear scan), sealed buffers, delta (binary search), snapshot
 //    (learned lookup). Epoch reclamation guarantees the Table, the State
 //    and everything they reference stay alive until the reader unpins.
+//  * A scan pins once and borrows each overlapping shard's levels instead
+//    of copying them: the delta is sliced in place and only the buffers'
+//    in-range entries are gathered. With no buffered or delta entry in
+//    range the snapshot appends straight into the caller's rows; otherwise
+//    lsm/merge.h MergeLive merges the levels newest-wins into them.
 //
 // Over PgmIndex snapshots with 64 shards, 1024-entry buffers,
 // rebuild_min_delta 1024, rebuild_fraction 0 and inline drains, this is
@@ -1083,40 +1089,39 @@ class ShardedIndex {
     drain_count_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Sorted newest-wins run of an append-ordered buffer's entries in
-  // [lo, hi].
-  static Run BufferToRun(const Buffer& buffer,
-                         const Key& lo = std::numeric_limits<Key>::lowest(),
-                         const Key& hi = std::numeric_limits<Key>::max()) {
+  // Appends the buffer's entries in [lo, hi] to *run, newest first.
+  static void GatherBuffer(const Buffer& buffer, const Key& lo, const Key& hi,
+                           Run* run) {
     const size_t n = buffer.size.load(std::memory_order_acquire);
-    Run run;
-    run.reserve(n);
-    for (size_t i = n; i-- > 0;) {  // Newest first.
+    for (size_t i = n; i-- > 0;) {
       const Entry& e = buffer.slots[i];
       if (e.key < lo || hi < e.key) continue;
-      run.emplace_back(e.key, RunEntry<Value>{e.value, e.tombstone});
+      run->emplace_back(e.key, RunEntry<Value>{e.value, e.tombstone});
     }
-    std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    });
-    // The stable sort keeps each equal-key group newest first.
-    run.erase(std::unique(run.begin(), run.end(),
-                          [](const auto& a, const auto& b) {
-                            return a.first == b.first;
-                          }),
-              run.end());
-    return run;
   }
 
-  // The delta's entries in [lo, hi].
-  static Run DeltaToRun(const Run& delta, const Key& lo, const Key& hi) {
-    const auto first = std::lower_bound(
-        delta.begin(), delta.end(), lo,
-        [](const auto& e, const Key& k) { return e.first < k; });
-    const auto last = std::upper_bound(
-        first, delta.end(), hi,
-        [](const Key& k, const auto& e) { return k < e.first; });
-    return Run(first, last);
+  // Sorts entries gathered newest first into a sorted newest-wins run.
+  static void SortNewestWins(Run* run) {
+    std::stable_sort(run->begin(), run->end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    // The stable sort keeps each equal-key group newest first.
+    run->erase(std::unique(run->begin(), run->end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               run->end());
+  }
+
+  // Sorted newest-wins run of an append-ordered buffer's entries.
+  static Run BufferToRun(const Buffer& buffer) {
+    Run run;
+    run.reserve(buffer.size.load(std::memory_order_acquire));
+    GatherBuffer(buffer, std::numeric_limits<Key>::lowest(),
+                 std::numeric_limits<Key>::max(), &run);
+    SortNewestWins(&run);
+    return run;
   }
 
   // Merges the delta into a dump of *snapshot (*size live entries) and
@@ -1166,34 +1171,45 @@ class ShardedIndex {
     *snapshot = std::move(index);
   }
 
-  // Live entries of shard `s` in [lo, hi]: newest-first streams — active
-  // buffer, sealed buffers newest first, delta slice, snapshot — merged
-  // newest-wins by lsm/merge.h, tombstones elided.
+  // Appends the live entries of shard `s` in [lo, hi] to *out, borrowing
+  // every level it can. The delta slice is a span of the published delta.
+  // The buffers, the one unsorted level, are gathered into one small
+  // newest-wins run, which allocates only when an entry falls in range.
+  // With neither in range the snapshot scans straight into *out; otherwise
+  // its rows go into one scratch vector and lsm/merge.h MergeLive merges
+  // the run, the slice and the rows newest-wins into *out.
+  // REQUIRES: the caller holds an epoch Guard protecting `table` (RangeScan
+  // and Rebalance pin once for every shard they visit).
   void CollectShardRange(const Table& table, size_t s, const Key& lo,
                          const Key& hi,
                          std::vector<std::pair<Key, Value>>* out) const {
-    EpochManager::Guard guard = epoch_->Pin();
+    epoch_->AssertPinned();
     const State* state = table.shards[s].state.load(std::memory_order_acquire);
     epoch_->AssertProtected(state);
-    std::vector<Run> streams;
-    streams.reserve(state->sealed.size() + 3);
-    streams.push_back(BufferToRun(*state->active, lo, hi));
+    Run buffered;
+    GatherBuffer(*state->active, lo, hi, &buffered);
     for (auto it = state->sealed.rbegin(); it != state->sealed.rend(); ++it) {
-      streams.push_back(BufferToRun(**it, lo, hi));
+      GatherBuffer(**it, lo, hi, &buffered);
     }
+    SortNewestWins(&buffered);
+    EntrySpan<Key, Value> delta;
     if (state->delta != nullptr) {
-      streams.push_back(DeltaToRun(*state->delta, lo, hi));
+      const Run& d = *state->delta;
+      const auto first = std::lower_bound(
+          d.begin(), d.end(), lo,
+          [](const auto& e, const Key& k) { return e.first < k; });
+      auto last = first;
+      while (last != d.end() && !(hi < last->first)) ++last;
+      delta = EntrySpan<Key, Value>(first, last);
     }
-    if (state->snapshot != nullptr) {
-      std::vector<std::pair<Key, Value>> rows;
-      state->snapshot->RangeScan(lo, hi, &rows);
-      Run& run = streams.emplace_back();
-      run.reserve(rows.size());
-      for (const auto& [k, v] : rows) {
-        run.emplace_back(k, RunEntry<Value>{v, false});
-      }
+    if (buffered.empty() && delta.empty()) {
+      if (state->snapshot != nullptr) state->snapshot->RangeScan(lo, hi, out);
+      return;
     }
-    MergeLive(std::move(streams), out);
+    std::vector<std::pair<Key, Value>> rows;
+    if (state->snapshot != nullptr) state->snapshot->RangeScan(lo, hi, &rows);
+    std::array<EntrySpan<Key, Value>, 2> streams = {buffered, delta};
+    MergeLive<Key, Value>(streams, rows, out);
   }
 
   Options options_;

@@ -14,6 +14,7 @@
 #include "common/timer.h"
 #include "datasets/generators.h"
 #include "lsm/lsm_tree.h"
+#include "lsm/merge.h"
 #include "storage/disk_lsm_tree.h"
 
 namespace lidx {
@@ -522,6 +523,138 @@ TEST(LsmTest, BackgroundBacklogStaysBounded) {
     lsm.WaitForCompactions();
     lsm.CheckInvariants();
   });
+}
+
+// ---------------------------------------------------------------------
+// lsm/merge.h: the borrowed read-side merge against a newest-wins oracle
+// ---------------------------------------------------------------------
+
+using Entries = std::vector<std::pair<uint64_t, RunEntry<uint64_t>>>;
+using Rows = std::vector<std::pair<uint64_t, uint64_t>>;
+
+// Live rows of newest-first `streams` over the oldest plain `rows`, by
+// replaying every level oldest first into a std::map.
+Rows NewestWinsOracle(const std::vector<Entries>& streams, const Rows& rows) {
+  std::map<uint64_t, std::optional<uint64_t>> newest;
+  for (const auto& [k, v] : rows) newest[k] = v;
+  for (auto it = streams.rbegin(); it != streams.rend(); ++it) {
+    for (const auto& [k, e] : *it) newest[k] = LiveValue(e);
+  }
+  Rows live;
+  for (const auto& [k, v] : newest) {
+    if (v.has_value()) live.emplace_back(k, *v);
+  }
+  return live;
+}
+
+// Runs MergeLive over borrowed views of `streams` and `rows`, appending to
+// a copy of `prefix`.
+Rows MergeLiveInto(const std::vector<Entries>& streams, const Rows& rows,
+                   Rows prefix) {
+  std::vector<EntrySpan<uint64_t, uint64_t>> spans(streams.begin(),
+                                                   streams.end());
+  MergeLive<uint64_t, uint64_t>(spans, rows, &prefix);
+  return prefix;
+}
+
+// Sorted unique keys below `key_space`, each a tombstone with probability
+// `tombstone_frac`; the value tags the stream so the winner is visible.
+Entries RandomEntries(Rng* rng, uint64_t key_space, size_t n,
+                      double tombstone_frac, uint64_t tag) {
+  std::map<uint64_t, RunEntry<uint64_t>> picked;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = rng->NextBounded(key_space);
+    picked[k] = RunEntry<uint64_t>{k * 100 + tag,
+                                   rng->NextDouble() < tombstone_frac};
+  }
+  return Entries(picked.begin(), picked.end());
+}
+
+TEST(MergeTest, MatchesNewestWinsOracleOnRandomStreams) {
+  Rng rng(77);
+  for (int trial = 0; trial < 500; ++trial) {
+    const uint64_t key_space = 1 + rng.NextBounded(200);
+    const size_t num_streams = rng.NextBounded(6);
+    std::vector<Entries> streams;
+    for (size_t r = 0; r < num_streams; ++r) {
+      // Mix of empty, sparse, dense and all-tombstone streams.
+      const double tombstone_frac =
+          rng.NextBounded(5) == 0 ? 1.0 : rng.NextDouble() * 0.5;
+      streams.push_back(RandomEntries(&rng, key_space, rng.NextBounded(60),
+                                      tombstone_frac, r + 1));
+    }
+    Rows rows;
+    if (rng.NextBounded(3) != 0) {
+      for (const auto& [k, e] :
+           RandomEntries(&rng, key_space, rng.NextBounded(120), 0.0, 0)) {
+        rows.emplace_back(k, e.value);
+      }
+    }
+    Rows prefix;
+    for (uint64_t i = rng.NextBounded(3); i > 0; --i) {
+      prefix.emplace_back(i, i);
+    }
+    Rows want = prefix;
+    const Rows live = NewestWinsOracle(streams, rows);
+    want.insert(want.end(), live.begin(), live.end());
+    ASSERT_EQ(MergeLiveInto(streams, rows, prefix), want) << "trial " << trial;
+
+    // The owning merge (drains and compactions) agrees on the entry
+    // streams alone once its tombstones are elided.
+    Rows owning;
+    if (!streams.empty()) {
+      for (const auto& [k, e] : MergeStreams(streams, /*threads=*/1)) {
+        if (!e.deleted) owning.emplace_back(k, e.value);
+      }
+    }
+    EXPECT_EQ(owning, NewestWinsOracle(streams, {})) << "trial " << trial;
+  }
+}
+
+TEST(MergeTest, EmptyStreams) {
+  const Rows rows = {{1, 10}, {5, 50}};
+  EXPECT_TRUE(MergeLiveInto({}, {}, {}).empty());
+  EXPECT_TRUE(MergeLiveInto({Entries{}, Entries{}}, {}, {}).empty());
+  EXPECT_EQ(MergeLiveInto({}, rows, {}), rows);
+  EXPECT_EQ(MergeLiveInto({Entries{}, Entries{}}, rows, {}), rows);
+}
+
+TEST(MergeTest, AllTombstoneStreamsHideEveryOlderRow) {
+  const Entries newer = {{1, {0, true}}, {3, {0, true}}};
+  const Entries older = {{3, {30, false}}, {5, {0, true}}, {7, {0, true}}};
+  const Rows rows = {{1, 10}, {2, 20}, {5, 50}, {7, 70}};
+  EXPECT_EQ(MergeLiveInto({newer, older}, rows, {}), (Rows{{2, 20}}));
+  EXPECT_TRUE(MergeLiveInto({newer, older}, {}, {}).empty());
+}
+
+TEST(MergeTest, KeyInEveryStreamTakesTheNewest) {
+  const Entries s0 = {{4, {400, false}}};
+  const Entries s1 = {{2, {21, false}}, {4, {401, false}}};
+  const Entries s2 = {{4, {0, true}}, {9, {92, false}}};
+  const Rows rows = {{4, 403}, {9, 93}};
+  EXPECT_EQ(MergeLiveInto({s0, s1, s2}, rows, {}),
+            (Rows{{2, 21}, {4, 400}, {9, 92}}));
+  // A tombstone in the newest stream hides the key at every older level.
+  const Entries dead = {{4, {0, true}}};
+  EXPECT_EQ(MergeLiveInto({dead, s0, s1, s2}, rows, {}),
+            (Rows{{2, 21}, {9, 92}}));
+}
+
+TEST(MergeTest, PlainRowsAreTheOldestStream) {
+  // Rows pass through around, before and after the entries; an entry at a
+  // row's key replaces it.
+  const Entries entries = {{3, {33, false}}, {6, {0, true}}};
+  const Rows rows = {{1, 1}, {3, 3}, {4, 4}, {6, 6}, {8, 8}, {9, 9}};
+  EXPECT_EQ(MergeLiveInto({entries}, rows, {}),
+            (Rows{{1, 1}, {3, 33}, {4, 4}, {8, 8}, {9, 9}}));
+}
+
+TEST(MergeTest, AppendsAfterRowsAlreadyInOut) {
+  const Entries entries = {{20, {200, false}}, {30, {0, true}}};
+  const Rows rows = {{10, 1}, {30, 3}};
+  const Rows prefix = {{99, 9}, {1, 1}};  // Earlier output, any order.
+  EXPECT_EQ(MergeLiveInto({entries}, rows, prefix),
+            (Rows{{99, 9}, {1, 1}, {10, 1}, {20, 200}}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -504,6 +505,133 @@ TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
   EXPECT_EQ(index.TakeShardStats().shards[0].delta, 0u);
   index.CheckInvariants();
   check();
+}
+
+// A scan merges four levels per shard. With the shared pool's workers
+// parked, one sealed buffer per shard stays undrained, so the newest
+// version of distinct keys sits in each level — active buffer, sealed
+// buffer, delta, snapshot — and each newer level holds a tombstone over an
+// older level's key. Scans that take the direct snapshot path, see only a
+// tombstone, straddle the shard boundary or append to a non-empty output
+// must all match std::map, before and after the levels drain.
+TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
+  using Engine = ShardedIndex<TypeParam>;
+  typename Engine::Options opts;
+  opts.num_shards = 2;
+  opts.buffer_capacity = 4;
+  opts.rebuild_min_delta = size_t{1} << 20;  // Drains keep the delta.
+  opts.rebuild_fraction = 0;
+  opts.background_drain = true;
+  Engine index(opts);
+
+  // Snapshot: 0, 10, ..., 990; shard 1 starts at the median key, 500.
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  Reference ref;
+  for (uint64_t k = 0; k < 1000; k += 10) {
+    keys.push_back(k);
+    values.push_back(k + 1);
+    ref[k] = k + 1;
+  }
+  index.BulkLoad(keys, values);
+  std::set<uint64_t> written;
+  const auto put = [&](uint64_t k, uint64_t v) {
+    index.Insert(k, v);
+    ref[k] = v;
+    written.insert(k);
+  };
+  const auto erase = [&](uint64_t k) {
+    EXPECT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
+    written.insert(k);
+  };
+
+  // Delta: drained inline before the workers park.
+  put(15, 1500);
+  put(20, 2000);  // Over the snapshot.
+  erase(30);      // Tombstone over the snapshot.
+  put(45, 4500);
+  put(65, 6500);
+  put(515, 5150);
+  erase(520);
+  index.FlushAll();
+
+  // Shared with the parked workers, which may poll it after the test ends.
+  struct Gate {
+    std::atomic<size_t> parked{0};
+    std::atomic<bool> release{false};
+  };
+  const auto gate = std::make_shared<Gate>();
+  ThreadPool& pool = ThreadPool::Shared();
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([gate] {
+      gate->parked.fetch_add(1);
+      while (!gate->release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  while (gate->parked.load() < pool.num_threads()) std::this_thread::yield();
+  // (EXPECT, not ASSERT, until the release: an early return would leave
+  // the workers parked.)
+
+  // Sealed buffers: four writes fill each shard's buffer, and the shard's
+  // next write seals it and queues a drain that cannot run.
+  put(25, 2500);
+  erase(45);      // Tombstone over the delta.
+  put(65, 6501);  // Over the delta.
+  put(75, 7500);
+  put(505, 5050);
+  put(510, 5100);  // Over the snapshot.
+  erase(515);      // Tombstone over the delta.
+  put(525, 5250);
+  // Active buffers.
+  put(35, 3500);
+  erase(75);   // Tombstone over the sealed buffer.
+  erase(300);  // Tombstone over the snapshot, alone in [295, 330].
+  put(15, 1501);
+  put(535, 5350);
+  erase(600);
+
+  const auto stats = index.TakeShardStats();
+  EXPECT_EQ(stats.shards[0].snapshot, 50u);
+  EXPECT_EQ(stats.shards[0].delta, 5u);
+  EXPECT_EQ(stats.shards[0].buffered, 8u);
+  EXPECT_EQ(stats.shards[1].delta, 2u);
+  EXPECT_EQ(stats.shards[1].buffered, 6u);
+
+  const auto check_scans = [&] {
+    ExpectRangeMatches(index, ref, 0, UINT64_MAX);
+    ExpectRangeMatches(index, ref, 100, 290);  // Snapshot only.
+    ExpectRangeMatches(index, ref, 295, 330);  // Only a tombstone is newer.
+    ExpectRangeMatches(index, ref, 450, 560);  // Across the boundary.
+    for (const uint64_t k : written) {
+      ExpectRangeMatches(index, ref, k - 5, k + 5);
+      ExpectRangeMatches(index, ref, k, k);
+    }
+    // Appending: rows already in the output survive, in place.
+    const std::vector<std::pair<uint64_t, uint64_t>> prefix = {{7, 7}, {1, 1}};
+    for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{100, 290},
+                                 {0, 100}, {450, 560}}) {
+      std::vector<std::pair<uint64_t, uint64_t>> got = prefix;
+      index.RangeScan(lo, hi, &got);
+      std::vector<std::pair<uint64_t, uint64_t>> want = prefix;
+      for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
+           ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      EXPECT_EQ(got, want) << "append to [" << lo << ", " << hi << "]";
+    }
+  };
+  check_scans();
+  index.CheckInvariants();
+
+  gate->release.store(true);
+  index.WaitForDrains();
+  index.FlushAll();
+  const auto drained = index.TakeShardStats();
+  EXPECT_EQ(drained.shards[0].buffered + drained.shards[1].buffered, 0u);
+  check_scans();
+  index.CheckInvariants();
 }
 
 // Concurrent smoke: readers and a checker run against writers on a live
