@@ -4,32 +4,34 @@
 // Tutorial claim (§6.3): a deployed learned index must notice when its
 // model no longer fits the live workload and retrain itself — without an
 // operator and without blocking lookups. Both legs run the one adaptation
-// loop, a ShardedAdaptor ticked by an AdaptationEngine over a ShardedIndex;
-// they differ in the inner index and so in the sensed error:
+// loop, a ShardedAdaptor over a ShardedIndex; they differ in the inner
+// index and so in the sensed error:
 //
 //  * Leg A (model error): one shard of an under-provisioned RMI (4 stage-2
 //    models) records every lookup's observed position error. The
-//    controller's kGrow decisions double the shard count with
-//    traffic-weighted cuts on a pool worker — each shard trains its own 4
-//    models, so the model budget doubles and lands on the hot key range —
-//    until the p99 error fits. The no-adaptation baseline serves the same
+//    adaptor's own thread ticks every 5 ms; a kGrow re-cuts straight to
+//    the shard count the window's p99 asks for, traffic-weighted — each
+//    shard trains its own 4 models, so the model budget grows and lands on
+//    the hot key range. The no-adaptation baseline serves the same
 //    workload on the same starting model and stays degraded.
 //  * Leg B (traffic skew): a ShardedIndex<DynamicPgm> serving a skewed
 //    stream routes ~all lookups to one shard. The adaptor senses the
 //    imbalance from the per-shard read counts and re-cuts boundaries
-//    traffic-weighted; the baseline keeps its data-quantile boundaries and
-//    stays imbalanced.
+//    traffic-weighted, one direct Tick() between rounds; the baseline
+//    keeps its data-quantile boundaries and stays imbalanced.
 //
 // What to look for:
-//  * Leg A: observed mean / p99 error collapses by >= 2x within a few
-//    ticks; the baseline's error does not move.
+//  * Leg A: observed mean / p99 error collapses within the first phase;
+//    the baseline's error does not move.
 //  * Leg B: the hottest shard's traffic share drops from ~num_shards x
 //    fair to ~1-2x fair after one rebalance tick; baseline stays at the
 //    initial skew.
 //
 // Usage: bench_e23_adaptation [n_keys] [ops_per_phase] [rounds]
 // Defaults: 400k keys, 150k ops/phase, 6 rounds. Self-check assertions
-// are enforced when n_keys >= 200k.
+// are enforced when n_keys >= 200k. One summary row per leg (leg A's
+// phase-0 adapted/frozen mean-error ratio and final-phase recovery, leg
+// B's final imbalance) makes BENCH_e23.json diffable across changes.
 
 #include <algorithm>
 #include <chrono>
@@ -40,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "adapt/engine.h"
 #include "adapt/serving_adapter.h"
 #include "bench_util.h"
 #include "common/macros.h"
@@ -101,10 +102,13 @@ struct PhaseStats {
   size_t rebuilds = 0;
 };
 
-// Serves one phase. The last quarter is the measured window: the engine (if
-// any) is stopped first, which waits out an in-flight tick, so the window's
-// errors all come from one table — the model the phase converged to.
-PhaseStats RunRmiPhase(LearnedServing* index, AdaptationEngine* engine,
+using LearnedAdaptor = ShardedAdaptor<LearnedServing>;
+
+// Serves one phase. The last quarter is the measured window: the adaptor
+// (if any) is stopped first, which waits out an in-flight tick, so the
+// window's errors all come from one table — the model the phase converged
+// to.
+PhaseStats RunRmiPhase(LearnedServing* index, LearnedAdaptor* adaptor,
                        ShiftingStream* stream, size_t ops) {
   const size_t measured = std::max<size_t>(1, ops / 4);
   uint64_t sink = 0;
@@ -113,7 +117,7 @@ PhaseStats RunRmiPhase(LearnedServing* index, AdaptationEngine* engine,
     sink += index->Find(stream->Next()).value_or(0);
   }
   double seconds = timer.ElapsedSeconds();
-  if (engine != nullptr) engine->Stop();
+  if (adaptor != nullptr) adaptor->Stop();
   const auto before = index->TakeShardStats();
   timer.Reset();
   for (size_t i = 0; i < measured; ++i) {
@@ -122,7 +126,7 @@ PhaseStats RunRmiPhase(LearnedServing* index, AdaptationEngine* engine,
   seconds += timer.ElapsedSeconds();
   DoNotOptimize(sink);
   const auto after = index->TakeShardStats();
-  if (engine != nullptr) engine->Start();
+  if (adaptor != nullptr) adaptor->Start();
   const auto window = Aggregate(after.reads.DeltaSince(before.reads));
   const LearnedServing::Stats stats = index->GetStats();
   PhaseStats out;
@@ -158,18 +162,15 @@ std::vector<JsonRow> RunLegA(const Config& config) {
   // Skew is kGrow's job here: its re-cuts are traffic-weighted already.
   // The load never drops, so the loop only grows; with shrinks on, a
   // calm window halves the shards and the next window grows them back.
-  ShardedAdaptor<LearnedServing>::Options aopts;
+  LearnedAdaptor::Options aopts;
   aopts.controller = AdaptController::Options();
   aopts.controller.allow_rebalance = false;
   aopts.controller.allow_shrink = false;
   aopts.drift = ModelDriftDetector::Options();
   aopts.max_shards = (size_t{1} << 14) / kModelsPerShard;
-  AdaptationEngine::Options eopts;
-  eopts.tick_period = std::chrono::milliseconds(5);
-  AdaptationEngine engine(eopts);
-  ShardedAdaptor<LearnedServing> adaptor(&adapted, aopts);
-  adaptor.RegisterWith(&engine);
-  engine.Start();
+  aopts.tick_period = std::chrono::milliseconds(5);
+  LearnedAdaptor adaptor(&adapted, aopts);
+  adaptor.Start();
 
   // The query distribution steps between thirds of the key space — the
   // shift a drift detector has to ride through without false-resetting.
@@ -182,14 +183,20 @@ std::vector<JsonRow> RunLegA(const Config& config) {
   std::printf("%-7s %12s %12s %12s %10s %10s   %s\n", "phase", "mean_err",
               "p99_err", "Mops/s", "budget", "rebuilds", "variant");
   std::vector<JsonRow> rows;
+  PhaseStats first_adapted;
+  PhaseStats first_frozen;
   PhaseStats last_adapted;
   PhaseStats last_frozen;
   const size_t phases = wopts.phases.size() + 1;  // Wrap once: 4 windows.
   for (size_t p = 0; p < phases; ++p) {
     const PhaseStats a =
-        RunRmiPhase(&adapted, &engine, &adapted_stream, config.ops_per_phase);
+        RunRmiPhase(&adapted, &adaptor, &adapted_stream, config.ops_per_phase);
     const PhaseStats f =
         RunRmiPhase(&frozen, nullptr, &frozen_stream, config.ops_per_phase);
+    if (p == 0) {
+      first_adapted = a;
+      first_frozen = f;
+    }
     last_adapted = a;
     last_frozen = f;
     std::printf("%-7zu %12.1f %12.1f %12.2f %10zu %10zu   adapted\n", p,
@@ -208,7 +215,16 @@ std::vector<JsonRow> RunLegA(const Config& config) {
                       JsonField::Num("rebuilds", s.rebuilds)});
     }
   }
-  engine.Stop();
+  adaptor.Stop();
+  const double first_ratio = first_adapted.mean_error / first_frozen.mean_error;
+  const double recovery = last_frozen.mean_error / last_adapted.mean_error;
+  std::printf("summary: phase-0 adapted/frozen mean error %.4f, final "
+              "recovery %.0fx\n",
+              first_ratio, recovery);
+  rows.push_back({JsonField::Str("leg", "rmi_error"),
+                  JsonField::Str("variant", "summary"),
+                  JsonField::Num("phase0_mean_ratio", first_ratio),
+                  JsonField::Num("final_recovery", recovery)});
 
   if (config.n_keys >= 200'000) {
     // Adaptation typically converges within the first phase, so "recovered"
@@ -323,6 +339,13 @@ std::vector<JsonRow> RunLegB(const Config& config) {
     // The adaptation tick between rounds: sense the window, maybe re-cut.
     adaptor.Tick();
   }
+  std::printf("summary: final imbalance %.2f adapted, %.2f baseline\n",
+              last_adapted.imbalance, last_baseline.imbalance);
+  rows.push_back({JsonField::Str("leg", "sharded_skew"),
+                  JsonField::Str("variant", "summary"),
+                  JsonField::Num("final_imbalance", last_adapted.imbalance),
+                  JsonField::Num("final_imbalance_baseline",
+                                 last_baseline.imbalance)});
 
   if (config.n_keys >= 200'000) {
     LIDX_CHECK(adapted.GetStats().rebalances >= 1);

@@ -4,8 +4,8 @@
 //  1. Model re-training (§6.3): an under-provisioned model is detected
 //     from its own observed lookup errors, and the adaptation loop
 //     (src/adapt/) re-cuts the index into more, smaller learned shards on
-//     a background pool worker — no operator involved, no lookup ever
-//     blocks on training.
+//     the adaptor's own background thread — no operator involved, no
+//     lookup ever blocks on training.
 //  2. Build-offline / serve-online: the tuned index's immutable core is
 //     serialized, "shipped", and restored byte-exactly on the serving
 //     side.
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "adapt/engine.h"
 #include "adapt/serving_adapter.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -70,7 +69,7 @@ int main() {
   index.BulkLoad(keys, values);
 
   // The adaptor reads position errors, so its controller runs at the
-  // position-unit defaults; the engine ticks it on a pool worker. The load
+  // position-unit defaults; its own thread ticks it every 5 ms. The load
   // never drops, so the loop only grows.
   ShardedAdaptor<Index>::Options adapt;
   adapt.controller = AdaptController::Options();
@@ -78,12 +77,9 @@ int main() {
   adapt.controller.allow_shrink = false;
   adapt.drift = ModelDriftDetector::Options();
   adapt.max_shards = 4096;
-  AdaptationEngine::Options engine_options;
-  engine_options.tick_period = std::chrono::milliseconds(5);
-  AdaptationEngine engine(engine_options);
+  adapt.tick_period = std::chrono::milliseconds(5);
   ShardedAdaptor<Index> adaptor(&index, adapt);
-  adaptor.RegisterWith(&engine);
-  engine.Start();
+  adaptor.Start();
   std::printf("initial: %zu models\n", index.num_shards() * kModelsPerShard);
 
   // Serve lookups; the adaptor watches observed errors and splits the
@@ -110,7 +106,7 @@ int main() {
         MeanError(window),
         static_cast<unsigned long long>(index.GetStats().rebalances));
   }
-  engine.Stop();
+  adaptor.Stop();
   DoNotOptimize(sink);
 
   // Ship the tuned model: serialize the immutable core, restore it, and

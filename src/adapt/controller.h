@@ -86,9 +86,8 @@ class AdaptController {
   AdaptController() : AdaptController(Options()) {}
   explicit AdaptController(const Options& options) : options_(options) {}
 
-  // Classifies one window. Not thread-safe: the decide layer runs on a
-  // single maintenance tick at a time (enforced by the client's
-  // single-flight latch).
+  // Classifies one window. Not thread-safe: the decide layer runs on one
+  // tick at a time (the client's one-ticker contract).
   AdaptDecision Decide(const std::vector<SegmentSignal>& segments) {
     AdaptDecision d;
     uint64_t total_ops = 0;
@@ -217,10 +216,6 @@ class DriftDetectorBank {
   void Reset(size_t segment) {
     LIDX_DCHECK(segment < detectors_.size());
     detectors_[segment].Reset();
-  }
-
-  void ResetAll() {
-    for (auto& det : detectors_) det.Reset();
   }
 
   const ModelDriftDetector& detector(size_t segment) const {

@@ -132,16 +132,26 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
 // Read side: merges the borrowed newest-first `streams` over `rows`, an
 // optional oldest stream of plain live rows (an index snapshot's scan, never
 // re-wrapped into entries), and appends the live rows — newest version per
-// key, tombstones elided — to `out`. Consumes `streams` (each span is
-// advanced past what it merged) and allocates nothing beyond `out`'s
-// growth. `rows` must not alias `out`.
-template <typename Key, typename Value>
+// key, tombstones elided — to `out`: a vector of rows, or any sink with
+// emplace_back(key, value). Consumes `streams` (each span is advanced past
+// what it merged) and allocates nothing beyond `out`'s growth. `rows` must
+// not alias `out`.
+template <typename Key, typename Value, typename Out>
 void MergeLive(
     std::type_identity_t<std::span<EntrySpan<Key, Value>>> streams,
     std::type_identity_t<std::span<const std::pair<Key, Value>>> rows,
-    std::vector<std::pair<Key, Value>>* out) {
+    Out* out) {
   const auto row_below = [](const std::pair<Key, Value>& row, const Key& k) {
     return row.first < k;
+  };
+  const auto append_rows = [out](auto first, auto last) {
+    if constexpr (requires { out->insert(out->end(), first, last); }) {
+      out->insert(out->end(), first, last);
+    } else {
+      for (; first != last; ++first) {
+        out->emplace_back(first->first, first->second);
+      }
+    }
   };
   for (;;) {
     // The smallest head; on a tie the newest stream's, found first.
@@ -157,7 +167,7 @@ void MergeLive(
     // Rows below the entry pass through; a row at its key is shadowed.
     const auto below =
         std::lower_bound(rows.begin(), rows.end(), key, row_below);
-    out->insert(out->end(), rows.begin(), below);
+    append_rows(rows.begin(), below);
     rows = rows.subspan(static_cast<size_t>(below - rows.begin()));
     if (!rows.empty() && rows.front().first == key) rows = rows.subspan(1);
     if (!next->second.deleted) out->emplace_back(key, next->second.value);
@@ -167,7 +177,7 @@ void MergeLive(
       }
     }
   }
-  out->insert(out->end(), rows.begin(), rows.end());
+  append_rows(rows.begin(), rows.end());
 }
 
 // Compaction side: a merged run that becomes the bottom of its tree has

@@ -1136,38 +1136,30 @@ class ShardedIndex {
       (*snapshot)->RangeScan(std::numeric_limits<Key>::lowest(),
                              std::numeric_limits<Key>::max(), &base);
     }
-    std::vector<Key> keys;
-    std::vector<Value> values;
-    keys.reserve(base.size() + merged.size());
-    values.reserve(base.size() + merged.size());
-    size_t di = 0;
-    size_t bi = 0;
-    while (di < merged.size() || bi < base.size()) {
-      const bool take_delta =
-          di < merged.size() &&
-          (bi >= base.size() || merged[di].first <= base[bi].first);
-      if (take_delta) {
-        if (bi < base.size() && base[bi].first == merged[di].first) ++bi;
-        if (!merged[di].second.deleted) {
-          keys.push_back(merged[di].first);
-          values.push_back(merged[di].second.value);
-        }
-        ++di;
-      } else {
-        keys.push_back(base[bi].first);
-        values.push_back(base[bi].second);
-        ++bi;
+    // The merge writes straight into the key and value columns that
+    // BulkLoadInto takes.
+    struct Columns {
+      std::vector<Key> keys;
+      std::vector<Value> values;
+      void emplace_back(const Key& key, const Value& value) {
+        keys.push_back(key);
+        values.push_back(value);
       }
-    }
-    if (keys.empty()) {
+    } live;
+    live.keys.reserve(base.size() + merged.size());
+    live.values.reserve(base.size() + merged.size());
+    EntrySpan<Key, Value> delta(merged);
+    MergeLive<Key, Value>({&delta, 1}, base, &live);
+    base = {};  // Freed before the bulk load makes its own copy.
+    if (live.keys.empty()) {
       snapshot->reset();
       *size = 0;
       return;
     }
     auto index = std::make_shared<Index>();
-    *size = keys.size();
+    *size = live.keys.size();
     serving_detail::BulkLoadInto<Index, Key, Value>(
-        index.get(), std::move(keys), std::move(values));
+        index.get(), std::move(live.keys), std::move(live.values));
     *snapshot = std::move(index);
   }
 

@@ -1,7 +1,7 @@
 // Adaptation subsystem tests: the sensing layer (ErrorMonitor), the decide
 // layer (AdaptController policy table, DriftDetectorBank), the acting layer
-// (ShadowCell publish/retire, AdaptationEngine scheduling), and the one
-// end-to-end loop: ShardedAdaptor driving ShardedIndex rebuilds and
+// (ShadowCell publish/retire), and the one end-to-end loop: ShardedAdaptor,
+// ticked directly or by its own thread, driving ShardedIndex rebuilds and
 // rebalances, over probe-depth (DynamicPgm) and position-error (Rmi)
 // inners.
 
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "adapt/controller.h"
-#include "adapt/engine.h"
 #include "adapt/error_monitor.h"
 #include "adapt/serving_adapter.h"
 #include "adapt/shadow.h"
@@ -301,111 +300,6 @@ TEST(ShadowCellTest, PublishRetiresThePreviousValue) {
 }
 
 // ---------------------------------------------------------------------
-// AdaptationEngine (acting): tick scheduling.
-// ---------------------------------------------------------------------
-
-TEST(AdaptationEngineTest, TickNowRunsEveryRegisteredClient) {
-  AdaptationEngine engine;
-  std::atomic<int> a{0};
-  std::atomic<int> b{0};
-  const auto ra = engine.Register("a", [&a] { a.fetch_add(1); });
-  const auto rb = engine.Register("b", [&b] { b.fetch_add(1); });
-  EXPECT_EQ(engine.NumClients(), 2u);
-  engine.TickNow();
-  engine.TickNow();
-  EXPECT_EQ(a.load(), 2);
-  EXPECT_EQ(b.load(), 2);
-  const auto stats = engine.GetStats();
-  EXPECT_EQ(stats.ticks, 2u);
-  EXPECT_EQ(stats.callback_runs, 4u);
-}
-
-TEST(AdaptationEngineTest, UnregisterStopsTheCallback) {
-  AdaptationEngine engine;
-  std::atomic<int> a{0};
-  auto registration = engine.Register("a", [&a] { a.fetch_add(1); });
-  engine.TickNow();
-  registration.Reset();
-  EXPECT_EQ(engine.NumClients(), 0u);
-  engine.TickNow();
-  EXPECT_EQ(a.load(), 1);
-}
-
-TEST(AdaptationEngineTest, TimerDrivesTicksUntilStopped) {
-  AdaptationEngine::Options opt;
-  opt.tick_period = std::chrono::milliseconds(1);
-  AdaptationEngine engine(opt);
-  std::atomic<int> runs{0};
-  const auto registration =
-      engine.Register("counter", [&runs] { runs.fetch_add(1); });
-  engine.Start();
-  EXPECT_TRUE(engine.running());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (runs.load() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  engine.Stop();
-  EXPECT_FALSE(engine.running());
-  EXPECT_GE(runs.load(), 3);
-  // Stop is a full barrier: no tick runs afterwards.
-  const int frozen = runs.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(runs.load(), frozen);
-}
-
-TEST(AdaptationEngineTest, BusyTicksAreCoalescedNotQueued) {
-  AdaptationEngine::Options opt;
-  opt.tick_period = std::chrono::milliseconds(1);
-  AdaptationEngine engine(opt);
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  const auto registration = engine.Register("slow", [&] {
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  engine.Start();
-  while (!entered.load()) std::this_thread::yield();
-  // The tick is stuck inside the callback; let the timer fire into it a
-  // few dozen times.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  release.store(true);
-  engine.Stop();
-  EXPECT_GE(engine.GetStats().skipped_ticks, 1u);
-}
-
-TEST(AdaptationEngineTest, MovedRegistrationUnregistersOnce) {
-  AdaptationEngine engine;
-  std::atomic<int> a{0};
-  AdaptationEngine::Registration outer;
-  {
-    auto inner = engine.Register("a", [&a] { a.fetch_add(1); });
-    outer = std::move(inner);
-  }  // The moved-from handle owns nothing; the callback stays registered.
-  EXPECT_EQ(engine.NumClients(), 1u);
-  engine.TickNow();
-  EXPECT_EQ(a.load(), 1);
-  outer = engine.Register("b", [] {});  // Drops "a", keeps "b".
-  EXPECT_EQ(engine.NumClients(), 1u);
-  engine.TickNow();
-  EXPECT_EQ(a.load(), 1);
-  outer.Reset();
-  EXPECT_EQ(engine.NumClients(), 0u);
-}
-
-TEST(AdaptationEngineDeathTest, DestroyedWithLiveRegistrationAborts) {
-  // A registration that outlives its engine would unregister through a
-  // dangling pointer; the engine refuses to die first.
-  EXPECT_DEATH(
-      {
-        auto engine = std::make_unique<AdaptationEngine>();
-        auto registration = engine->Register("a", [] {});
-        engine.reset();
-      },
-      "live registration");
-}
-
-// ---------------------------------------------------------------------
 // Workload streams for adaptation experiments.
 // ---------------------------------------------------------------------
 
@@ -515,11 +409,9 @@ TEST(AdaptiveRmiAdaptTest, InlineMaintenanceFuzzMatchesReferenceMap) {
   opt.background_drain = false;  // Deterministic: drains inline on writes.
   opt.collect_shard_stats = true;
   Index index(opt);
-  AdaptationEngine engine;
   ShardedAdaptor<Index>::Options aopt;
   aopt.controller = AdaptController::Options();  // Position units.
   ShardedAdaptor<Index> adaptor(&index, aopt);
-  adaptor.RegisterWith(&engine);
   std::map<uint64_t, uint64_t> reference;
 
   std::vector<uint64_t> keys(4096);
@@ -549,11 +441,11 @@ TEST(AdaptiveRmiAdaptTest, InlineMaintenanceFuzzMatchesReferenceMap) {
       }
     }
     if ((i + 1) % 4096 == 0) {
-      engine.TickNow();
+      adaptor.Tick();
       index.CheckInvariants();
     }
   }
-  engine.TickNow();
+  adaptor.Tick();
   for (const auto& [key, value] : reference) {
     const auto got = index.Find(key);
     ASSERT_TRUE(got.has_value()) << "lost key " << key;
@@ -797,9 +689,15 @@ TEST(ShardedRebalanceTest, ReadersAndWritersRideThroughRebalances) {
 
 class FakeShardedIndex {
  public:
+  struct ShardStat {
+    size_t buffered = 0;
+    size_t delta = 0;
+    size_t snapshot = 1000;
+  };
   struct ShardStatsSnapshot {
     uint64_t table_version = 0;
     ErrorMonitor::Snapshot reads;
+    std::vector<ShardStat> shards;
   };
 
   explicit FakeShardedIndex(size_t num_shards)
@@ -807,7 +705,12 @@ class FakeShardedIndex {
 
   size_t num_shards() const { return monitor_->segments(); }
   ShardStatsSnapshot TakeShardStats() const {
-    return {table_version_, monitor_->TakeSnapshot()};
+    stats_taken.fetch_add(1);  // One per adaptor tick.
+    std::vector<ShardStat> shards(num_shards());
+    for (size_t s = 0; s < shards.size() && s < shard_keys.size(); ++s) {
+      shards[s].snapshot = shard_keys[s];
+    }
+    return {table_version_, monitor_->TakeSnapshot(), std::move(shards)};
   }
 
   bool Rebalance(size_t new_num_shards) {
@@ -832,6 +735,9 @@ class FakeShardedIndex {
 
   std::vector<size_t> rebalance_calls;
   std::vector<size_t> rebuild_requests;
+  mutable std::atomic<uint64_t> stats_taken{0};
+  // Keys held per shard; shards past its end hold 1000 each.
+  std::vector<size_t> shard_keys;
 
  private:
   uint64_t table_version_ = 1;
@@ -850,8 +756,77 @@ TEST(ShardedAdaptorTest, DeepProbesGrowTheShardCount) {
   const auto d = adaptor.Tick();
   EXPECT_EQ(d.action, Action::kGrow);
   ASSERT_EQ(fake.rebalance_calls.size(), 1u);
-  EXPECT_EQ(fake.rebalance_calls[0], 8u);  // Doubled.
+  // A p99 of 20 against a budget of 8 asks for 4x the shards.
+  EXPECT_EQ(fake.rebalance_calls[0], 16u);
   EXPECT_EQ(adaptor.actions_taken(), 1u);
+}
+
+TEST(ShardedAdaptorTest, GrowJumpsToTheShardCountTheTailAsksFor) {
+  FakeShardedIndex fake(2);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake);
+  // A p99 of 400 is 50x the budget (inflation_factor 2 * target 4): one
+  // re-cut to the smallest power-of-two factor that covers it, 64.
+  fake.AddWindow({{200, 400.0}, {200, 400.0}});
+  EXPECT_EQ(adaptor.Tick().action, Action::kGrow);
+  EXPECT_EQ(fake.rebalance_calls, std::vector<size_t>{128});
+}
+
+TEST(ShardedAdaptorTest, ClampedGrowAndShrinkRebuildNothing) {
+  ShardedAdaptor<FakeShardedIndex>::Options opt;
+  opt.min_shards = 2;
+  opt.max_shards = 2;
+  FakeShardedIndex fake(2);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, opt);
+  fake.AddWindow({{200, 400.0}, {200, 400.0}});
+  EXPECT_EQ(adaptor.Tick().action, Action::kGrow);  // At the cap.
+  for (int i = 0; i < 4; ++i) {
+    fake.AddWindow({{200, 0.0}, {200, 0.0}});
+    adaptor.Tick();
+  }
+  EXPECT_EQ(adaptor.last_decision().action, Action::kShrink);  // At the floor.
+  EXPECT_TRUE(fake.rebalance_calls.empty());
+  EXPECT_EQ(adaptor.actions_taken(), 0u);
+}
+
+// At the cap a grow still re-cuts in place when most reads land on a
+// shard holding more than twice the average key count: the traffic has
+// moved onto a range the last cuts made wide. Reads on a narrow shard (a
+// hot range the cuts already split) re-cut nothing.
+TEST(ShardedAdaptorTest, ClampedGrowFollowsMovedTraffic) {
+  ShardedAdaptor<FakeShardedIndex>::Options opt;
+  opt.max_shards = 4;
+  FakeShardedIndex fake(4);
+  fake.shard_keys = {100, 100, 100, 3700};
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, opt);
+  fake.AddWindow({{20, 3.0}, {20, 3.0}, {20, 3.0}, {400, 400.0}});
+  EXPECT_EQ(adaptor.Tick().action, Action::kGrow);
+  EXPECT_EQ(fake.rebalance_calls, std::vector<size_t>{4});
+
+  fake.shard_keys = {3700, 100, 100, 100};
+  fake.AddWindow({{20, 3.0}, {20, 3.0}, {20, 3.0}, {400, 400.0}});
+  EXPECT_EQ(adaptor.Tick().action, Action::kGrow);
+  EXPECT_EQ(fake.rebalance_calls, std::vector<size_t>{4});  // No second.
+}
+
+// A shrink stops above the count the last grow started from, so a grow
+// that overshoots settles instead of cycling back through that count.
+TEST(ShardedAdaptorTest, ShrinkStopsAboveTheCountTheLastGrowLeft) {
+  FakeShardedIndex fake(4);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake);
+  fake.AddWindow({{100, 3.0}, {100, 3.0}, {100, 20.0}, {100, 3.0}});
+  EXPECT_EQ(adaptor.Tick().action, Action::kGrow);  // 4 -> 16.
+  const auto calm_windows = [&](int windows) {
+    for (int i = 0; i < windows; ++i) {
+      fake.AddWindow(std::vector<std::pair<uint64_t, double>>(
+          fake.num_shards(), {100, 0.0}));
+      adaptor.Tick();
+    }
+  };
+  calm_windows(4);  // 16 -> 8.
+  calm_windows(8);  // 8 -> 4 would return to the grow's start: refused.
+  EXPECT_EQ(adaptor.last_decision().action, Action::kShrink);
+  EXPECT_EQ(fake.rebalance_calls, (std::vector<size_t>{16, 8}));
+  EXPECT_EQ(fake.num_shards(), 8u);
 }
 
 TEST(ShardedAdaptorTest, ProbeDepthDriftRequestsAShardRebuild) {
@@ -925,35 +900,83 @@ TEST(ShardedAdaptorTest, TableSwapStartsAFreshWindow) {
   EXPECT_EQ(adaptor.ticks(), 2u);
 }
 
-TEST(ShardedAdaptorTest, EngineDrivesTheAdaptor) {
-  FakeShardedIndex fake(4);
-  AdaptationEngine engine;
-  {
-    ShardedAdaptor<FakeShardedIndex> adaptor(&fake);
-    adaptor.RegisterWith(&engine);
-    EXPECT_EQ(engine.NumClients(), 1u);
-    engine.TickNow();
-    EXPECT_EQ(adaptor.ticks(), 1u);
-  }
-  // Destruction unregisters; later ticks touch nothing freed.
-  EXPECT_EQ(engine.NumClients(), 0u);
-  engine.TickNow();
+// Options whose thread ticks every millisecond.
+ShardedAdaptor<FakeShardedIndex>::Options FastTicks() {
+  ShardedAdaptor<FakeShardedIndex>::Options opt;
+  opt.tick_period = std::chrono::milliseconds(1);
+  return opt;
 }
 
-TEST(ShardedAdaptorTest, SecondRegisterWithDropsTheFirst) {
-  FakeShardedIndex fake(4);
-  AdaptationEngine engine;
-  {
-    ShardedAdaptor<FakeShardedIndex> adaptor(&fake);
-    adaptor.RegisterWith(&engine);
-    adaptor.RegisterWith(&engine);
-    EXPECT_EQ(engine.NumClients(), 1u);
-    engine.TickNow();
-    EXPECT_EQ(adaptor.ticks(), 1u);
+// Spins until the fake has served `ticks` adaptor ticks (10 s deadline).
+bool WaitForTicks(const FakeShardedIndex& fake, uint64_t ticks) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fake.stats_taken.load() < ticks) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
-  // No stale callback with a dangling adaptor is left behind.
-  EXPECT_EQ(engine.NumClients(), 0u);
-  engine.TickNow();
+  return true;
+}
+
+// Waits out a few tick periods and checks the fake saw no further tick.
+void ExpectNoMoreTicks(const FakeShardedIndex& fake) {
+  const uint64_t frozen = fake.stats_taken.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(fake.stats_taken.load(), frozen);
+}
+
+// The adaptor's own thread is the engine of the loop: after Start it
+// ticks every tick_period until Stop.
+TEST(ShardedAdaptorTest, EngineDrivesTheAdaptor) {
+  FakeShardedIndex fake(4);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, FastTicks());
+  adaptor.Start();
+  EXPECT_TRUE(WaitForTicks(fake, 3));
+  adaptor.Stop();
+  EXPECT_GE(adaptor.ticks(), 3u);
+  EXPECT_EQ(adaptor.ticks(), fake.stats_taken.load());
+}
+
+TEST(ShardedAdaptorTest, StopIsABarrier) {
+  FakeShardedIndex fake(4);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, FastTicks());
+  adaptor.Stop();  // Not running: a no-op.
+  adaptor.Start();
+  ASSERT_TRUE(WaitForTicks(fake, 1));
+  adaptor.Stop();
+  ExpectNoMoreTicks(fake);
+}
+
+TEST(ShardedAdaptorTest, StartAfterStopResumesTicking) {
+  FakeShardedIndex fake(4);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, FastTicks());
+  adaptor.Start();
+  ASSERT_TRUE(WaitForTicks(fake, 1));
+  adaptor.Stop();
+  const uint64_t stopped_at = fake.stats_taken.load();
+  adaptor.Start();
+  EXPECT_TRUE(WaitForTicks(fake, stopped_at + 2));
+  adaptor.Stop();
+}
+
+TEST(ShardedAdaptorTest, DestroyingARunningAdaptorJoins) {
+  FakeShardedIndex fake(4);
+  auto adaptor =
+      std::make_unique<ShardedAdaptor<FakeShardedIndex>>(&fake, FastTicks());
+  adaptor->Start();
+  ASSERT_TRUE(WaitForTicks(fake, 1));
+  adaptor.reset();  // Joins the thread; nothing ticks a freed adaptor.
+  ExpectNoMoreTicks(fake);
+}
+
+TEST(ShardedAdaptorTest, SecondStartIsANoOp) {
+  FakeShardedIndex fake(4);
+  ShardedAdaptor<FakeShardedIndex> adaptor(&fake, FastTicks());
+  adaptor.Start();
+  adaptor.Start();  // A second thread would be a second ticker.
+  ASSERT_TRUE(WaitForTicks(fake, 1));
+  adaptor.Stop();  // One Stop joins the one thread.
+  ExpectNoMoreTicks(fake);
 }
 
 // A learned inner records its snapshot's observed position error, on the

@@ -32,6 +32,14 @@
 #include "sfc/zrange.h"
 #include "sfc/zrange3d.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define LIDX_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define LIDX_TEST_TSAN 1
+#endif
+#endif
+
 namespace lidx {
 namespace {
 
@@ -897,8 +905,9 @@ TEST(AdaptiveRmiTest, BufferPressureTriggersRebuild) {
 
 TEST(AdaptiveRmiTest, DriftGrowsModelBudgetUntilErrorsShrink) {
   // Deliberately under-provisioned model on a hard distribution: observed
-  // errors are large, the controller's kGrow fires, and each grow doubles
-  // the shards (and so the model budget) until errors are small.
+  // errors are large, the controller's kGrow fires, and each grow
+  // multiplies the shards (and so the model budget) until errors are small
+  // or the shard count reaches max_shards.
   const auto keys = GenerateKeys(KeyDistribution::kClustered, 100000, 1049);
   using Index = ShardedIndex<FourModelRmi>;
   Index::Options opts;
@@ -910,6 +919,11 @@ TEST(AdaptiveRmiTest, DriftGrowsModelBudgetUntilErrorsShrink) {
   aopts.controller = AdaptController::Options();  // Position units.
   aopts.drift = ModelDriftDetector::Options();
   aopts.drift.threshold = 20000.0;
+  // Rebalance holds every shard's lock at once, and TSan's deadlock
+  // detector tracks at most 64 locks held by one thread; the sanitizer
+  // legs run this test. ShardCountSettlesAtTheDefaultLimit covers the
+  // default limit, where this workload shrinks from 256 shards.
+  aopts.max_shards = 64;
   ShardedAdaptor<Index> adaptor(&index, aopts);
 
   Rng rng(1051);
@@ -936,6 +950,43 @@ TEST(AdaptiveRmiTest, DriftGrowsModelBudgetUntilErrorsShrink) {
   for (size_t i = 0; i < keys.size(); i += 97) {
     ASSERT_EQ(index.Find(keys[i]), std::optional<uint64_t>(i));
   }
+}
+
+// The same workload at the default max_shards, with shrinks on: the grow
+// overshoots to 256 shards, calm windows shrink them to 128, and the loop
+// must then settle instead of cycling back through 64.
+TEST(AdaptiveRmiTest, ShardCountSettlesAtTheDefaultLimit) {
+#if defined(LIDX_TEST_TSAN)
+  GTEST_SKIP() << "re-cuts from 256 shards hold 256 locks; TSan's deadlock "
+                  "detector tracks at most 64";
+#endif
+  const auto keys = GenerateKeys(KeyDistribution::kClustered, 100000, 1049);
+  using Index = ShardedIndex<FourModelRmi>;
+  Index::Options opts;
+  opts.num_shards = 1;
+  opts.collect_shard_stats = true;
+  Index index(opts);
+  index.BulkLoad(keys, Ranks(keys.size()));
+  ShardedAdaptor<Index>::Options aopts;
+  aopts.controller = AdaptController::Options();  // Position units.
+  aopts.drift = ModelDriftDetector::Options();
+  aopts.drift.threshold = 20000.0;
+  ShardedAdaptor<Index> adaptor(&index, aopts);
+
+  Rng rng(1051);
+  uint64_t rebalances_at_tick_100 = 0;
+  for (int tick = 0; tick < 200; ++tick) {
+    for (int i = 0; i < 1024; ++i) {
+      index.Find(keys[rng.NextBounded(keys.size())]);
+    }
+    adaptor.Tick();
+    if (tick == 99) rebalances_at_tick_100 = index.GetStats().rebalances;
+  }
+  EXPECT_GT(index.num_shards(), 64u);
+  EXPECT_LE(index.num_shards(), 256u);
+  // No re-cut over the last 100 ticks.
+  EXPECT_EQ(index.GetStats().rebalances, rebalances_at_tick_100);
+  EXPECT_LE(rebalances_at_tick_100, 4u);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "adapt/engine.h"
 #include "adapt/serving_adapter.h"
 #include "bench/bench_util.h"
 #include "common/parallel.h"
@@ -462,8 +461,8 @@ TEST(StressTest, ShardedIndexMixedOpsWithBackgroundDrains) {
   EpochManager::Shared().ReclaimSome();
 }
 
-// The full adaptation loop under fire: a ticking AdaptationEngine drives a
-// ShardedAdaptor (skew sensing -> rebalance / forced shard rebuilds) while
+// The full adaptation loop under fire: a ShardedAdaptor ticking on its own
+// thread (skew sensing -> rebalance / forced shard rebuilds) while
 // an explicit rebalancer cycles the shard count and writers, readers, and
 // a structural checker hammer the index. This is the TSan / epoch-validator
 // probe for the table-swap protocol: the seq_cst drain/rebalance handshake,
@@ -480,13 +479,13 @@ TEST(StressTest, AdaptShardedRebalanceUnderMixedLoad) {
   Sharded index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
 
-  // The engine outlives the adaptor, whose destructor unregisters from it.
-  AdaptationEngine::Options eopts;
-  eopts.tick_period = std::chrono::milliseconds(2);
-  AdaptationEngine engine(eopts);
-  ShardedAdaptor<Sharded> adaptor(&index);
-  adaptor.RegisterWith(&engine);
-  engine.Start();
+  ShardedAdaptor<Sharded>::Options aopts;
+  aopts.tick_period = std::chrono::milliseconds(2);
+  // Rebalance holds every shard's lock at once, and TSan's deadlock
+  // detector tracks at most 64 locks held by one thread.
+  aopts.max_shards = 64;
+  ShardedAdaptor<Sharded> adaptor(&index, aopts);
+  adaptor.Start();
 
   constexpr int kOpsPerThread = 4000;
   std::atomic<bool> stop{false};
@@ -537,7 +536,7 @@ TEST(StressTest, AdaptShardedRebalanceUnderMixedLoad) {
   for (int t = 0; t < 4; ++t) threads[t].join();
   stop.store(true);
   for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
-  engine.Stop();
+  adaptor.Stop();
 
   index.WaitForDrains();
   EXPECT_EQ(bad_reads.load(), 0u);
@@ -551,7 +550,7 @@ TEST(StressTest, AdaptShardedRebalanceUnderMixedLoad) {
 }
 
 // The self-retraining RMI — ShardedIndex<Rmi> driven by a ShardedAdaptor —
-// under concurrent lookups, inserts, background drains and engine ticks:
+// under concurrent lookups, inserts, background drains and direct ticks:
 // snapshot rebuilds and adaptor re-cuts publish through the epoch while
 // readers probe the snapshot models and record their position errors into
 // the padded monitor counters. TSan probe for that publish/retire path.
@@ -572,12 +571,10 @@ TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
   opts.collect_shard_stats = true;
   Learned index(opts);
   index.BulkLoad(keys, Ranks(keys.size()));
-  // Declared before the adaptor: the engine must outlive its registration.
-  AdaptationEngine engine;
   ShardedAdaptor<Learned>::Options aopts;
   aopts.controller = AdaptController::Options();  // Position units.
+  aopts.max_shards = 64;  // TSan's held-lock limit, as above.
   ShardedAdaptor<Learned> adaptor(&index, aopts);
-  adaptor.RegisterWith(&engine);
 
   constexpr int kOpsPerThread = 4000;
   std::atomic<bool> stop{false};
@@ -603,9 +600,9 @@ TEST(StressTest, AdaptiveRmiAdaptMaintenanceChurn) {
       }
     });
   }
-  threads.emplace_back([&] {  // Maintenance kicker.
+  threads.emplace_back([&] {  // Maintenance kicker: the one ticker.
     for (int i = 0; i < 32; ++i) {
-      engine.TickNow();
+      adaptor.Tick();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
