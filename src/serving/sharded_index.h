@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -101,8 +103,13 @@ concept HasSizeBytes = requires(const Index& index) {
 //    (common/epoch.h), loads the table, routes, loads the shard's current
 //    State pointer, and probes newest-to-oldest: active buffer (backwards
 //    linear scan), sealed buffers, delta (binary search), snapshot
-//    (learned lookup). Epoch reclamation guarantees the Table, the State
-//    and everything they reference stay alive until the reader unpins.
+//    (learned lookup). Every buffer and the delta carry a two-probe
+//    membership bitmap (~8 bits per entry they are sized for, at most
+//    0.03 B per key on the perfbench serve workloads), so a read hashes
+//    its key once and skips each newer level that cannot hold it; most
+//    reads under writes go straight to the snapshot. Epoch reclamation
+//    guarantees the Table, the State and everything they reference stay
+//    alive until the reader unpins.
 //  * A scan pins once and borrows each overlapping shard's levels instead
 //    of copying them: the delta is sliced in place and only the buffers'
 //    in-range entries are gathered. With no buffered or delta entry in
@@ -140,7 +147,9 @@ concept HasSizeBytes = requires(const Index& index) {
 //    the exceptions, governed by Buffer::size and relaxed atomics).
 //  * Buffer entries are published by a release store of Buffer::size;
 //    readers acquire-load size and may then read slots [0, size). Slots
-//    are append-only — a published entry is never overwritten.
+//    are append-only — a published entry is never overwritten. A writer
+//    marks the buffer's filter before that store, so a reader that sees
+//    an entry also sees its filter bits.
 //  * Old Tables/States are unlinked (store) *before* EpochManager::Retire,
 //    and freed only at quiescence; components shared between consecutive
 //    States (snapshot, delta, buffers) are refcounted via shared_ptr,
@@ -258,57 +267,72 @@ class ShardedIndex {
 
   bool Contains(const Key& key) const { return Find(key).has_value(); }
 
-  // Batched lookups routed per shard under a single epoch pin. Keys that
-  // fall through every buffer level are resolved against the snapshot via
-  // its own LookupBatch (AMAC prefetch interleaving) when it has one.
-  // Contract matches the 1-D indexes: out[i] = Value{} for absent keys.
+  // Batched lookups routed per shard under a single epoch pin. Each key
+  // is routed once, the batch is grouped by shard with one counting pass,
+  // and keys that fall through every newer level of a shard are resolved
+  // against its snapshot via the snapshot's own LookupBatch (AMAC prefetch
+  // interleaving) when it has one. Contract matches the 1-D indexes:
+  // out[i] = Value{} for absent keys.
   void FindBatch(const Key* keys, size_t count, Value* out) const {
     EpochManager::Guard guard = epoch_->Pin();
     const Table* table = table_.load(std::memory_order_acquire);
     epoch_->AssertProtected(table);
     const size_t num_shards = table->num_shards;
-    std::vector<const State*> states(num_shards, nullptr);
-    std::vector<std::vector<size_t>> snapshot_pending(num_shards);
-    const bool stats = options_.collect_shard_stats;
+    std::vector<size_t> shard_of(count);
+    std::vector<size_t> offsets(num_shards + 1, 0);
     for (size_t i = 0; i < count; ++i) {
-      const size_t s = Route(*table, keys[i]);
-      if (states[s] == nullptr) {
-        states[s] = table->shards[s].state.load(std::memory_order_acquire);
-        epoch_->AssertProtected(states[s]);
-      }
-      const State* state = states[s];
-      size_t depth = 0;
-      const Index* probed = nullptr;
-      if (std::optional<std::optional<Value>> hit =
-              ProbeBuffersAndDelta(*state, keys[i], &depth)) {
-        out[i] = hit->has_value() ? **hit : Value{};
-      } else if (state->snapshot != nullptr) {
-        snapshot_pending[s].push_back(i);
-        depth += 2;
-        probed = state->snapshot.get();
-      } else {
-        out[i] = Value{};
-      }
-      if (stats) RecordRead(*table, s, probed, keys[i], depth);
+      shard_of[i] = Route(*table, keys[i]);
+      ++offsets[shard_of[i] + 1];
     }
+    for (size_t s = 0; s < num_shards; ++s) offsets[s + 1] += offsets[s];
+    // Bucketing advances offsets[s] from the start of shard s's group to
+    // its end, so afterwards shard s spans [offsets[s - 1], offsets[s]).
+    std::vector<size_t> order(count);
+    for (size_t i = 0; i < count; ++i) order[offsets[shard_of[i]]++] = i;
+    std::vector<Key> batch_keys;
+    std::vector<Value> batch_out;
+    const bool stats = options_.collect_shard_stats;
     for (size_t s = 0; s < num_shards; ++s) {
-      const std::vector<size_t>& pending = snapshot_pending[s];
-      if (pending.empty()) continue;
-      const Index& snapshot = *states[s]->snapshot;
-      if constexpr (serving_detail::HasLookupBatch<Index, Key, Value>) {
-        std::vector<Key> batch_keys(pending.size());
-        std::vector<Value> batch_out(pending.size());
-        for (size_t j = 0; j < pending.size(); ++j) {
-          batch_keys[j] = keys[pending[j]];
+      const size_t begin = s == 0 ? 0 : offsets[s - 1];
+      const size_t end = offsets[s];
+      if (begin == end) continue;
+      const State* state =
+          table->shards[s].state.load(std::memory_order_acquire);
+      epoch_->AssertProtected(state);
+      // Keys left for the snapshot are compacted to the group's front.
+      size_t pending_end = begin;
+      for (size_t j = begin; j < end; ++j) {
+        const size_t i = order[j];
+        size_t depth = 0;
+        const Index* probed = nullptr;
+        if (std::optional<std::optional<Value>> hit =
+                ProbeBuffersAndDelta(*state, keys[i], &depth)) {
+          out[i] = hit->has_value() ? **hit : Value{};
+        } else if (state->snapshot != nullptr) {
+          order[pending_end++] = i;
+          depth += 2;
+          probed = state->snapshot.get();
+        } else {
+          out[i] = Value{};
         }
+        if (stats) RecordRead(*table, s, probed, keys[i], depth);
+      }
+      if (pending_end == begin) continue;
+      const Index& snapshot = *state->snapshot;
+      if constexpr (serving_detail::HasLookupBatch<Index, Key, Value>) {
+        batch_keys.clear();
+        for (size_t j = begin; j < pending_end; ++j) {
+          batch_keys.push_back(keys[order[j]]);
+        }
+        batch_out.resize(batch_keys.size());
         snapshot.LookupBatch(batch_keys.data(), batch_keys.size(),
                              batch_out.data());
-        for (size_t j = 0; j < pending.size(); ++j) {
-          out[pending[j]] = batch_out[j];
+        for (size_t j = begin; j < pending_end; ++j) {
+          out[order[j]] = batch_out[j - begin];
         }
       } else {
-        for (const size_t i : pending) {
-          out[i] = snapshot.Find(keys[i]).value_or(Value{});
+        for (size_t j = begin; j < pending_end; ++j) {
+          out[order[j]] = snapshot.Find(keys[order[j]]).value_or(Value{});
         }
       }
     }
@@ -361,13 +385,13 @@ class ShardedIndex {
       const State* state =
           table->shards[s].state.load(std::memory_order_acquire);
       epoch_->AssertProtected(state);
-      total += sizeof(State);
-      total += state->active->capacity * sizeof(Entry);
-      for (const auto& b : state->sealed) total += b->capacity * sizeof(Entry);
+      total += sizeof(State) + state->active->SizeBytes();
+      for (const auto& b : state->sealed) total += b->SizeBytes();
       if (state->delta != nullptr) {
         // Entries, not capacity: the merge that built the delta reserved
         // its inputs' sum, so the slack is one drain's duplicate keys.
-        total += state->delta->size() * sizeof(typename Run::value_type);
+        total += state->delta->run.size() * sizeof(typename Run::value_type) +
+                 state->delta->filter.SizeBytes();
       }
       if (state->snapshot != nullptr) {
         if constexpr (serving_detail::HasSizeBytes<Index>) {
@@ -551,7 +575,7 @@ class ShardedIndex {
       for (const auto& b : state->sealed) {
         stat.buffered += b->size.load(std::memory_order_acquire);
       }
-      if (state->delta != nullptr) stat.delta = state->delta->size();
+      if (state->delta != nullptr) stat.delta = state->delta->run.size();
       stat.snapshot = state->snapshot_size;
     }
     return out;
@@ -572,8 +596,9 @@ class ShardedIndex {
   }
 
   // Structural invariants over every published shard state: non-decreasing
-  // boundaries, buffers within capacity, a sorted unique delta, and every
-  // buffered, delta and snapshot key routing back to its shard. Lock-free
+  // boundaries, buffers within capacity, a sorted unique delta, every
+  // buffered and delta key passing its level's filter, and every buffered,
+  // delta and snapshot key routing back to its shard. Lock-free
   // and safe to run concurrently with readers, writers, drains and
   // rebalances. Aborts on violation.
   void CheckInvariants() const {
@@ -597,6 +622,8 @@ class ShardedIndex {
         const size_t n = b.size.load(std::memory_order_acquire);
         LIDX_INVARIANT(n <= b.capacity, "sharded: buffer within capacity");
         for (size_t i = 0; i < n; ++i) {
+          LIDX_INVARIANT(b.filter.MayContain(FilterHash(b.slots[i].key)),
+                         "sharded: buffered key passes its buffer's filter");
           LIDX_INVARIANT(num_shards == 1 || Route(*table, b.slots[i].key) == s,
                          "sharded: buffered key routes to its shard");
         }
@@ -604,10 +631,13 @@ class ShardedIndex {
       check_buffer(*state->active);
       for (const auto& b : state->sealed) check_buffer(*b);
       if (state->delta != nullptr) {
-        const Run& d = *state->delta;
+        const Run& d = state->delta->run;
+        const Filter& filter = state->delta->filter;
         for (size_t i = 0; i < d.size(); ++i) {
           LIDX_INVARIANT(i == 0 || d[i - 1].first < d[i].first,
                          "sharded: delta sorted unique");
+          LIDX_INVARIANT(filter.MayContain(FilterHash(d[i].first)),
+                         "sharded: delta key passes the delta's filter");
           LIDX_INVARIANT(num_shards == 1 || Route(*table, d[i].first) == s,
                          "sharded: delta key routes to its shard");
         }
@@ -644,13 +674,82 @@ class ShardedIndex {
     bool tombstone;
   };
 
+  // The one 64-bit mix of a key that both probes of every level's Filter
+  // come from (murmur3's finalizer over std::hash), so a read hashes once.
+  static uint64_t FilterHash(const Key& key) {
+    uint64_t h = static_cast<uint64_t>(std::hash<Key>{}(key));
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+  }
+
+  // Two-probe membership bitmap over one newer level: about 8 bits per
+  // entry it is sized for, rounded up to a power-of-two word count. The
+  // probes are the low and high halves of FilterHash. No false negatives;
+  // a false positive costs only the probe it failed to skip. The words are
+  // relaxed atomics because a buffer's filter is marked while readers test
+  // it; marks come from one writer at a time, and a buffer publishes them
+  // with the release store of `size` that follows.
+  class Filter {
+   public:
+    explicit Filter(size_t entries)
+        : num_words_(std::bit_ceil(std::max<size_t>(1, (entries + 7) / 8))),
+          words_(std::make_unique<std::atomic<uint64_t>[]>(num_words_)) {}
+    Filter(const Filter& other) : Filter(other.capacity()) {
+      for (size_t w = 0; w < num_words_; ++w) {
+        words_[w].store(other.words_[w].load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+      }
+    }
+    Filter(Filter&&) = default;
+
+    // Entries the filter holds at its sizing of ~8 bits each.
+    size_t capacity() const { return num_words_ * 8; }
+    size_t SizeBytes() const { return num_words_ * sizeof(uint64_t); }
+
+    void Mark(uint64_t hash) {
+      Set(hash);
+      Set(hash >> 32);
+    }
+    bool MayContain(uint64_t hash) const {
+      return Test(hash) && Test(hash >> 32);
+    }
+
+   private:
+    size_t Bit(uint64_t h) const {
+      return static_cast<size_t>(h) & (num_words_ * 64 - 1);
+    }
+    void Set(uint64_t h) {
+      const size_t bit = Bit(h);
+      std::atomic<uint64_t>& word = words_[bit / 64];
+      const uint64_t old = word.load(std::memory_order_relaxed);
+      word.store(old | (uint64_t{1} << (bit % 64)), std::memory_order_relaxed);
+    }
+    bool Test(uint64_t h) const {
+      const size_t bit = Bit(h);
+      return (words_[bit / 64].load(std::memory_order_relaxed) >> (bit % 64)) &
+             1;
+    }
+
+    size_t num_words_;
+    std::unique_ptr<std::atomic<uint64_t>[]> words_;
+  };
+
   // Append-only write buffer. Entries [0, size) are immutable and
-  // published by the release store of `size`; see the class comment.
+  // published by the release store of `size`, together with their marks
+  // in `filter`; see the class comment.
   struct Buffer {
     explicit Buffer(size_t cap)
-        : slots(std::make_unique<Entry[]>(cap)), capacity(cap) {}
+        : slots(std::make_unique<Entry[]>(cap)), capacity(cap), filter(cap) {}
+    size_t SizeBytes() const {
+      return capacity * sizeof(Entry) + filter.SizeBytes();
+    }
     std::unique_ptr<Entry[]> slots;
     size_t capacity;
+    Filter filter;
     std::atomic<size_t> size{0};
   };
 
@@ -660,13 +759,20 @@ class ShardedIndex {
   // and immutable once published.
   using Run = std::vector<std::pair<Key, RunEntry<Value>>>;
 
+  // The delta level and its filter, published together by the drain that
+  // merged them and dropped together by a rebuild or a Rebalance.
+  struct Delta {
+    Run run;
+    Filter filter;
+  };
+
   // One immutable version of a shard. Never mutated after its release
   // publication (the active Buffer's append tail is the one exception,
   // governed by Buffer::size).
   struct State {
     std::shared_ptr<const Index> snapshot;
     size_t snapshot_size = 0;
-    std::shared_ptr<const Run> delta;
+    std::shared_ptr<const Delta> delta;
     std::vector<std::shared_ptr<Buffer>> sealed;  // Oldest -> newest.
     std::shared_ptr<Buffer> active;
   };
@@ -856,9 +962,12 @@ class ShardedIndex {
   }
 
   // Newest matching entry in a buffer, or nullptr. Backwards scan so a
-  // later upsert of the same key wins.
-  static const Entry* ProbeBuffer(const Buffer& buffer, const Key& key) {
+  // later upsert of the same key wins; skipped when the filter, tested
+  // after the acquire load of `size`, rules the key out.
+  static const Entry* ProbeBuffer(const Buffer& buffer, const Key& key,
+                                  uint64_t hash) {
     const size_t n = buffer.size.load(std::memory_order_acquire);
+    if (n == 0 || !buffer.filter.MayContain(hash)) return nullptr;
     for (size_t i = n; i-- > 0;) {
       if (buffer.slots[i].key == key) return &buffer.slots[i];
     }
@@ -866,28 +975,30 @@ class ShardedIndex {
   }
 
   // Probes buffers + delta, counting probed structures into *depth (the
-  // read-amplification signal). Outer nullopt: not present at these
-  // levels (fall through to snapshot). Inner nullopt: tombstoned
-  // (definitely absent).
+  // read-amplification signal; a level its filter skips still counts).
+  // Outer nullopt: not present at these levels (fall through to
+  // snapshot). Inner nullopt: tombstoned (definitely absent).
   std::optional<std::optional<Value>> ProbeBuffersAndDelta(
       const State& state, const Key& key, size_t* depth) const {
     const auto hit = [](bool tombstone, const Value& value) {
       return std::optional<std::optional<Value>>(
           tombstone ? std::nullopt : std::optional<Value>(value));
     };
+    const uint64_t hash = FilterHash(key);
     ++*depth;
-    if (const Entry* e = ProbeBuffer(*state.active, key)) {
+    if (const Entry* e = ProbeBuffer(*state.active, key, hash)) {
       return hit(e->tombstone, e->value);
     }
     for (auto it = state.sealed.rbegin(); it != state.sealed.rend(); ++it) {
       ++*depth;
-      if (const Entry* e = ProbeBuffer(**it, key)) {
+      if (const Entry* e = ProbeBuffer(**it, key, hash)) {
         return hit(e->tombstone, e->value);
       }
     }
     if (state.delta != nullptr) {
       ++*depth;
-      const Run& d = *state.delta;
+      if (!state.delta->filter.MayContain(hash)) return std::nullopt;
+      const Run& d = state.delta->run;
       const auto it = std::lower_bound(
           d.begin(), d.end(), key,
           [](const auto& e, const Key& k) { return e.first < k; });
@@ -925,9 +1036,10 @@ class ShardedIndex {
             n = 0;
             sealed = true;
           }
+          buffer->filter.Mark(FilterHash(key));
           buffer->slots[n] = Entry{key, value, tombstone};
-          // Release-publish the appended entry (paired with the acquire
-          // load in ProbeBuffer).
+          // Release-publish the appended entry and its filter marks
+          // (paired with the acquire load in ProbeBuffer).
           buffer->size.store(n + 1, std::memory_order_release);
           done = true;
         }
@@ -1028,7 +1140,7 @@ class ShardedIndex {
     // without blocking writers or readers.
     std::shared_ptr<const Index> snapshot;
     size_t snapshot_size = 0;
-    std::shared_ptr<const Run> delta;
+    std::shared_ptr<const Delta> delta;
     std::vector<std::shared_ptr<Buffer>> sealed;
     {
       EpochManager::Guard guard = epoch_->Pin();
@@ -1053,12 +1165,12 @@ class ShardedIndex {
     for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
       runs.push_back(BufferToRun(**it));
     }
-    if (delta != nullptr) runs.push_back(*delta);
+    if (delta != nullptr) runs.push_back(delta->run);
     Run merged = MergeStreams(std::move(runs), /*threads=*/1);
 
     std::shared_ptr<const Index> new_snapshot = snapshot;
     size_t new_snapshot_size = snapshot_size;
-    std::shared_ptr<const Run> new_delta;
+    std::shared_ptr<const Delta> new_delta;
     const size_t rebuild_threshold = std::max(
         options_.rebuild_min_delta,
         static_cast<size_t>(options_.rebuild_fraction *
@@ -1067,7 +1179,7 @@ class ShardedIndex {
       RebuildSnapshot(merged, &new_snapshot, &new_snapshot_size);
       rebuild_count_.fetch_add(1, std::memory_order_relaxed);
     } else if (!merged.empty()) {
-      new_delta = std::make_shared<const Run>(std::move(merged));
+      new_delta = MakeDelta(std::move(merged), delta.get(), sealed);
     }
 
     // Publish: splice the merged result in under the writer lock, keeping
@@ -1087,6 +1199,31 @@ class ShardedIndex {
       epoch_->RetireDelete(current);
     }
     drain_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // The delta level for a drain's merged run. Between rebuilds the delta
+  // only grows, so while the run fits the previous delta's filter, a copy
+  // of that filter marked with the drained buffers' keys is exact. A run
+  // that outgrows it is filtered afresh at its own size, which at least
+  // doubles the sizing; filter work stays amortised O(drained entries).
+  static std::shared_ptr<const Delta> MakeDelta(
+      Run merged, const Delta* previous,
+      const std::vector<std::shared_ptr<Buffer>>& drained) {
+    if (previous != nullptr && merged.size() <= previous->filter.capacity()) {
+      Filter filter(previous->filter);
+      for (const auto& b : drained) {
+        const size_t n = b->size.load(std::memory_order_acquire);
+        for (size_t i = 0; i < n; ++i) {
+          filter.Mark(FilterHash(b->slots[i].key));
+        }
+      }
+      return std::make_shared<const Delta>(
+          Delta{std::move(merged), std::move(filter)});
+    }
+    Filter filter(merged.size());
+    for (const auto& [key, entry] : merged) filter.Mark(FilterHash(key));
+    return std::make_shared<const Delta>(
+        Delta{std::move(merged), std::move(filter)});
   }
 
   // Appends the buffer's entries in [lo, hi] to *run, newest first.
@@ -1186,7 +1323,7 @@ class ShardedIndex {
     SortNewestWins(&buffered);
     EntrySpan<Key, Value> delta;
     if (state->delta != nullptr) {
-      const Run& d = *state->delta;
+      const Run& d = state->delta->run;
       const auto first = std::lower_bound(
           d.begin(), d.end(), lo,
           [](const auto& e, const Key& k) { return e.first < k; });

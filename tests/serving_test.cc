@@ -507,6 +507,126 @@ TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
   check();
 }
 
+// Point reads behind the newer levels' filters. Updates and tombstones sit
+// in the snapshot, the delta and the active buffer at once, and present,
+// absent and erased keys at every level must read as std::map says, via
+// Find and FindBatch. The delta grows over dozens of inline drains, so its
+// filter is both carried forward (copied and re-marked) and rebuilt larger.
+TYPED_TEST(ShardedIndexTest, PointReadsSeeEveryLevelBehindFilters) {
+  using Engine = ShardedIndex<TypeParam>;
+  typename Engine::Options opts;
+  opts.num_shards = 2;
+  opts.buffer_capacity = 8;
+  opts.rebuild_min_delta = size_t{1} << 20;  // Only the forced rebuilds.
+  opts.rebuild_fraction = 0;
+  opts.background_drain = false;
+  Engine index(opts);
+
+  // Snapshot: 0, 10, ..., 1990; shard 1 starts at the median key, 1000.
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  Reference ref;
+  for (uint64_t k = 0; k < 2000; k += 10) {
+    keys.push_back(k);
+    values.push_back(k + 1);
+    ref[k] = k + 1;
+  }
+  index.BulkLoad(keys, values);
+  std::set<uint64_t> written;
+  const auto put = [&](uint64_t k, uint64_t v) {
+    index.Insert(k, v);
+    ref[k] = v;
+    written.insert(k);
+  };
+  const auto erase = [&](uint64_t k) {
+    EXPECT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
+    written.insert(k);
+  };
+  // Every loaded and written key, the absent key above each, a sweep of
+  // mostly absent keys, and keys past the loaded range.
+  const auto check = [&] {
+    std::vector<uint64_t> probes = {2001, 100000, UINT64_MAX};
+    for (const uint64_t k : keys) probes.push_back(k);
+    for (const uint64_t k : written) {
+      probes.push_back(k);
+      probes.push_back(k + 1);
+    }
+    for (uint64_t k = 1; k < 2000; k += 7) probes.push_back(k);
+    ExpectMatchesReference(index, ref, probes);
+    std::vector<uint64_t> batch(probes.size());
+    index.FindBatch(probes.data(), probes.size(), batch.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const auto it = ref.find(probes[i]);
+      EXPECT_EQ(batch[i], it == ref.end() ? 0 : it->second) << probes[i];
+    }
+  };
+
+  // Snapshot level: updates, erases and fresh keys folded in by forced
+  // rebuilds.
+  for (uint64_t k = 0; k < 2000; k += 40) put(k, k * 3);
+  for (uint64_t k = 20; k < 2000; k += 80) erase(k);
+  for (uint64_t k = 5; k < 2000; k += 100) put(k, k * 5);
+  index.FlushAll();
+  for (size_t s = 0; s < index.num_shards(); ++s) index.RequestShardRebuild(s);
+  for (const auto& shard : index.TakeShardStats().shards) {
+    EXPECT_EQ(shard.delta + shard.buffered, 0u);
+  }
+  check();
+
+  // Delta level: updates, tombstones and fresh keys, drained every eight
+  // writes per shard.
+  Rng rng(31);
+  std::set<uint64_t> delta_keys;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t k = rng.NextBounded(400) * 5;
+    delta_keys.insert(k);
+    if (rng.NextBounded(4) == 0) {
+      erase(k);
+    } else {
+      put(k, k * 7 + static_cast<uint64_t>(step));
+    }
+    if (step % 25 == 0) check();
+  }
+  index.FlushAll();
+  for (const auto& shard : index.TakeShardStats().shards) {
+    EXPECT_EQ(shard.buffered, 0u);
+    EXPECT_GT(shard.delta, 64u);
+  }
+  EXPECT_GE(index.GetStats().drains, 40u);
+  check();
+
+  // Active buffers: per shard, an update and a tombstone over live delta
+  // keys, a tombstone over a live snapshot-only key, and a fresh key — four
+  // writes, fewer than a buffer holds.
+  for (const uint64_t base : {uint64_t{0}, uint64_t{1000}}) {
+    std::vector<uint64_t> live_delta;
+    uint64_t snapshot_only = 0;
+    bool found_snapshot_only = false;
+    for (uint64_t k = base; k < base + 1000; ++k) {
+      if (ref.count(k) == 0) continue;
+      if (delta_keys.count(k) != 0) {
+        live_delta.push_back(k);
+      } else if (!found_snapshot_only) {
+        snapshot_only = k;
+        found_snapshot_only = true;
+      }
+    }
+    ASSERT_GE(live_delta.size(), 2u);
+    ASSERT_TRUE(found_snapshot_only);
+    put(live_delta[0], 77);
+    erase(live_delta[1]);
+    erase(snapshot_only);
+    put(base + 3, 33);
+  }
+  for (const auto& shard : index.TakeShardStats().shards) {
+    EXPECT_EQ(shard.buffered, 4u);
+    EXPECT_GT(shard.delta, 0u);
+    EXPECT_GT(shard.snapshot, 0u);
+  }
+  check();
+  index.CheckInvariants();
+}
+
 // A scan merges four levels per shard. With the shared pool's workers
 // parked, one sealed buffer per shard stays undrained, so the newest
 // version of distinct keys sits in each level — active buffer, sealed

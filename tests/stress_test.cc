@@ -461,6 +461,80 @@ TEST(StressTest, ShardedIndexMixedOpsWithBackgroundDrains) {
   EpochManager::Shared().ReclaimSome();
 }
 
+// One writer cycles overwrites through a set of fresh keys in one shard
+// with 4-entry buffers, so every few writes seal a buffer and a background
+// drain re-marks the delta's filter or rebuilds the snapshot. After each
+// Insert it publishes the write's sequence number as a high-water mark.
+// Readers that see the mark must find every key at or below it with its
+// latest value or a newer one: a missing filter mark in a buffer or the
+// delta shows up as a miss or a stale value from an older level.
+TEST(StressTest, ShardedReadersSeeEveryPublishedWrite) {
+  using Sharded = ShardedIndex<DynamicPgm<uint64_t, uint64_t>>;
+  constexpr uint64_t kLoaded = 4096;  // Keys 0, 2, ..., 8190.
+  constexpr uint64_t kHot = 512;      // Write w goes to key 2 * (w % kHot) + 1.
+  constexpr uint64_t kWrites = 20000;
+  Sharded::Options opts;
+  opts.num_shards = 4;  // Shard 0 holds [0, 2048): every hot key.
+  opts.buffer_capacity = 4;
+  opts.rebuild_min_delta = 256;
+  opts.rebuild_fraction = 0;
+  opts.background_drain = true;
+  Sharded index(opts);
+  std::vector<uint64_t> keys(kLoaded);
+  for (uint64_t i = 0; i < kLoaded; ++i) keys[i] = 2 * i;
+  index.BulkLoad(keys, Ranks(kLoaded));
+
+  std::atomic<uint64_t> mark{0};  // Writes [0, mark) are published.
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> bad_reads{0};
+  std::atomic<size_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(941 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t m = mark.load(std::memory_order_acquire);
+        const uint64_t j = rng.NextBounded(kHot);
+        if (m > j) {
+          // The latest write to hot key j at or below the mark.
+          const uint64_t latest = m - 1 - (m - 1 - j) % kHot;
+          const auto got = index.Find(2 * j + 1);
+          if (!got.has_value() || *got < latest || *got % kHot != j) {
+            bad_reads.fetch_add(1);
+          }
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+        const uint64_t i = rng.NextBounded(kLoaded);
+        if (index.Find(keys[i]) != std::optional<uint64_t>(i)) {
+          bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (uint64_t w = 0; w < kWrites; ++w) {
+    index.Insert(2 * (w % kHot) + 1, w);
+    mark.store(w + 1, std::memory_order_release);
+    // Left alone, the writer outruns the pool and each drain merges
+    // dozens of sealed buffers, re-filtering the delta from scratch.
+    // Catching up every 8 seals keeps drains small, so most of them carry
+    // the previous delta's filter forward and re-mark only their buffers.
+    if (w % 32 == 31) index.WaitForDrains();
+  }
+  stop.store(true);
+  for (std::thread& r : readers) r.join();
+
+  index.WaitForDrains();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_GT(index.GetStats().rebuilds, 0u);
+  for (uint64_t j = 0; j < kHot; ++j) {
+    const uint64_t last = kWrites - 1 - (kWrites - 1 - j) % kHot;
+    EXPECT_EQ(index.Find(2 * j + 1), std::optional<uint64_t>(last)) << j;
+  }
+  index.CheckInvariants();
+  EpochManager::Shared().ReclaimSome();
+}
+
 // The full adaptation loop under fire: a ShardedAdaptor ticking on its own
 // thread (skew sensing -> rebalance / forced shard rebuilds) while
 // an explicit rebalancer cycles the shard count and writers, readers, and
