@@ -670,9 +670,16 @@ class LsmTree {
     for (auto it = l0_batch.rbegin(); it != l0_batch.rend(); ++it) {
       runs.push_back((*it)->Drain());
     }
-    PushIntoLevel(0, MergeStreams(std::move(runs), options_.compaction_threads),
-                  &levels);
+    PushIntoLevel(0, Merge(std::move(runs)), &levels);
     return levels;
+  }
+
+  // Merges drained newest-first runs; MergeStreams borrows them as spans,
+  // and a lone run needs no merge.
+  std::vector<KV> Merge(std::vector<std::vector<KV>> runs) const {
+    if (runs.size() == 1) return std::move(runs.front());
+    const std::vector<EntrySpan<Key, Value>> spans(runs.begin(), runs.end());
+    return MergeStreams<Key, Value>(spans, options_.compaction_threads);
   }
 
   void PushIntoLevel(size_t level, std::vector<KV> entries,
@@ -683,7 +690,7 @@ class LsmTree {
       runs.push_back(std::move(entries));         // Newer.
       runs.push_back((*levels)[level]->Drain());  // Older.
       (*levels)[level] = nullptr;
-      entries = MergeStreams(std::move(runs), options_.compaction_threads);
+      entries = Merge(std::move(runs));
     }
     if (entries.size() > LevelCapacity(level) && level + 1 < kMaxLevels) {
       PushIntoLevel(level + 1, std::move(entries), levels);

@@ -20,61 +20,56 @@ namespace lidx {
 // newest stream survives (tombstones included — dropping them is a
 // compaction policy decision, not a merge one; see DropTombstones).
 //
-// Two sides use them. Drains and compactions produce a new run, so
-// MergeStreams (over MergeRange) owns its inputs and returns the merged
-// run. Reads produce rows: MergeLive borrows its streams as spans — slices
-// of published runs, a scan's scratch rows — and appends only the live
-// rows straight into the caller's output, with no intermediate run.
+// Both sides borrow their streams as spans. Drains and compactions produce
+// a new run: MergeStreams (over MergeRange) reads slices of published runs,
+// drained vectors or a drain's sorted buffers and returns the merged run.
+// Reads produce rows: MergeLive appends only the live rows straight into
+// the caller's output, with no intermediate run.
 
 // A borrowed sorted stream of tombstone-carrying entries.
 template <typename Key, typename Value>
 using EntrySpan = std::span<const std::pair<Key, RunEntry<Value>>>;
 
-// Merges runs[r][bounds[r].first, bounds[r].second) across all streams.
-template <typename Key, typename Entry>
-std::vector<std::pair<Key, Entry>> MergeRange(
-    const std::vector<std::vector<std::pair<Key, Entry>>>& runs,
-    const std::vector<std::pair<size_t, size_t>>& bounds) {
-  std::vector<std::pair<Key, Entry>> merged;
-  std::vector<size_t> pos(runs.size());
+// Merges the borrowed newest-first `runs` into one owned run. Consumes
+// `runs` (each span is advanced past what it merged).
+template <typename Key, typename Value>
+std::vector<std::pair<Key, RunEntry<Value>>> MergeRange(
+    std::span<EntrySpan<Key, Value>> runs) {
+  std::vector<std::pair<Key, RunEntry<Value>>> merged;
   size_t total = 0;
-  for (size_t r = 0; r < runs.size(); ++r) {
-    pos[r] = bounds[r].first;
-    total += bounds[r].second - bounds[r].first;
-  }
+  for (const EntrySpan<Key, Value>& run : runs) total += run.size();
   merged.reserve(total);
-  while (true) {
-    int best = -1;
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (pos[r] >= bounds[r].second) continue;
-      if (best < 0 || runs[r][pos[r]].first < runs[best][pos[best]].first) {
-        best = static_cast<int>(r);
+  for (;;) {
+    // The smallest head; on a tie the newest run's, found first.
+    const std::pair<Key, RunEntry<Value>>* next = nullptr;
+    for (const EntrySpan<Key, Value>& run : runs) {
+      if (!run.empty() &&
+          (next == nullptr || run.front().first < next->first)) {
+        next = &run.front();
       }
     }
-    if (best < 0) break;
-    const Key k = runs[best][pos[best]].first;
-    merged.push_back(runs[best][pos[best]]);
-    for (size_t r = 0; r < runs.size(); ++r) {
-      while (pos[r] < bounds[r].second && runs[r][pos[r]].first == k) {
-        ++pos[r];
-      }
+    if (next == nullptr) break;
+    const Key key = next->first;
+    merged.push_back(*next);
+    for (EntrySpan<Key, Value>& run : runs) {
+      if (!run.empty() && run.front().first == key) run = run.subspan(1);
     }
   }
   return merged;
 }
 
-// Merges newest-first sorted streams keeping the newest entry per key.
-// With threads > 1 the key space is split at pivots sampled from the
+// Merges borrowed newest-first sorted streams keeping the newest entry per
+// key. With threads > 1 the key space is split at pivots sampled from the
 // largest run and each range merges independently; equal keys always land
 // in the same range (both range bounds use lower_bound on the same
 // pivots), so the concatenated output is byte-identical to the serial
 // merge for every thread count.
-template <typename Key, typename Entry>
-std::vector<std::pair<Key, Entry>> MergeStreams(
-    std::vector<std::vector<std::pair<Key, Entry>>> runs, size_t threads) {
-  using KV = std::pair<Key, Entry>;
+template <typename Key, typename Value>
+std::vector<std::pair<Key, RunEntry<Value>>> MergeStreams(
+    std::type_identity_t<std::span<const EntrySpan<Key, Value>>> runs,
+    size_t threads) {
+  using KV = std::pair<Key, RunEntry<Value>>;
   static constexpr size_t kMinParallelMerge = size_t{1} << 14;
-  if (runs.size() == 1) return std::move(runs.front());  // Nothing to merge.
   size_t total = 0;
   size_t largest = 0;
   for (size_t r = 0; r < runs.size(); ++r) {
@@ -87,12 +82,10 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
           ? 1
           : threads;
   if (parts <= 1) {
-    std::vector<std::pair<size_t, size_t>> bounds;
-    bounds.reserve(runs.size());
-    for (const auto& r : runs) bounds.emplace_back(0, r.size());
-    return MergeRange(runs, bounds);
+    std::vector<EntrySpan<Key, Value>> whole(runs.begin(), runs.end());
+    return MergeRange<Key, Value>(whole);
   }
-  const std::vector<KV>& big = runs[largest];
+  const EntrySpan<Key, Value> big = runs[largest];
   std::vector<Key> pivots;
   for (size_t p = 1; p < parts; ++p) {
     const Key k = big[p * big.size() / parts].first;
@@ -104,21 +97,20 @@ std::vector<std::pair<Key, Entry>> MergeStreams(
   };
   std::vector<std::vector<KV>> out(num_ranges);
   ParallelForIndex(threads, num_ranges, [&](size_t g) {
-    std::vector<std::pair<size_t, size_t>> bounds(runs.size());
-    for (size_t r = 0; r < runs.size(); ++r) {
-      const auto begin = runs[r].begin();
+    std::vector<EntrySpan<Key, Value>> slices;
+    slices.reserve(runs.size());
+    for (const EntrySpan<Key, Value>& run : runs) {
       const auto lo_it =
-          (g == 0) ? begin
-                   : std::lower_bound(begin, runs[r].end(), pivots[g - 1],
+          (g == 0) ? run.begin()
+                   : std::lower_bound(run.begin(), run.end(), pivots[g - 1],
                                       key_lower);
       const auto hi_it =
           (g + 1 == num_ranges)
-              ? runs[r].end()
-              : std::lower_bound(begin, runs[r].end(), pivots[g], key_lower);
-      bounds[r] = {static_cast<size_t>(lo_it - begin),
-                   static_cast<size_t>(hi_it - begin)};
+              ? run.end()
+              : std::lower_bound(run.begin(), run.end(), pivots[g], key_lower);
+      slices.emplace_back(lo_it, hi_it);
     }
-    out[g] = MergeRange(runs, bounds);
+    out[g] = MergeRange<Key, Value>(slices);
   });
   std::vector<KV> merged;
   merged.reserve(total);
@@ -178,6 +170,26 @@ void MergeLive(
     }
   }
   append_rows(rows.begin(), rows.end());
+}
+
+// The number of rows MergeLive appends when it merges `stream` over the
+// sorted `rows`: a live entry adds one unless it replaces a row, and a
+// tombstone removes the row it shadows. Lets a caller size its output. One
+// sequential walk over `rows`: a rebuild's dump is memory-bound, and
+// searching it costs no less than reading it.
+template <typename Key, typename Value>
+size_t LiveRowCount(
+    EntrySpan<Key, Value> stream,
+    std::type_identity_t<std::span<const std::pair<Key, Value>>> rows) {
+  size_t live = rows.size();
+  size_t r = 0;
+  for (const auto& [key, entry] : stream) {
+    while (r < rows.size() && rows[r].first < key) ++r;
+    const bool replaces = r < rows.size() && rows[r].first == key;
+    if (entry.deleted && replaces) --live;
+    if (!entry.deleted && !replaces) ++live;
+  }
+  return live;
 }
 
 // Compaction side: a merged run that becomes the bottom of its tree has

@@ -27,6 +27,14 @@ namespace lidx {
 // oldest carry a Bloom filter so point reads skip components that cannot
 // contain the key (see BuildSlot for why the oldest has none).
 //
+// Layout. The buffer and every component are columns: a component is a
+// PgmIndex<Key, Value> over the key and value columns it was built from,
+// plus a tombstone column that exists only while the component holds a
+// tombstone (one bit per entry). The oldest component and a bulk load
+// never hold one, so a bulk load keeps the two vectors it is handed and
+// trains the PLA over them, and a cascade merges the buffer's and the
+// slots' columns straight into the new component's columns.
+//
 // This is the tutorial's representative of the *delta-buffer* insertion
 // strategy (§4.4), in contrast to ALEX's in-place gapped arrays: inserts
 // are cheap buffer appends plus periodic merges/retrains, while lookups
@@ -59,27 +67,23 @@ class DynamicPgm {
     LIDX_CHECK(options_.base_capacity >= 1);
   }
 
-  // Bulk-loads sorted unique keys into the smallest slot that fits.
+  // Bulk-loads sorted unique keys into the smallest slot that fits. The
+  // slot keeps both vectors; training its PLA is the only work.
   void BulkLoad(std::vector<Key> keys, std::vector<Value> values) {
     LIDX_CHECK(keys.size() == values.size());
     slots_.clear();
-    buffer_.clear();
-    size_ = 0;
+    buffer_ = Columns{};
+    size_ = keys.size();
     if (keys.empty()) return;
     const size_t slot = SlotForCount(keys.size());
     EnsureSlots(slot + 1);
-    std::vector<Entry> entries;
-    entries.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      entries.push_back({keys[i], values[i], false});
-    }
-    size_ = entries.size();
-    BuildSlot(slot, std::move(entries), /*oldest=*/true);
+    BuildSlot(slot, Columns{std::move(keys), std::move(values), {}},
+              /*oldest=*/true);
   }
 
   bool Insert(const Key& key, const Value& value) {
     const bool existed = Contains(key);
-    UpsertBuffer({key, value, false});
+    UpsertBuffer(key, value, /*tombstone=*/false);
     if (!existed) ++size_;
     return !existed;
   }
@@ -87,7 +91,7 @@ class DynamicPgm {
   // Logical delete via tombstone. Returns true if the key was present.
   bool Erase(const Key& key) {
     if (!Contains(key)) return false;
-    UpsertBuffer({key, Value{}, true});
+    UpsertBuffer(key, Value{}, /*tombstone=*/true);
     --size_;
     return true;
   }
@@ -95,11 +99,12 @@ class DynamicPgm {
   std::optional<Value> Find(const Key& key) const {
     // Buffer first (newest), then slots newest-first; the first entry found
     // (live or tombstone) wins. Bloom filters skip most components.
-    const auto it =
-        std::lower_bound(buffer_.begin(), buffer_.end(), key, KeyBelow);
-    if (it != buffer_.end() && it->key == key) {
-      if (it->deleted) return std::nullopt;
-      return it->value;
+    const std::vector<Key>& bk = buffer_.keys;
+    const size_t b = static_cast<size_t>(
+        std::lower_bound(bk.begin(), bk.end(), key) - bk.begin());
+    if (b < bk.size() && bk[b] == key) {
+      if (IsTombstone(buffer_.deleted, b)) return std::nullopt;
+      return buffer_.values[b];
     }
     for (const Slot& slot : slots_) {
       if (slot.index.empty()) continue;
@@ -109,9 +114,8 @@ class DynamicPgm {
       }
       const size_t pos = slot.index.LowerBound(key);
       if (pos < slot.index.size() && slot.index.keys()[pos] == key) {
-        const Entry& e = slot.index.values()[pos];
-        if (e.deleted) return std::nullopt;
-        return e.value;
+        if (IsTombstone(slot.deleted, pos)) return std::nullopt;
+        return slot.index.values()[pos];
       }
     }
     return std::nullopt;
@@ -122,58 +126,48 @@ class DynamicPgm {
   // Merges live entries from the buffer and all slots in key order.
   void RangeScan(const Key& lo, const Key& hi,
                  std::vector<std::pair<Key, Value>>* out) const {
-    struct Cursor {
-      const Entry* data;
-      size_t size;
-      size_t pos;
-      size_t age;  // Lower = newer.
-    };
-    // One cursor per component: the buffer plus at most kMaxSlots slots.
-    std::array<Cursor, kMaxSlots + 1> cursor_array;
+    // One cursor per component, newest first: the buffer plus at most
+    // kMaxSlots slots. On equal keys the first (newest) cursor wins.
+    std::array<View, kMaxSlots + 1> cursor_array;
     size_t num_cursors = 0;
-    {
-      const size_t pos =
-          std::lower_bound(buffer_.begin(), buffer_.end(), lo, KeyBelow) -
-          buffer_.begin();
-      if (pos < buffer_.size()) {
-        cursor_array[num_cursors++] = {buffer_.data(), buffer_.size(), pos, 0};
+    const auto add = [&](View v, size_t pos) {
+      if (pos < v.size) {
+        v.pos = pos;
+        cursor_array[num_cursors++] = v;
       }
+    };
+    add(BufferView(),
+        static_cast<size_t>(std::lower_bound(buffer_.keys.begin(),
+                                             buffer_.keys.end(), lo) -
+                            buffer_.keys.begin()));
+    for (const Slot& slot : slots_) {
+      if (!slot.index.empty()) add(SlotView(slot), slot.index.LowerBound(lo));
     }
-    for (size_t s = 0; s < slots_.size(); ++s) {
-      const auto& index = slots_[s].index;
-      if (index.empty()) continue;
-      const size_t pos = index.LowerBound(lo);
-      if (pos < index.size()) {
-        cursor_array[num_cursors++] = {index.values().data(), index.size(),
-                                       pos, s + 1};
-      }
-    }
-    const std::span<Cursor> cursors(cursor_array.data(), num_cursors);
+    const std::span<View> cursors(cursor_array.data(), num_cursors);
     if (cursors.size() == 1) {  // One component: nothing to select between.
-      const Cursor& c = cursors.front();
-      for (size_t i = c.pos; i < c.size && c.data[i].key <= hi; ++i) {
-        const Entry& e = c.data[i];
-        if (!e.deleted) out->emplace_back(e.key, e.value);
+      const View& c = cursors.front();
+      for (size_t i = c.pos; i < c.size && c.keys[i] <= hi; ++i) {
+        if (!IsTombstone(*c.deleted, i)) {
+          out->emplace_back(c.keys[i], c.values[i]);
+        }
       }
       return;
     }
     while (true) {
-      const Cursor* best = nullptr;
-      for (const Cursor& c : cursors) {
-        if (c.pos >= c.size) continue;
-        const Key& ck = c.data[c.pos].key;
-        if (ck > hi) continue;
-        if (best == nullptr || ck < best->data[best->pos].key ||
-            (ck == best->data[best->pos].key && c.age < best->age)) {
+      const View* best = nullptr;
+      for (const View& c : cursors) {
+        if (c.pos >= c.size || c.keys[c.pos] > hi) continue;
+        if (best == nullptr || c.keys[c.pos] < best->keys[best->pos]) {
           best = &c;
         }
       }
       if (best == nullptr) break;
-      const Key k = best->data[best->pos].key;
-      const Entry& e = best->data[best->pos];
-      if (!e.deleted) out->emplace_back(k, e.value);
-      for (Cursor& c : cursors) {
-        while (c.pos < c.size && c.data[c.pos].key == k) ++c.pos;
+      const Key k = best->keys[best->pos];
+      if (!IsTombstone(*best->deleted, best->pos)) {
+        out->emplace_back(k, best->values[best->pos]);
+      }
+      for (View& c : cursors) {
+        if (c.pos < c.size && c.keys[c.pos] == k) ++c.pos;
       }
     }
   }
@@ -182,7 +176,7 @@ class DynamicPgm {
   bool empty() const { return size_ == 0; }
 
   size_t NumComponents() const {
-    size_t n = buffer_.empty() ? 0 : 1;
+    size_t n = buffer_.keys.empty() ? 0 : 1;
     for (const Slot& s : slots_) {
       if (!s.index.empty()) ++n;
     }
@@ -195,10 +189,25 @@ class DynamicPgm {
                          [](const Slot& s) { return s.bloom != nullptr; });
   }
 
+  // Tombstones held in the buffer and the components. Each shadows older
+  // entries until a cascade reaches the oldest component and drops it.
+  size_t NumTombstones() const {
+    const auto count = [](const std::vector<bool>& deleted) {
+      return static_cast<size_t>(
+          std::count(deleted.begin(), deleted.end(), true));
+    };
+    size_t n = count(buffer_.deleted);
+    for (const Slot& s : slots_) n += count(s.deleted);
+    return n;
+  }
+
   size_t SizeBytes() const {
-    size_t total = sizeof(*this) + buffer_.capacity() * sizeof(Entry);
+    size_t total = sizeof(*this) +
+                   buffer_.keys.capacity() * sizeof(Key) +
+                   buffer_.values.capacity() * sizeof(Value) +
+                   BitBytes(buffer_.deleted);
     for (const Slot& s : slots_) {
-      total += s.index.SizeBytes();
+      total += s.index.SizeBytes() + BitBytes(s.deleted);
       if (s.bloom != nullptr) total += s.bloom->SizeBytes();
     }
     return total;
@@ -214,23 +223,30 @@ class DynamicPgm {
   // buffer below its spill threshold, every component within its slot
   // capacity and internally consistent (including the PGM ε-guarantee and
   // the Bloom filter's no-false-negative contract), filters on exactly the
-  // large components but the oldest, and the live-entry count matching
-  // size_ after tombstone shadowing. Aborts on violation.
+  // large components but the oldest, tombstone columns present only where
+  // a tombstone is and never on the oldest component, and the live-entry
+  // count matching size_ after tombstone shadowing. Aborts on violation.
   void CheckInvariants() const {
-    LIDX_INVARIANT(buffer_.size() < options_.base_capacity,
+    const size_t buffered = buffer_.keys.size();
+    LIDX_INVARIANT(buffered < options_.base_capacity,
                    "dpgm: buffer below spill threshold");
-    for (size_t i = 1; i < buffer_.size(); ++i) {
-      LIDX_INVARIANT(buffer_[i - 1].key < buffer_[i].key,
+    LIDX_INVARIANT(buffer_.values.size() == buffered,
+                   "dpgm: buffer columns parallel");
+    LIDX_INVARIANT(
+        buffer_.deleted.empty() || buffer_.deleted.size() == buffered,
+        "dpgm: buffer tombstone column empty or buffer-sized");
+    for (size_t i = 1; i < buffered; ++i) {
+      LIDX_INVARIANT(buffer_.keys[i - 1] < buffer_.keys[i],
                      "dpgm: buffer sorted unique");
     }
     size_t live = 0;
     std::vector<Key> seen;  // Keys already resolved by a newer component.
-    auto absorb = [&](const Entry* data, size_t n) {
+    auto absorb = [&](const View& v) {
       std::vector<Key> fresh;
-      for (size_t i = 0; i < n; ++i) {
-        const Key& k = data[i].key;
+      for (size_t i = 0; i < v.size; ++i) {
+        const Key& k = v.keys[i];
         if (!std::binary_search(seen.begin(), seen.end(), k)) {
-          if (!data[i].deleted) ++live;
+          if (!IsTombstone(*v.deleted, i)) ++live;
           fresh.push_back(k);
         }
       }
@@ -240,7 +256,7 @@ class DynamicPgm {
                  std::back_inserter(merged));
       seen = std::move(merged);
     };
-    absorb(buffer_.data(), buffer_.size());
+    absorb(BufferView());
     size_t oldest = 0;  // Highest occupied slot.
     for (size_t s = 0; s < slots_.size(); ++s) {
       if (!slots_[s].index.empty()) oldest = s;
@@ -254,17 +270,22 @@ class DynamicPgm {
                          (s != oldest && slot.index.size() >= kMinBloomEntries),
                      "dpgm: filters on large components but the oldest");
       slot.index.CheckInvariants();
-      const auto& entries = slot.index.values();
-      for (size_t i = 0; i < entries.size(); ++i) {
-        LIDX_INVARIANT(entries[i].key == slot.index.keys()[i],
-                       "dpgm: entry key mirrors index key");
-        if (slot.bloom != nullptr) {
-          LIDX_INVARIANT(
-              slot.bloom->MayContain(static_cast<uint64_t>(entries[i].key)),
-              "dpgm: bloom has no false negatives");
+      LIDX_INVARIANT(slot.deleted.empty() ||
+                         slot.deleted.size() == slot.index.size(),
+                     "dpgm: tombstone column empty or component-sized");
+      LIDX_INVARIANT(slot.deleted.empty() ||
+                         std::find(slot.deleted.begin(), slot.deleted.end(),
+                                   true) != slot.deleted.end(),
+                     "dpgm: tombstone column only where a tombstone is");
+      LIDX_INVARIANT(s != oldest || slot.deleted.empty(),
+                     "dpgm: oldest component carries no tombstones");
+      if (slot.bloom != nullptr) {
+        for (const Key& k : slot.index.keys()) {
+          LIDX_INVARIANT(slot.bloom->MayContain(static_cast<uint64_t>(k)),
+                         "dpgm: bloom has no false negatives");
         }
       }
-      absorb(entries.data(), entries.size());
+      absorb(SlotView(slot));
     }
     LIDX_INVARIANT(live == size_, "dpgm: live-entry count matches size()");
   }
@@ -275,18 +296,57 @@ class DynamicPgm {
   // below 64, so at most 64 slots exist; RangeScan sizes its cursors by it.
   static constexpr size_t kMaxSlots = 64;
 
-  struct Entry {
-    Key key;
-    Value value;
-    bool deleted;
-  };
+  // Rows of the buffer or of a merge in progress: parallel key and value
+  // columns sorted by key and unique, and a tombstone column that stays
+  // empty until the first tombstone arrives and holds one flag per row
+  // from then on.
+  struct Columns {
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    std::vector<bool> deleted;
 
-  static bool KeyBelow(const Entry& e, const Key& k) { return e.key < k; }
+    void Append(const Key& key, const Value& value, bool tombstone) {
+      if (tombstone || !deleted.empty()) {
+        deleted.resize(keys.size(), false);
+        deleted.push_back(tombstone);
+      }
+      keys.push_back(key);
+      values.push_back(value);
+    }
+  };
 
   struct Slot {
-    PgmIndex<Key, Entry> index;
+    PgmIndex<Key, Value> index;
+    std::vector<bool> deleted;  // Columns::deleted of the rows it indexes.
     std::unique_ptr<BloomFilter> bloom;
   };
+
+  // A read cursor over one component's columns.
+  struct View {
+    const Key* keys = nullptr;
+    const Value* values = nullptr;
+    const std::vector<bool>* deleted = nullptr;
+    size_t size = 0;
+    size_t pos = 0;
+  };
+
+  static bool IsTombstone(const std::vector<bool>& deleted, size_t i) {
+    return !deleted.empty() && deleted[i];
+  }
+
+  static size_t BitBytes(const std::vector<bool>& bits) {
+    return (bits.capacity() + 7) / 8;
+  }
+
+  View BufferView() const {
+    return {buffer_.keys.data(), buffer_.values.data(), &buffer_.deleted,
+            buffer_.keys.size()};
+  }
+
+  static View SlotView(const Slot& slot) {
+    return {slot.index.keys().data(), slot.index.values().data(),
+            &slot.deleted, slot.index.size()};
+  }
 
   size_t SlotCapacity(size_t slot) const {
     return options_.base_capacity << ((slot + 1) * options_.size_factor_log2);
@@ -305,26 +365,30 @@ class DynamicPgm {
 
   // Sorted upsert into the insert buffer; spills to the log structure when
   // the buffer reaches capacity.
-  void UpsertBuffer(const Entry& entry) {
-    const auto it =
-        std::lower_bound(buffer_.begin(), buffer_.end(), entry.key, KeyBelow);
-    if (it != buffer_.end() && it->key == entry.key) {
-      *it = entry;
+  void UpsertBuffer(const Key& key, const Value& value, bool tombstone) {
+    Columns& b = buffer_;
+    const size_t pos = static_cast<size_t>(
+        std::lower_bound(b.keys.begin(), b.keys.end(), key) - b.keys.begin());
+    const bool flagged = tombstone || !b.deleted.empty();
+    if (flagged) b.deleted.resize(b.keys.size(), false);
+    if (pos < b.keys.size() && b.keys[pos] == key) {
+      b.values[pos] = value;
+      if (flagged) b.deleted[pos] = tombstone;
     } else {
-      buffer_.insert(it, entry);
+      const auto at = static_cast<std::ptrdiff_t>(pos);
+      b.keys.insert(b.keys.begin() + at, key);
+      b.values.insert(b.values.begin() + at, value);
+      if (flagged) b.deleted.insert(b.deleted.begin() + at, tombstone);
     }
-    if (buffer_.size() >= options_.base_capacity) {
-      PushRun(std::move(buffer_));
-      buffer_.clear();
-    }
+    if (b.keys.size() >= options_.base_capacity) PushBuffer();
   }
 
-  // Pushes a sorted run of entries into the logarithmic structure.
-  void PushRun(std::vector<Entry> run) {
+  // Pushes the full buffer into the logarithmic structure.
+  void PushBuffer() {
     // Pick the target slot first and size the slot array once: growing
     // slots_ can reallocate and move the Slot objects, so any pointer into
     // a slot's storage taken before the growth would dangle.
-    size_t total = run.size();
+    size_t total = buffer_.keys.size();
     size_t target = 0;
     while (true) {
       if (target < slots_.size()) total += slots_[target].index.size();
@@ -332,72 +396,62 @@ class DynamicPgm {
       ++target;
     }
     EnsureSlots(target + 1);
-    // Runs are merged in place from the slots' own storage (no copies);
-    // slots are only cleared after the merge consumed them. runs[0] must
-    // stay newest, then slots in increasing (newer-first) order.
-    std::vector<const std::vector<Entry>*> runs;
-    runs.push_back(&run);
-    for (size_t s = 0; s <= target; ++s) {
-      if (!slots_[s].index.empty()) runs.push_back(&slots_[s].index.values());
-    }
-    std::vector<Entry> merged = MergeRuns(runs, total);
-    for (size_t s = 0; s <= target; ++s) {
-      slots_[s] = Slot{};
-    }
     // Tombstones can be dropped once the merge reaches the oldest
     // occupied slot (nothing below them can be shadowed).
-    bool is_oldest = true;
-    for (size_t s = target + 1; s < slots_.size(); ++s) {
-      if (!slots_[s].index.empty()) {
-        is_oldest = false;
-        break;
-      }
+    const bool oldest = std::all_of(
+        slots_.begin() + static_cast<std::ptrdiff_t>(target) + 1, slots_.end(),
+        [](const Slot& s) { return s.index.empty(); });
+    // The merge reads the buffer's and the slots' own columns (no copies);
+    // they are only cleared after it consumed them. runs[0] must stay
+    // newest, then slots in increasing (newer-first) order.
+    std::vector<View> runs;
+    runs.push_back(BufferView());
+    for (size_t s = 0; s <= target; ++s) {
+      if (!slots_[s].index.empty()) runs.push_back(SlotView(slots_[s]));
     }
-    if (is_oldest) {
-      merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                  [](const Entry& e) { return e.deleted; }),
-                   merged.end());
-    }
-    BuildSlot(target, std::move(merged), is_oldest);
+    Columns merged = MergeRuns(runs, total, /*drop_tombstones=*/oldest);
+    for (size_t s = 0; s <= target; ++s) slots_[s] = Slot{};
+    buffer_.keys.clear();
+    buffer_.values.clear();
+    buffer_.deleted.clear();
+    BuildSlot(target, std::move(merged), oldest);
   }
 
   // Multi-way merge keeping, per key, only the entry from the newest run
-  // (runs[0] is newest; equal keys resolve to the lowest run index).
-  static std::vector<Entry> MergeRuns(
-      const std::vector<const std::vector<Entry>*>& runs, size_t total) {
-    std::vector<Entry> merged;
-    merged.reserve(total);
-    std::vector<size_t> pos(runs.size(), 0);
+  // (runs[0] is newest; equal keys resolve to the lowest run index), and
+  // with `drop_tombstones` not even that when it is a tombstone.
+  static Columns MergeRuns(std::span<View> runs, size_t total,
+                           bool drop_tombstones) {
+    Columns merged;
+    merged.keys.reserve(total);
+    merged.values.reserve(total);
     while (true) {
-      int best = -1;
-      for (size_t r = 0; r < runs.size(); ++r) {
-        if (pos[r] >= runs[r]->size()) continue;
-        if (best < 0 ||
-            (*runs[r])[pos[r]].key < (*runs[best])[pos[best]].key) {
-          best = static_cast<int>(r);
+      const View* best = nullptr;
+      for (const View& r : runs) {
+        if (r.pos < r.size &&
+            (best == nullptr || r.keys[r.pos] < best->keys[best->pos])) {
+          best = &r;
         }
       }
-      if (best < 0) break;
-      const Key k = (*runs[best])[pos[best]].key;
-      merged.push_back((*runs[best])[pos[best]]);
-      for (size_t r = 0; r < runs.size(); ++r) {
-        while (pos[r] < runs[r]->size() && (*runs[r])[pos[r]].key == k) {
-          ++pos[r];
-        }
+      if (best == nullptr) break;
+      const Key k = best->keys[best->pos];
+      const bool tombstone = IsTombstone(*best->deleted, best->pos);
+      if (!(tombstone && drop_tombstones)) {
+        merged.Append(k, best->values[best->pos], tombstone);
+      }
+      for (View& r : runs) {
+        if (r.pos < r.size && r.keys[r.pos] == k) ++r.pos;
       }
     }
     return merged;
   }
 
-  // Builds slot `slot`; `oldest` says no older (higher) slot is occupied.
-  void BuildSlot(size_t slot, std::vector<Entry> entries, bool oldest) {
-    if (entries.empty()) {
-      slots_[slot] = Slot{};
-      return;
-    }
-    std::vector<Key> keys;
-    keys.reserve(entries.size());
-    for (const Entry& e : entries) keys.push_back(e.key);
+  // Builds slot `slot` over `rows`, keeping their columns; `oldest` says no
+  // older (higher) slot is occupied.
+  void BuildSlot(size_t slot, Columns rows, bool oldest) {
+    slots_[slot] = Slot{};
+    if (rows.keys.empty()) return;
+    Slot& s = slots_[slot];
     // Blooms only on large slots: small slots rebuild on every cascade
     // merge (the filter rebuild would dominate insert cost) and are cheap
     // to probe directly, while large slots rebuild rarely and are exactly
@@ -407,22 +461,21 @@ class DynamicPgm {
     // (RocksDB's optimize_filters_for_hits, here the fixed rule). A slot
     // becomes or stops being the oldest only through a cascade that
     // rebuilds it, so the choice made here holds until then.
-    if (!oldest && entries.size() >= kMinBloomEntries) {
-      slots_[slot].bloom = std::make_unique<BloomFilter>(
-          entries.size(), options_.bloom_bits_per_key);
-      for (const Key& k : keys) {
-        slots_[slot].bloom->Add(static_cast<uint64_t>(k));
-      }
+    if (!oldest && rows.keys.size() >= kMinBloomEntries) {
+      s.bloom = std::make_unique<BloomFilter>(rows.keys.size(),
+                                              options_.bloom_bits_per_key);
+      for (const Key& k : rows.keys) s.bloom->Add(static_cast<uint64_t>(k));
     }
-    typename PgmIndex<Key, Entry>::Options opts;
+    s.deleted = std::move(rows.deleted);
+    typename PgmIndex<Key, Value>::Options opts;
     opts.epsilon = options_.epsilon;
     opts.epsilon_internal = options_.epsilon_internal;
     opts.build_threads = options_.build_threads;
-    slots_[slot].index.Build(std::move(keys), std::move(entries), opts);
+    s.index.Build(std::move(rows.keys), std::move(rows.values), opts);
   }
 
   Options options_;
-  std::vector<Entry> buffer_;  // Sorted by key, unique; newest data.
+  Columns buffer_;  // Newest data.
   std::vector<Slot> slots_;
   size_t size_ = 0;
 };

@@ -95,10 +95,14 @@ concept HasSizeBytes = requires(const Index& index) {
 //  * A drain task on the shared ThreadPool merges sealed buffers into the
 //    sorted delta (newest-wins, tombstone-preserving, via lsm/merge.h
 //    MergeStreams — the shard-local memtable draining through shared
-//    compaction) and, when the delta outgrows `rebuild_fraction` of the
-//    snapshot, rebuilds the snapshot index from scratch via the index's
-//    own bulk load. All heavy work happens on immutable inputs, off the
-//    writer path.
+//    compaction; the published delta is borrowed as a span, not copied)
+//    and, when the delta outgrows `rebuild_fraction` of the snapshot,
+//    rebuilds the snapshot index from scratch via the index's own bulk
+//    load. The rebuild merges the snapshot's rows and the delta into key
+//    and value columns sized to the live count, and the bulk load keeps
+//    them (DynamicPgm, PgmIndex and Rmi train their model over the
+//    columns they are handed). All heavy work happens on immutable
+//    inputs, off the writer path.
 //  * Readers never block and take no locks. A read pins an epoch
 //    (common/epoch.h), loads the table, routes, loads the shard's current
 //    State pointer, and probes newest-to-oldest: active buffer (backwards
@@ -167,8 +171,9 @@ class ShardedIndex {
   struct Options {
     size_t num_shards = 16;
     // Active write-buffer capacity (entries). Smaller buffers mean
-    // cheaper read-side scans but more frequent seals; keep >= 1000/x to
-    // hold seals (the slowest insert path) under the p999 mark.
+    // cheaper read-side scans but more frequent seals. A shard seals once
+    // per buffer_capacity writes to it, so a capacity below 1000 puts
+    // seals (the slowest insert path) inside the p999 write latency.
     size_t buffer_capacity = 128;
     // The snapshot is rebuilt when the merged delta exceeds
     // max(rebuild_min_delta, rebuild_fraction * snapshot entries).
@@ -1157,16 +1162,26 @@ class ShardedIndex {
       return;  // Forced rebuild of an empty shard: nothing to do.
     }
 
-    // Newest-first runs for the shared LSM merge: each sealed buffer
+    // Newest-first streams for the shared LSM merge: each sealed buffer
     // becomes a sorted run (newest entry per key wins within a buffer),
-    // the existing delta is the oldest run.
-    std::vector<Run> runs;
-    runs.reserve(merged_count + 1);
-    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-      runs.push_back(BufferToRun(**it));
+    // and the published delta, borrowed in place, is the oldest stream. A
+    // forced rebuild with no sealed buffer reads the delta as it is.
+    Run merged;
+    EntrySpan<Key, Value> merged_view;
+    if (merged_count > 0) {
+      std::vector<Run> buffered;
+      buffered.reserve(merged_count);
+      for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
+        buffered.push_back(BufferToRun(**it));
+      }
+      std::vector<EntrySpan<Key, Value>> streams(buffered.begin(),
+                                                 buffered.end());
+      if (delta != nullptr) streams.emplace_back(delta->run);
+      merged = MergeStreams<Key, Value>(streams, /*threads=*/1);
+      merged_view = merged;
+    } else if (delta != nullptr) {
+      merged_view = delta->run;
     }
-    if (delta != nullptr) runs.push_back(delta->run);
-    Run merged = MergeStreams(std::move(runs), /*threads=*/1);
 
     std::shared_ptr<const Index> new_snapshot = snapshot;
     size_t new_snapshot_size = snapshot_size;
@@ -1175,8 +1190,8 @@ class ShardedIndex {
         options_.rebuild_min_delta,
         static_cast<size_t>(options_.rebuild_fraction *
                             static_cast<double>(snapshot_size)));
-    if (force || merged.size() >= rebuild_threshold) {
-      RebuildSnapshot(merged, &new_snapshot, &new_snapshot_size);
+    if (force || merged_view.size() >= rebuild_threshold) {
+      RebuildSnapshot(merged_view, &new_snapshot, &new_snapshot_size);
       rebuild_count_.fetch_add(1, std::memory_order_relaxed);
     } else if (!merged.empty()) {
       new_delta = MakeDelta(std::move(merged), delta.get(), sealed);
@@ -1265,7 +1280,7 @@ class ShardedIndex {
   // replaces both with a freshly bulk-loaded index. Tombstones die here:
   // the shard owns its whole key range, so a tombstone surviving to the
   // bottom level deletes nothing below.
-  void RebuildSnapshot(const Run& merged,
+  void RebuildSnapshot(EntrySpan<Key, Value> delta,
                        std::shared_ptr<const Index>* snapshot, size_t* size) {
     std::vector<std::pair<Key, Value>> base;
     base.reserve(*size);
@@ -1274,7 +1289,9 @@ class ShardedIndex {
                              std::numeric_limits<Key>::max(), &base);
     }
     // The merge writes straight into the key and value columns that
-    // BulkLoadInto takes.
+    // BulkLoadInto takes, and an index that keeps them (DynamicPgm,
+    // PgmIndex, Rmi) keeps their capacity too: size them to the live
+    // count.
     struct Columns {
       std::vector<Key> keys;
       std::vector<Value> values;
@@ -1283,11 +1300,11 @@ class ShardedIndex {
         values.push_back(value);
       }
     } live;
-    live.keys.reserve(base.size() + merged.size());
-    live.values.reserve(base.size() + merged.size());
-    EntrySpan<Key, Value> delta(merged);
+    const size_t live_count = LiveRowCount<Key, Value>(delta, base);
+    live.keys.reserve(live_count);
+    live.values.reserve(live_count);
     MergeLive<Key, Value>({&delta, 1}, base, &live);
-    base = {};  // Freed before the bulk load makes its own copy.
+    base = {};  // Freed before the bulk load.
     if (live.keys.empty()) {
       snapshot->reset();
       *size = 0;

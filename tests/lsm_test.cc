@@ -598,14 +598,22 @@ TEST(MergeTest, MatchesNewestWinsOracleOnRandomStreams) {
     const Rows live = NewestWinsOracle(streams, rows);
     want.insert(want.end(), live.begin(), live.end());
     ASSERT_EQ(MergeLiveInto(streams, rows, prefix), want) << "trial " << trial;
+    // LiveRowCount sizes a one-stream merge's output exactly.
+    if (!streams.empty()) {
+      const size_t count =
+          LiveRowCount<uint64_t, uint64_t>(streams.front(), rows);
+      EXPECT_EQ(count, NewestWinsOracle({streams.front()}, rows).size())
+          << "trial " << trial;
+    }
 
-    // The owning merge (drains and compactions) agrees on the entry
+    // The run-building merge (drains and compactions) agrees on the entry
     // streams alone once its tombstones are elided.
     Rows owning;
-    if (!streams.empty()) {
-      for (const auto& [k, e] : MergeStreams(streams, /*threads=*/1)) {
-        if (!e.deleted) owning.emplace_back(k, e.value);
-      }
+    const std::vector<EntrySpan<uint64_t, uint64_t>> spans(streams.begin(),
+                                                           streams.end());
+    for (const auto& [k, e] :
+         MergeStreams<uint64_t, uint64_t>(spans, /*threads=*/1)) {
+      if (!e.deleted) owning.emplace_back(k, e.value);
     }
     EXPECT_EQ(owning, NewestWinsOracle(streams, {})) << "trial " << trial;
   }

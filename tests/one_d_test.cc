@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "datasets/generators.h"
+#include "lsm/run.h"
 #include "one_d/alex.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/hybrid_rmi.h"
@@ -663,6 +664,109 @@ TEST(DynamicPgmTest, OldestComponentCarriesNoFilter) {
     ASSERT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
   }
   check();
+}
+
+// A component carries a tombstone column only while it holds a tombstone.
+// Erases of bulk-loaded keys cascade into large components below the
+// oldest, which keep their tombstones and shadow the oldest's rows, until
+// a cascade reaches the oldest component and drops every tombstone. Find,
+// Erase answers, RangeScan and size() follow std::map throughout.
+TEST(DynamicPgmTest, TombstoneColumnsThroughCascades) {
+  DynamicPgm<uint64_t, uint64_t>::Options opts;
+  opts.base_capacity = 64;
+  opts.size_factor_log2 = 1;  // Slot capacities 128, 256, 512, ..., 4096.
+  DynamicPgm<uint64_t, uint64_t> index(opts);
+  std::map<uint64_t, uint64_t> ref;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < 4000; ++i) {
+    keys.push_back(i * 2);
+    values.push_back(i);
+    ref[i * 2] = i;
+  }
+  const uint64_t key_space = keys.back() + 200;
+  index.BulkLoad(keys, values);  // Slot 5 (4096), the oldest.
+  EXPECT_EQ(index.NumTombstones(), 0u);
+  Rng rng(347);
+  const auto check = [&] {
+    index.CheckInvariants();
+    ASSERT_EQ(index.size(), ref.size());
+    for (uint64_t k = 0; k < key_space; ++k) {
+      const auto it = ref.find(k);
+      const auto got = index.Find(k);
+      ASSERT_EQ(got.has_value(), it != ref.end()) << k;
+      if (got.has_value()) {
+        ASSERT_EQ(*got, it->second) << k;
+      }
+    }
+    for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{0, UINT64_MAX},
+                                 std::pair<uint64_t, uint64_t>{1001, 3999}}) {
+      std::vector<std::pair<uint64_t, uint64_t>> got;
+      index.RangeScan(lo, hi, &got);
+      const std::vector<std::pair<uint64_t, uint64_t>> want(
+          ref.lower_bound(lo), ref.upper_bound(hi));
+      ASSERT_EQ(got, want) << lo << ".." << hi;
+    }
+  };
+  // Three in four ops erase a loaded key (a tombstone while it is
+  // present), the rest upsert anywhere in the key space.
+  uint64_t op = 0;
+  const auto step = [&] {
+    ++op;
+    if (rng.NextBounded(4) != 0) {
+      const uint64_t k = keys[rng.NextBounded(keys.size())];
+      ASSERT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
+    } else {
+      const uint64_t k = rng.NextBounded(key_space);
+      index.Insert(k, op);
+      ref[k] = op;
+    }
+  };
+
+  // More tombstones than the buffer and slots 0-2 can hold (63 + 896): a
+  // component of slot 3 or 4 holds them, above the bulk-loaded slot 5.
+  while (index.NumTombstones() <= 1000 && op < 4000) {
+    ASSERT_NO_FATAL_FAILURE(step());
+  }
+  ASSERT_GT(index.NumTombstones(), 1000u);
+  EXPECT_GE(index.NumComponents(), 3u);
+  ASSERT_NO_FATAL_FAILURE(check());
+
+  // Once slots 0-4 overflow, a cascade merges everything into one
+  // component, the new oldest, and drops the tombstones.
+  while (index.NumComponents() != 1 && op < 20000) {
+    ASSERT_NO_FATAL_FAILURE(step());
+  }
+  ASSERT_EQ(index.NumComponents(), 1u);
+  EXPECT_EQ(index.NumTombstones(), 0u);
+  ASSERT_NO_FATAL_FAILURE(check());
+
+  for (int i = 0; i < 300; ++i) ASSERT_NO_FATAL_FAILURE(step());
+  EXPECT_GT(index.NumTombstones(), 0u);
+  ASSERT_NO_FATAL_FAILURE(check());
+}
+
+// A bulk load keeps the key and value columns it is handed: beyond them
+// the index holds only its model and a fixed header, for plain values and
+// for the LSM memtable's tombstone-carrying ones.
+TEST(DynamicPgmTest, BulkLoadHoldsOnlyItsColumnsAndModel) {
+  for (const size_t n : {size_t{1}, size_t{1000}, size_t{200000}}) {
+    const auto keys = GenerateKeys(KeyDistribution::kLognormal, n, 353);
+    DynamicPgm<uint64_t, uint64_t> plain;
+    plain.BulkLoad(keys, Ranks(n));
+    EXPECT_LE(plain.SizeBytes(),
+              n * 2 * sizeof(uint64_t) + plain.ModelSizeBytes() + 64)
+        << n;
+    std::vector<RunEntry<uint64_t>> entries(n);
+    for (size_t i = 0; i < n; ++i) entries[i].value = i;
+    DynamicPgm<uint64_t, RunEntry<uint64_t>> memtable;
+    memtable.BulkLoad(keys, entries);
+    EXPECT_LE(memtable.SizeBytes(),
+              n * (sizeof(uint64_t) + sizeof(RunEntry<uint64_t>)) +
+                  memtable.ModelSizeBytes() + 64)
+        << n;
+    EXPECT_EQ(memtable.Find(keys[n / 2])->value, n / 2);
+  }
 }
 
 }  // namespace

@@ -438,6 +438,69 @@ TYPED_TEST(ShardedIndexTest, DrainsRebuildSnapshot) {
   ExpectMatchesReference(index, ref, probes);
 }
 
+// A forced shard rebuild over updates, tombstones and fresh keys leaves an
+// index that matches std::map and is exactly as large as a fresh bulk load
+// of the same contents: the columns the rebuild merges into are sized to
+// the live count, so an inner index that keeps them holds no slack.
+TYPED_TEST(ShardedIndexTest, ShardRebuildIsAsCompactAsABulkLoad) {
+  using Engine = ShardedIndex<TypeParam>;
+  typename Engine::Options opts;
+  opts.num_shards = 1;  // One shard: both indexes share its boundaries.
+  opts.buffer_capacity = 16;
+  opts.rebuild_min_delta = size_t{1} << 30;  // Only the forced rebuild.
+  opts.background_drain = false;
+  Engine index(opts);
+  const auto keys = GenerateKeys(KeyDistribution::kUniform, 5000, 29);
+  std::vector<uint64_t> values(keys.size());
+  Reference ref;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    values[i] = i;
+    ref[keys[i]] = i;
+  }
+  index.BulkLoad(keys, values);
+
+  Rng rng(31);
+  for (uint64_t i = 0; i < 3000; ++i) {
+    const uint64_t loaded = keys[rng.NextBounded(keys.size())];
+    switch (rng.NextBounded(3)) {
+      case 0:
+        index.Insert(loaded, i);
+        ref[loaded] = i;
+        break;
+      case 1:
+        EXPECT_EQ(index.Erase(loaded), ref.erase(loaded) > 0) << loaded;
+        break;
+      default: {
+        const uint64_t k = rng.NextBounded(keys.back() + 1000);
+        index.Insert(k, i);
+        ref[k] = i;
+      }
+    }
+  }
+  index.FlushAll();
+  EXPECT_EQ(index.GetStats().rebuilds, 0u);
+  index.RequestShardRebuild(0);
+  index.WaitForDrains();
+  EXPECT_EQ(index.GetStats().rebuilds, 1u);
+  index.CheckInvariants();
+
+  std::vector<uint64_t> probes(keys.begin(), keys.end());
+  for (const auto& [k, v] : ref) probes.push_back(k);
+  ExpectMatchesReference(index, ref, probes);
+  ExpectRangeMatches(index, ref, 0, UINT64_MAX);
+  EXPECT_EQ(index.size(), ref.size());
+
+  std::vector<uint64_t> live_keys;
+  std::vector<uint64_t> live_values;
+  for (const auto& [k, v] : ref) {
+    live_keys.push_back(k);
+    live_values.push_back(v);
+  }
+  Engine fresh(opts);
+  fresh.BulkLoad(live_keys, live_values);
+  EXPECT_EQ(index.SizeBytes(), fresh.SizeBytes());
+}
+
 // The delta is rewritten by every drain: overwrites and tombstones on a
 // small key set must keep the newest version per key across dozens of
 // drains before any rebuild, and across the forced rebuilds after them.
