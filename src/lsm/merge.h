@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/parallel.h"
 #include "lsm/run.h"
 
@@ -24,7 +25,9 @@ namespace lidx {
 // a new run: MergeStreams (over MergeRange) reads slices of published runs,
 // drained vectors or a drain's sorted buffers and returns the merged run.
 // Reads produce rows: MergeLive appends only the live rows straight into
-// the caller's output, with no intermediate run.
+// the caller's output, with no intermediate run. Rebuilds produce columns:
+// MergeColumns merges a delta over a snapshot's own key and value columns
+// into new columns sized to the live count.
 
 // A borrowed sorted stream of tombstone-carrying entries.
 template <typename Key, typename Value>
@@ -172,24 +175,75 @@ void MergeLive(
   append_rows(rows.begin(), rows.end());
 }
 
-// The number of rows MergeLive appends when it merges `stream` over the
-// sorted `rows`: a live entry adds one unless it replaces a row, and a
-// tombstone removes the row it shadows. Lets a caller size its output. One
-// sequential walk over `rows`: a rebuild's dump is memory-bound, and
-// searching it costs no less than reading it.
+// Key and value columns of sorted unique live rows.
 template <typename Key, typename Value>
-size_t LiveRowCount(
-    EntrySpan<Key, Value> stream,
-    std::type_identity_t<std::span<const std::pair<Key, Value>>> rows) {
-  size_t live = rows.size();
-  size_t r = 0;
-  for (const auto& [key, entry] : stream) {
-    while (r < rows.size() && rows[r].first < key) ++r;
-    const bool replaces = r < rows.size() && rows[r].first == key;
-    if (entry.deleted && replaces) --live;
-    if (!entry.deleted && !replaces) ++live;
+struct RowColumns {
+  std::vector<Key> keys;
+  std::vector<Value> values;
+};
+
+// Rebuild side: merges the newest-wins `delta` over the sorted unique rows
+// held as the parallel columns `keys` and `values` (an index snapshot's own
+// columns, read in place) and returns the live rows as new columns whose
+// capacity is exactly their size. A live entry replaces the row at its key
+// or lands between rows; a tombstone drops the row it shadows.
+//
+// A first pass gallops each delta entry to its position in `keys`, which
+// also gives the exact live count. The second copies the untouched
+// stretches of both columns between those positions as blocks, so the
+// work beyond the copy is O(delta · log(rows / delta)).
+template <typename Key, typename Value>
+RowColumns<Key, Value> MergeColumns(
+    EntrySpan<Key, Value> delta,
+    std::type_identity_t<std::span<const Key>> keys,
+    std::type_identity_t<std::span<const Value>> values) {
+  LIDX_DCHECK(keys.size() == values.size());
+  const size_t n = keys.size();
+  std::vector<size_t> at(delta.size());
+  size_t live = n;
+  size_t lo = 0;  // Every row below lo sorts below the current entry.
+  for (size_t i = 0; i < delta.size(); ++i) {
+    const Key& key = delta[i].first;
+    size_t bound = 1;
+    while (lo + bound <= n && keys[lo + bound - 1] < key) {
+      lo += bound;
+      bound *= 2;
+    }
+    const size_t hi = std::min(n, lo + bound - 1);
+    lo = static_cast<size_t>(
+        std::lower_bound(keys.begin() + static_cast<ptrdiff_t>(lo),
+                         keys.begin() + static_cast<ptrdiff_t>(hi), key) -
+        keys.begin());
+    at[i] = lo;
+    const bool replaces = lo < n && keys[lo] == key;
+    if (delta[i].second.deleted && replaces) --live;
+    if (!delta[i].second.deleted && !replaces) ++live;
   }
-  return live;
+  RowColumns<Key, Value> out;
+  out.keys.reserve(live);
+  out.values.reserve(live);
+  size_t next = 0;  // The first row neither copied nor shadowed yet.
+  const auto copy_rows = [&](size_t end) {
+    out.keys.insert(out.keys.end(),
+                    keys.begin() + static_cast<ptrdiff_t>(next),
+                    keys.begin() + static_cast<ptrdiff_t>(end));
+    out.values.insert(out.values.end(),
+                      values.begin() + static_cast<ptrdiff_t>(next),
+                      values.begin() + static_cast<ptrdiff_t>(end));
+    next = end;
+  };
+  for (size_t i = 0; i < delta.size(); ++i) {
+    const auto& [key, entry] = delta[i];
+    copy_rows(at[i]);
+    if (next < n && keys[next] == key) ++next;
+    if (!entry.deleted) {
+      out.keys.push_back(key);
+      out.values.push_back(entry.value);
+    }
+  }
+  copy_rows(n);
+  LIDX_DCHECK(out.keys.size() == live);
+  return out;
 }
 
 // Compaction side: a merged run that becomes the bottom of its tree has

@@ -172,6 +172,24 @@ class DynamicPgm {
     }
   }
 
+  // The key and value columns of the whole index when it is one
+  // tombstone-free component and an empty buffer, the shape BulkLoad
+  // leaves, so a caller can read every row in place; nullopt otherwise
+  // (an empty index included).
+  std::optional<std::pair<std::span<const Key>, std::span<const Value>>>
+  SoleColumns() const {
+    if (!buffer_.keys.empty()) return std::nullopt;
+    const Slot* sole = nullptr;
+    for (const Slot& s : slots_) {
+      if (s.index.empty()) continue;
+      if (sole != nullptr) return std::nullopt;
+      sole = &s;
+    }
+    if (sole == nullptr || !sole->deleted.empty()) return std::nullopt;
+    return std::pair<std::span<const Key>, std::span<const Value>>(
+        sole->index.keys(), sole->index.values());
+  }
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 

@@ -11,7 +11,9 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,6 +50,26 @@ void BulkLoadInto(Index* index, std::vector<Key> keys,
       pairs[i] = {keys[i], values[i]};
     }
     index->BulkLoad(pairs);
+  }
+}
+
+// The sorted key and value columns an inner index keeps whole, which a
+// rebuild reads in place: PgmIndex and Rmi always keep them, DynamicPgm
+// while it is one bulk-loaded component (every snapshot a ShardedIndex
+// builds). nullopt for the indexes that keep none (ALEX, LIPP, B+-tree).
+template <typename Key, typename Value, typename Index>
+std::optional<std::pair<std::span<const Key>, std::span<const Value>>>
+ColumnsOf(const Index& index) {
+  if constexpr (requires { index.SoleColumns(); }) {
+    return index.SoleColumns();
+  } else if constexpr (requires {
+                         index.keys();
+                         index.values();
+                       }) {
+    return std::pair<std::span<const Key>, std::span<const Value>>(
+        index.keys(), index.values());
+  } else {
+    return std::nullopt;
   }
 }
 
@@ -98,11 +120,13 @@ concept HasSizeBytes = requires(const Index& index) {
 //    compaction; the published delta is borrowed as a span, not copied)
 //    and, when the delta outgrows `rebuild_fraction` of the snapshot,
 //    rebuilds the snapshot index from scratch via the index's own bulk
-//    load. The rebuild merges the snapshot's rows and the delta into key
-//    and value columns sized to the live count, and the bulk load keeps
-//    them (DynamicPgm, PgmIndex and Rmi train their model over the
-//    columns they are handed). All heavy work happens on immutable
-//    inputs, off the writer path.
+//    load. The rebuild reads the snapshot's own key and value columns in
+//    place (DynamicPgm, PgmIndex and Rmi keep them; ALEX, LIPP and the
+//    B+-tree are scanned and split into two first), and lsm/merge.h
+//    MergeColumns gallops the delta into them, block-copying the
+//    untouched stretches into new columns sized to the live count. The
+//    bulk load keeps those columns and trains its model over them. All
+//    heavy work happens on immutable inputs, off the writer path.
 //  * Readers never block and take no locks. A read pins an epoch
 //    (common/epoch.h), loads the table, routes, loads the shard's current
 //    State pointer, and probes newest-to-oldest: active buffer (backwards
@@ -1276,35 +1300,40 @@ class ShardedIndex {
     return run;
   }
 
-  // Merges the delta into a dump of *snapshot (*size live entries) and
+  // Merges the delta into the rows of *snapshot (*size live entries) and
   // replaces both with a freshly bulk-loaded index. Tombstones die here:
   // the shard owns its whole key range, so a tombstone surviving to the
   // bottom level deletes nothing below.
   void RebuildSnapshot(EntrySpan<Key, Value> delta,
                        std::shared_ptr<const Index>* snapshot, size_t* size) {
-    std::vector<std::pair<Key, Value>> base;
-    base.reserve(*size);
+    // An inner index that keeps its columns lends them in place; the rows
+    // of one that keeps none are scanned and split into two columns.
+    std::span<const Key> keys;
+    std::span<const Value> values;
+    RowColumns<Key, Value> scanned;
     if (*snapshot != nullptr) {
-      (*snapshot)->RangeScan(std::numeric_limits<Key>::lowest(),
-                             std::numeric_limits<Key>::max(), &base);
-    }
-    // The merge writes straight into the key and value columns that
-    // BulkLoadInto takes, and an index that keeps them (DynamicPgm,
-    // PgmIndex, Rmi) keeps their capacity too: size them to the live
-    // count.
-    struct Columns {
-      std::vector<Key> keys;
-      std::vector<Value> values;
-      void emplace_back(const Key& key, const Value& value) {
-        keys.push_back(key);
-        values.push_back(value);
+      if (auto lent = serving_detail::ColumnsOf<Key, Value>(**snapshot)) {
+        std::tie(keys, values) = *lent;
+      } else {
+        std::vector<std::pair<Key, Value>> rows;
+        rows.reserve(*size);
+        (*snapshot)->RangeScan(std::numeric_limits<Key>::lowest(),
+                               std::numeric_limits<Key>::max(), &rows);
+        scanned.keys.reserve(rows.size());
+        scanned.values.reserve(rows.size());
+        for (const auto& [key, value] : rows) {
+          scanned.keys.push_back(key);
+          scanned.values.push_back(value);
+        }
+        keys = scanned.keys;
+        values = scanned.values;
       }
-    } live;
-    const size_t live_count = LiveRowCount<Key, Value>(delta, base);
-    live.keys.reserve(live_count);
-    live.values.reserve(live_count);
-    MergeLive<Key, Value>({&delta, 1}, base, &live);
-    base = {};  // Freed before the bulk load.
+    }
+    // DynamicPgm, PgmIndex and Rmi keep the columns they are bulk-loaded
+    // from, capacity included, so MergeColumns sizes them to the live
+    // count.
+    RowColumns<Key, Value> live = MergeColumns<Key, Value>(delta, keys, values);
+    scanned = {};  // Freed before the bulk load.
     if (live.keys.empty()) {
       snapshot->reset();
       *size = 0;

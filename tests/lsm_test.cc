@@ -557,6 +557,28 @@ Rows MergeLiveInto(const std::vector<Entries>& streams, const Rows& rows,
   return prefix;
 }
 
+// Runs MergeColumns over `rows` split into a key and a value column.
+RowColumns<uint64_t, uint64_t> MergeColumnsOf(const Entries& delta,
+                                              const Rows& rows) {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  for (const auto& [k, v] : rows) {
+    keys.push_back(k);
+    values.push_back(v);
+  }
+  return MergeColumns<uint64_t, uint64_t>(delta, keys, values);
+}
+
+// The rows of parallel key and value columns.
+Rows Zip(const RowColumns<uint64_t, uint64_t>& columns) {
+  EXPECT_EQ(columns.keys.size(), columns.values.size());
+  Rows rows;
+  for (size_t i = 0; i < columns.keys.size(); ++i) {
+    rows.emplace_back(columns.keys[i], columns.values[i]);
+  }
+  return rows;
+}
+
 // Sorted unique keys below `key_space`, each a tombstone with probability
 // `tombstone_frac`; the value tags the stream so the winner is visible.
 Entries RandomEntries(Rng* rng, uint64_t key_space, size_t n,
@@ -598,11 +620,14 @@ TEST(MergeTest, MatchesNewestWinsOracleOnRandomStreams) {
     const Rows live = NewestWinsOracle(streams, rows);
     want.insert(want.end(), live.begin(), live.end());
     ASSERT_EQ(MergeLiveInto(streams, rows, prefix), want) << "trial " << trial;
-    // LiveRowCount sizes a one-stream merge's output exactly.
+    // The columnar rebuild merge agrees on a one-stream merge and sizes
+    // its columns exactly.
     if (!streams.empty()) {
-      const size_t count =
-          LiveRowCount<uint64_t, uint64_t>(streams.front(), rows);
-      EXPECT_EQ(count, NewestWinsOracle({streams.front()}, rows).size())
+      const RowColumns<uint64_t, uint64_t> merged =
+          MergeColumnsOf(streams.front(), rows);
+      EXPECT_EQ(Zip(merged), NewestWinsOracle({streams.front()}, rows))
+          << "trial " << trial;
+      EXPECT_EQ(merged.keys.capacity(), merged.keys.size())
           << "trial " << trial;
     }
 
@@ -663,6 +688,61 @@ TEST(MergeTest, AppendsAfterRowsAlreadyInOut) {
   const Rows prefix = {{99, 9}, {1, 1}};  // Earlier output, any order.
   EXPECT_EQ(MergeLiveInto({entries}, rows, prefix),
             (Rows{{99, 9}, {1, 1}, {10, 1}, {20, 200}}));
+}
+
+// MergeColumns against the oracle on random snapshots and deltas of every
+// density, from a few deltas in a large column (the rebuild's shape, where
+// galloping skips long stretches) to deltas larger than the column. The
+// output is the oracle's rows, and both columns are reserved to exactly
+// their size.
+TEST(MergeTest, MergeColumnsMatchesOracleOnRandomInputs) {
+  Rng rng(79);
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint64_t key_space = 1 + rng.NextBounded(5000);
+    Rows rows;
+    for (const auto& [k, e] : RandomEntries(
+             &rng, key_space, rng.NextBounded(4000), /*tombstone_frac=*/0.0,
+             /*tag=*/0)) {
+      rows.emplace_back(k, e.value);
+    }
+    const size_t max_delta = rng.NextBounded(3) == 0 ? 3000 : 40;
+    const Entries delta = RandomEntries(&rng, key_space,
+                                        rng.NextBounded(max_delta),
+                                        rng.NextDouble(), /*tag=*/1);
+    const RowColumns<uint64_t, uint64_t> merged = MergeColumnsOf(delta, rows);
+    ASSERT_EQ(Zip(merged), NewestWinsOracle({delta}, rows))
+        << "trial " << trial;
+    EXPECT_EQ(merged.keys.capacity(), merged.keys.size()) << "trial " << trial;
+    EXPECT_EQ(merged.values.capacity(), merged.values.size())
+        << "trial " << trial;
+  }
+}
+
+TEST(MergeTest, MergeColumnsEdgeCases) {
+  const Rows rows = {{10, 1}, {20, 2}, {30, 3}, {40, 4}};
+  const auto expect_merge = [](const Entries& delta, const Rows& base,
+                               const Rows& want) {
+    const RowColumns<uint64_t, uint64_t> merged = MergeColumnsOf(delta, base);
+    EXPECT_EQ(Zip(merged), want);
+    EXPECT_EQ(merged.keys.capacity(), merged.keys.size());
+    EXPECT_EQ(merged.values.capacity(), merged.values.size());
+  };
+  // An empty column, an empty delta, and both.
+  expect_merge({}, {}, {});
+  expect_merge({}, rows, rows);
+  expect_merge({{5, {50, false}}, {7, {0, true}}}, {}, {{5, 50}});
+  // Tombstones on the column's first and last keys.
+  expect_merge({{10, {0, true}}, {40, {0, true}}}, rows, {{20, 2}, {30, 3}});
+  // Tombstones of absent keys, below, between and above the column.
+  expect_merge({{1, {0, true}}, {25, {0, true}}, {99, {0, true}}}, rows,
+               rows);
+  // Fresh keys below and above the column, and an update in between.
+  expect_merge({{1, {11, false}}, {20, {22, false}}, {50, {55, false}}}, rows,
+               {{1, 11}, {10, 1}, {20, 22}, {30, 3}, {40, 4}, {50, 55}});
+  // Every row deleted.
+  expect_merge({{10, {0, true}}, {20, {0, true}}, {30, {0, true}},
+                {40, {0, true}}},
+               rows, {});
 }
 
 }  // namespace

@@ -769,5 +769,47 @@ TEST(DynamicPgmTest, BulkLoadHoldsOnlyItsColumnsAndModel) {
   }
 }
 
+// SoleColumns lends the columns of an index that is exactly one
+// tombstone-free component with an empty buffer, the shape a bulk load
+// leaves, and nothing for any other shape.
+TEST(DynamicPgmTest, SoleColumnsOnlyForOneBulkLoadedComponent) {
+  DynamicPgm<uint64_t, uint64_t>::Options opts;
+  opts.base_capacity = 16;
+  const auto keys = GenerateKeys(KeyDistribution::kLognormal, 5000, 359);
+  const std::vector<uint64_t> values = Ranks(keys.size());
+  const auto load = [&] {
+    DynamicPgm<uint64_t, uint64_t> index(opts);
+    index.BulkLoad(keys, values);
+    return index;
+  };
+
+  DynamicPgm<uint64_t, uint64_t> empty(opts);
+  EXPECT_FALSE(empty.SoleColumns().has_value());
+  empty.BulkLoad({}, {});
+  EXPECT_FALSE(empty.SoleColumns().has_value());
+
+  DynamicPgm<uint64_t, uint64_t> loaded = load();
+  const auto columns = loaded.SoleColumns();
+  ASSERT_TRUE(columns.has_value());
+  EXPECT_TRUE(std::ranges::equal(columns->first, keys));
+  EXPECT_TRUE(std::ranges::equal(columns->second, values));
+
+  DynamicPgm<uint64_t, uint64_t> inserted = load();
+  inserted.Insert(keys.back() + 1, 0);
+  EXPECT_FALSE(inserted.SoleColumns().has_value());
+
+  DynamicPgm<uint64_t, uint64_t> erased = load();
+  ASSERT_TRUE(erased.Erase(keys[7]));
+  EXPECT_FALSE(erased.SoleColumns().has_value());
+
+  // A full buffer spills into a second component below the bulk load.
+  DynamicPgm<uint64_t, uint64_t> two = load();
+  for (uint64_t i = 1; i <= opts.base_capacity; ++i) {
+    two.Insert(keys.back() + i, i);
+  }
+  ASSERT_EQ(two.NumComponents(), 2u);
+  EXPECT_FALSE(two.SoleColumns().has_value());
+}
+
 }  // namespace
 }  // namespace lidx

@@ -438,10 +438,11 @@ TYPED_TEST(ShardedIndexTest, DrainsRebuildSnapshot) {
   ExpectMatchesReference(index, ref, probes);
 }
 
-// A forced shard rebuild over updates, tombstones and fresh keys leaves an
-// index that matches std::map and is exactly as large as a fresh bulk load
-// of the same contents: the columns the rebuild merges into are sized to
-// the live count, so an inner index that keeps them holds no slack.
+// A forced shard rebuild over updates, tombstones and fresh keys (some
+// beyond either end of the snapshot) leaves an index that matches std::map
+// and is exactly as large as a fresh bulk load of the same contents: the
+// columns the rebuild merges into are sized to the live count, so an inner
+// index that keeps them holds no slack.
 TYPED_TEST(ShardedIndexTest, ShardRebuildIsAsCompactAsABulkLoad) {
   using Engine = ShardedIndex<TypeParam>;
   typename Engine::Options opts;
@@ -476,6 +477,21 @@ TYPED_TEST(ShardedIndexTest, ShardRebuildIsAsCompactAsABulkLoad) {
         ref[k] = i;
       }
     }
+  }
+  // Fresh keys below and above the snapshot's range, and tombstones on its
+  // first and last keys: the rebuild's merge starts before the snapshot's
+  // first row, ends after its last, and drops both.
+  ASSERT_GT(keys.front(), 3u);
+  for (uint64_t j = 1; j <= 3; ++j) {
+    index.Insert(keys.front() - j, j);
+    ref[keys.front() - j] = j;
+    index.Insert(keys.back() + j, j);
+    ref[keys.back() + j] = j;
+  }
+  for (const uint64_t edge : {keys.front(), keys.back()}) {
+    index.Insert(edge, 0);
+    EXPECT_TRUE(index.Erase(edge)) << edge;
+    ref.erase(edge);
   }
   index.FlushAll();
   EXPECT_EQ(index.GetStats().rebuilds, 0u);
