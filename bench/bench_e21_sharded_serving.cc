@@ -14,7 +14,11 @@
 //    with threads — readers pin an epoch and walk immutable state, no
 //    shared writes. Target >= 0.7x linear at the core count.
 //  * YCSB-A (50/50): insert p999 should stay within ~10x of insert p50 —
-//    the slow path is an O(1) buffer seal, never an inline retrain.
+//    the slow path is an O(1) buffer seal, never an inline retrain. YCSB-A
+//    writes update loaded keys, which a ShardedIndex<DynamicPgm> stores in
+//    place in its snapshot, so this gate times the in-place path. YCSB-D
+//    inserts fresh keys, which go through the buffers and the delta; its
+//    insert p50, p999 and p999/p50 are reported beside the gate.
 //  * The global-lock baseline should collapse as threads grow; the gap is
 //    the point of the serving layer.
 //
@@ -180,6 +184,8 @@ int main(int argc, char** argv) {
   double c_uniform_max = 0.0;
   double a_p50 = 0.0;
   double a_p999 = 0.0;
+  double d_p50 = 0.0;
+  double d_p999 = 0.0;
   const std::vector<size_t> sweep = ThreadSweep(cfg.max_threads);
   for (const YcsbMix mix : {YcsbMix::kA, YcsbMix::kB, YcsbMix::kC}) {
     for (const double theta : {0.0, 0.99}) {
@@ -249,6 +255,10 @@ int main(int argc, char** argv) {
       rows.push_back(
           ResultRow("all_mixes", "sharded_dpgm", mix, dist,
                     cfg.max_threads, r));
+      if (mix == YcsbMix::kD && theta == 0.0) {
+        d_p50 = r.insert.p50_ns;
+        d_p999 = r.insert.p999_ns;
+      }
     }
   }
   mix_table.Print();
@@ -318,10 +328,16 @@ int main(int argc, char** argv) {
   const double linear = c_uniform_max /
                         (c_uniform_1t * static_cast<double>(cfg.max_threads));
   const double stall_ratio = a_p50 > 0 ? a_p999 / a_p50 : 0.0;
+  const double d_ratio = d_p50 > 0 ? d_p999 / d_p50 : 0.0;
   std::printf(
       "\nAcceptance: YCSB-C uniform scaling %.2fx linear at %zu threads "
-      "(target >= 0.70); YCSB-A insert p999/p50 = %.1fx (target <= 10x)\n",
+      "(target >= 0.70); YCSB-A insert p999/p50 = %.1fx (target <= 10x; "
+      "updates, in place)\n",
       linear, cfg.max_threads, stall_ratio);
+  std::printf(
+      "YCSB-D insert (fresh keys, delta path), uniform, %zu threads: "
+      "p50 %.2f us, p999 %.2f us, p999/p50 = %.1fx\n",
+      cfg.max_threads, d_p50 / 1e3, d_p999 / 1e3, d_ratio);
   if (cfg.max_threads > hw) {
     std::printf(
         "note: %zu threads oversubscribe %zu hardware thread(s); scaling and "
@@ -338,6 +354,9 @@ int main(int argc, char** argv) {
        JsonField::Num("max_threads", cfg.max_threads),
        JsonField::Num("hw_concurrency", hw),
        JsonField::Num("read_scaling_x_linear", linear),
-       JsonField::Num("ycsb_a_insert_p999_over_p50", stall_ratio)});
+       JsonField::Num("ycsb_a_insert_p999_over_p50", stall_ratio),
+       JsonField::Num("ycsb_d_insert_p50_ns", d_p50),
+       JsonField::Num("ycsb_d_insert_p999_ns", d_p999),
+       JsonField::Num("ycsb_d_insert_p999_over_p50", d_ratio)});
   return 0;
 }

@@ -14,6 +14,7 @@
 #include "baselines/bloom.h"
 #include "common/invariants.h"
 #include "common/macros.h"
+#include "common/value_slot.h"
 #include "one_d/pgm.h"
 
 namespace lidx {
@@ -104,7 +105,7 @@ class DynamicPgm {
         std::lower_bound(bk.begin(), bk.end(), key) - bk.begin());
     if (b < bk.size() && bk[b] == key) {
       if (IsTombstone(buffer_.deleted, b)) return std::nullopt;
-      return buffer_.values[b];
+      return LoadValue(buffer_.values[b]);
     }
     for (const Slot& slot : slots_) {
       if (slot.index.empty()) continue;
@@ -115,7 +116,7 @@ class DynamicPgm {
       const size_t pos = slot.index.LowerBound(key);
       if (pos < slot.index.size() && slot.index.keys()[pos] == key) {
         if (IsTombstone(slot.deleted, pos)) return std::nullopt;
-        return slot.index.values()[pos];
+        return LoadValue(slot.index.values()[pos]);
       }
     }
     return std::nullopt;
@@ -145,10 +146,16 @@ class DynamicPgm {
     }
     const std::span<View> cursors(cursor_array.data(), num_cursors);
     if (cursors.size() == 1) {  // One component: nothing to select between.
+      // Bound the rows first and test the tombstone column's emptiness
+      // once, so the copy loop only loads and appends (a bulk-loaded
+      // component, every ShardedIndex snapshot, has no tombstone column).
       const View& c = cursors.front();
-      for (size_t i = c.pos; i < c.size && c.keys[i] <= hi; ++i) {
-        if (!IsTombstone(*c.deleted, i)) {
-          out->emplace_back(c.keys[i], c.values[i]);
+      size_t end = c.pos;
+      while (end < c.size && c.keys[end] <= hi) ++end;
+      const bool live = c.deleted->empty();
+      for (size_t i = c.pos; i < end; ++i) {
+        if (live || !(*c.deleted)[i]) {
+          out->emplace_back(c.keys[i], LoadValue(c.values[i]));
         }
       }
       return;
@@ -164,7 +171,7 @@ class DynamicPgm {
       if (best == nullptr) break;
       const Key k = best->keys[best->pos];
       if (!IsTombstone(*best->deleted, best->pos)) {
-        out->emplace_back(k, best->values[best->pos]);
+        out->emplace_back(k, LoadValue(best->values[best->pos]));
       }
       for (View& c : cursors) {
         if (c.pos < c.size && c.keys[c.pos] == k) ++c.pos;
@@ -172,22 +179,20 @@ class DynamicPgm {
     }
   }
 
-  // The key and value columns of the whole index when it is one
+  // The component that holds the whole index when it is one
   // tombstone-free component and an empty buffer, the shape BulkLoad
-  // leaves, so a caller can read every row in place; nullopt otherwise
-  // (an empty index included).
-  std::optional<std::pair<std::span<const Key>, std::span<const Value>>>
-  SoleColumns() const {
-    if (!buffer_.keys.empty()) return std::nullopt;
+  // leaves, so a caller can find and read every row in its key and value
+  // columns; nullptr otherwise (an empty index included).
+  const PgmIndex<Key, Value>* SoleComponent() const {
+    if (!buffer_.keys.empty()) return nullptr;
     const Slot* sole = nullptr;
     for (const Slot& s : slots_) {
       if (s.index.empty()) continue;
-      if (sole != nullptr) return std::nullopt;
+      if (sole != nullptr) return nullptr;
       sole = &s;
     }
-    if (sole == nullptr || !sole->deleted.empty()) return std::nullopt;
-    return std::pair<std::span<const Key>, std::span<const Value>>(
-        sole->index.keys(), sole->index.values());
+    if (sole == nullptr || !sole->deleted.empty()) return nullptr;
+    return &sole->index;
   }
 
   size_t size() const { return size_; }

@@ -19,6 +19,7 @@
 #include "common/search.h"
 #include "common/serialize.h"
 #include "common/simd.h"
+#include "common/value_slot.h"
 #include "models/linear_model.h"
 
 namespace lidx {
@@ -110,7 +111,9 @@ class Rmi {
 
   std::optional<Value> Find(const Key& key) const {
     const size_t pos = LowerBound(key);
-    if (pos < keys_.size() && keys_[pos] == key) return values_[pos];
+    if (pos < keys_.size() && keys_[pos] == key) {
+      return LoadValue(values_[pos]);
+    }
     return std::nullopt;
   }
 
@@ -196,7 +199,7 @@ class Rmi {
             }
             default:
               out[c.idx] = (c.pos < n && keys_[c.pos] == c.key)
-                               ? values_[c.pos]
+                               ? LoadValue(values_[c.pos])
                                : Value{};
               return true;
           }
@@ -206,7 +209,7 @@ class Rmi {
   void RangeScan(const Key& lo, const Key& hi,
                  std::vector<std::pair<Key, Value>>* out) const {
     for (size_t i = LowerBound(lo); i < keys_.size() && keys_[i] <= hi; ++i) {
-      out->emplace_back(keys_[i], values_[i]);
+      out->emplace_back(keys_[i], LoadValue(values_[i]));
     }
   }
 

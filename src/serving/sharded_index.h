@@ -25,6 +25,7 @@
 #include "common/parallel.h"
 #include "common/search.h"
 #include "common/thread_annotations.h"
+#include "common/value_slot.h"
 #include "lsm/merge.h"
 #include "lsm/run.h"
 
@@ -53,24 +54,39 @@ void BulkLoadInto(Index* index, std::vector<Key> keys,
   }
 }
 
-// The sorted key and value columns an inner index keeps whole, which a
-// rebuild reads in place: PgmIndex and Rmi always keep them, DynamicPgm
-// while it is one bulk-loaded component (every snapshot a ShardedIndex
-// builds). nullopt for the indexes that keep none (ALEX, LIPP, B+-tree).
+// The index that keeps an inner index's rows as whole sorted key and value
+// columns, which a rebuild reads in place and an update of a held key
+// writes in place: PgmIndex and Rmi are their own, DynamicPgm's is its sole
+// component while it is one bulk-loaded component (every snapshot a
+// ShardedIndex builds), nullptr otherwise. The indexes that keep no
+// columns (ALEX, LIPP, B+-tree) do not satisfy LendsColumns.
+template <typename Index>
+const auto* ColumnarOf(const Index& index) {
+  if constexpr (requires { index.SoleComponent(); }) {
+    return index.SoleComponent();
+  } else {
+    return &index;
+  }
+}
+
+template <typename Index, typename Key>
+concept LendsColumns = requires(const Index& index, const Key& key) {
+  ColumnarOf(index)->keys();
+  ColumnarOf(index)->values();
+  { ColumnarOf(index)->LowerBound(key) } -> std::convertible_to<size_t>;
+};
+
+// The columns ColumnarOf lends, as spans; nullopt when there are none.
 template <typename Key, typename Value, typename Index>
 std::optional<std::pair<std::span<const Key>, std::span<const Value>>>
 ColumnsOf(const Index& index) {
-  if constexpr (requires { index.SoleColumns(); }) {
-    return index.SoleColumns();
-  } else if constexpr (requires {
-                         index.keys();
-                         index.values();
-                       }) {
-    return std::pair<std::span<const Key>, std::span<const Value>>(
-        index.keys(), index.values());
-  } else {
-    return std::nullopt;
+  if constexpr (LendsColumns<Index, Key>) {
+    if (const auto* columnar = ColumnarOf(index)) {
+      return std::pair<std::span<const Key>, std::span<const Value>>(
+          columnar->keys(), columnar->values());
+    }
   }
+  return std::nullopt;
 }
 
 template <typename Index, typename Key, typename Value>
@@ -109,11 +125,20 @@ concept HasSizeBytes = requires(const Index& index) {
 //   active buffer  -> sealed buffers -> sorted delta -> snapshot index
 //   (append-only)     (immutable)       (immutable)     (immutable Index)
 //
-//  * Writers append {key, value, tombstone} entries to the shard's active
-//    buffer under a per-shard writer mutex (writers contend only within a
-//    shard). A full buffer is *sealed* — moved intact onto the sealed
-//    list, O(1) — and replaced by a fresh one, so writer latency has no
-//    rebuild cliff: the p999 insert is a seal, not a retrain.
+//  * Writers take a per-shard writer mutex (writers contend only within a
+//    shard). Updates go in place, inserts through the delta (XIndex's
+//    split; the tutorial's in-place and delta-buffer strategies, §4.4): a
+//    write of a key the snapshot holds live, that no newer level can
+//    shadow (every buffer's and the delta's filter rules it out), stores
+//    its value straight into the snapshot's value column when the inner
+//    lends its columns (PgmIndex, Rmi, a bulk-loaded DynamicPgm) and
+//    std::atomic_ref holds a Value lock-free (kUpdatesInPlace). Every
+//    other write (a fresh key, a tombstone, a key a newer level may hold,
+//    any write to another inner) appends a {key, value, tombstone} entry
+//    to the shard's active buffer. A full buffer is *sealed* — moved
+//    intact onto the sealed list, O(1) — and replaced by a fresh one, so
+//    writer latency has no rebuild cliff: the p999 insert is a seal, not a
+//    retrain.
 //  * A drain task on the shared ThreadPool merges sealed buffers into the
 //    sorted delta (newest-wins, tombstone-preserving, via lsm/merge.h
 //    MergeStreams — the shard-local memtable draining through shared
@@ -126,7 +151,11 @@ concept HasSizeBytes = requires(const Index& index) {
 //    MergeColumns gallops the delta into them, block-copying the
 //    untouched stretches into new columns sized to the live count. The
 //    bulk load keeps those columns and trains its model over them. All
-//    heavy work happens on immutable inputs, off the writer path.
+//    heavy work happens on immutable inputs, off the writer path: a drain
+//    that may rebuild turns in-place writes off when it captures its
+//    inputs, and its publish turns them back on, so no store lands in a
+//    value column after the rebuild has copied it (XIndex's two-phase
+//    compaction solves the same problem).
 //  * Readers never block and take no locks. A read pins an epoch
 //    (common/epoch.h), loads the table, routes, loads the shard's current
 //    State pointer, and probes newest-to-oldest: active buffer (backwards
@@ -171,13 +200,23 @@ concept HasSizeBytes = requires(const Index& index) {
 // Memory-order contract (kept in sync with common/epoch.h):
 //  * `table_` and Shard::state are published with release stores and read
 //    with acquire loads; Tables and States are immutable after publication
-//    (the active Buffer's append tail and the read monitor's counters are
-//    the exceptions, governed by Buffer::size and relaxed atomics).
+//    (the active Buffer's append tail, the read monitor's counters and the
+//    snapshot's value column are the exceptions, governed by Buffer::size,
+//    relaxed atomics and std::atomic_ref respectively).
 //  * Buffer entries are published by a release store of Buffer::size;
 //    readers acquire-load size and may then read slots [0, size). Slots
 //    are append-only — a published entry is never overwritten. A writer
 //    marks the buffer's filter before that store, so a reader that sees
 //    an entry also sees its filter bits.
+//  * A snapshot's value column is the one published data a writer
+//    overwrites: an in-place update stores under write_mu through
+//    std::atomic_ref (relaxed), and every read of a value column an inner
+//    with columns serves (Find, LookupBatch, RangeScan) loads through it
+//    (common/value_slot.h), so a reader sees the old or the new value,
+//    never a torn one. A rebuild copies the column with plain reads; no
+//    store races that copy, because in-place writes are off from the
+//    rebuilding drain's capture to its publish, both under write_mu, and
+//    Rebalance holds every write_mu while it collects.
 //  * Old Tables/States are unlinked (store) *before* EpochManager::Retire,
 //    and freed only at quiescence; components shared between consecutive
 //    States (snapshot, delta, buffers) are refcounted via shared_ptr,
@@ -214,6 +253,13 @@ class ShardedIndex {
     // to sense model error, read amplification and skew.
     bool collect_shard_stats = false;
   };
+
+  // Whether an update of a key the snapshot holds can go in place: the
+  // inner lends its columns and std::atomic_ref holds a word-sized Value
+  // lock-free (common/value_slot.h). See the class comment for the rest of
+  // the rule.
+  static constexpr bool kUpdatesInPlace =
+      serving_detail::LendsColumns<Index, Key> && InPlaceStorable<Value>();
 
   explicit ShardedIndex(const Options& options = Options(),
                         EpochManager* epoch = &EpochManager::Shared())
@@ -268,6 +314,8 @@ class ShardedIndex {
     NormalizeBoundaries(&boundaries);
     Table* table = BuildTable(keys, values, std::move(boundaries));
     Table* old = table_.exchange(table, std::memory_order_acq_rel);
+    retired_in_place_writes_.fetch_add(InPlaceWrites(*old),
+                                      std::memory_order_relaxed);
     delete old;  // BulkLoad is not concurrent with readers by contract.
   }
 
@@ -528,6 +576,8 @@ class ShardedIndex {
       std::vector<Key> boundaries =
           WeightedBoundaries(keys, shard_ends, weights, new_n);
       Table* next = BuildTable(keys, values, std::move(boundaries));
+      retired_in_place_writes_.fetch_add(InPlaceWrites(*table),
+                                         std::memory_order_relaxed);
       table_.store(next, std::memory_order_release);
       UnlockAllShards(table);
       // Unlink-then-retire: blocked writers still hold references to the
@@ -560,12 +610,18 @@ class ShardedIndex {
     uint64_t drains;
     uint64_t rebuilds;
     uint64_t rebalances;
+    uint64_t in_place_writes;  // Updates stored into a snapshot's column.
   };
   Stats GetStats() const {
+    EpochManager::Guard guard = epoch_->Pin();
+    const Table* table = table_.load(std::memory_order_acquire);
+    epoch_->AssertProtected(table);
     return Stats{seal_count_.load(std::memory_order_relaxed),
                  drain_count_.load(std::memory_order_relaxed),
                  rebuild_count_.load(std::memory_order_relaxed),
-                 rebalance_count_.load(std::memory_order_relaxed)};
+                 rebalance_count_.load(std::memory_order_relaxed),
+                 retired_in_place_writes_.load(std::memory_order_relaxed) +
+                     InPlaceWrites(*table)};
   }
 
   // Per-shard sensing snapshot for the adaptation layer. The read monitor
@@ -811,6 +867,11 @@ class ShardedIndex {
     // pointer; writers load/publish it under write_mu.
     std::atomic<State*> state{nullptr};  // lidx: epoch-protected
     Mutex write_mu;
+    // Bumped under write_mu; a per-shard count keeps concurrent writers to
+    // different shards off one shared cache line.
+    std::atomic<uint64_t> in_place_writes{0};
+    // Off from the capture of a drain that may rebuild to its publish.
+    bool in_place LIDX_GUARDED_BY(write_mu) = true;
     std::atomic<bool> drain_scheduled{false};
     std::atomic<bool> force_rebuild{false};
 
@@ -957,6 +1018,14 @@ class ShardedIndex {
     return boundaries;
   }
 
+  static uint64_t InPlaceWrites(const Table& table) {
+    uint64_t total = 0;
+    for (size_t s = 0; s < table.num_shards; ++s) {
+      total += table.shards[s].in_place_writes.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
   static void LockAllShards(Table* table) LIDX_NO_THREAD_SAFETY_ANALYSIS {
     // Runtime-sized lock set; always acquired in shard order and only by
     // the single-flight Rebalance, so there is no ordering cycle.
@@ -1038,6 +1107,38 @@ class ShardedIndex {
     return std::nullopt;
   }
 
+  // Stores `value` over the snapshot's row of `key` when the snapshot holds
+  // it live and no newer level can shadow it: every buffer's and the
+  // delta's filter rules the key out, and filters have no false negatives.
+  // Returns false, having written nothing, otherwise.
+  // REQUIRES: the shard's write_mu, with in-place writes on.
+  static bool StoreInPlace(const State& state, const Key& key, uint64_t hash,
+                           const Value& value) {
+    if constexpr (kUpdatesInPlace) {
+      if (state.snapshot == nullptr || state.active->filter.MayContain(hash)) {
+        return false;
+      }
+      for (const auto& b : state.sealed) {
+        if (b->filter.MayContain(hash)) return false;
+      }
+      if (state.delta != nullptr && state.delta->filter.MayContain(hash)) {
+        return false;
+      }
+      const auto* columnar = serving_detail::ColumnarOf(*state.snapshot);
+      if (columnar == nullptr) return false;
+      const size_t pos = columnar->LowerBound(key);
+      if (pos == columnar->keys().size() || !(columnar->keys()[pos] == key)) {
+        return false;
+      }
+      // The snapshot was made non-const (std::make_shared<Index>), and its
+      // value column is the one part of it written after publication.
+      StoreValue(const_cast<Value&>(columnar->values()[pos]), value);
+      return true;
+    } else {
+      return false;
+    }
+  }
+
   void Upsert(const Key& key, const Value& value, bool tombstone) {
     for (;;) {
       EpochManager::Guard guard = epoch_->Pin();
@@ -1056,20 +1157,28 @@ class ShardedIndex {
           // Writers are serialized by write_mu, so a relaxed load sees
           // the latest state (any prior publisher held this mutex).
           State* state = shard.state.load(std::memory_order_relaxed);
-          Buffer* buffer = state->active.get();
-          size_t n = buffer->size.load(std::memory_order_relaxed);
-          if (n == buffer->capacity) {
-            SealLocked(&shard, state);
-            state = shard.state.load(std::memory_order_relaxed);
-            buffer = state->active.get();
-            n = 0;
-            sealed = true;
+          const uint64_t hash = FilterHash(key);
+          if (!tombstone && shard.in_place &&
+              StoreInPlace(*state, key, hash, value)) {
+            shard.in_place_writes.store(
+                shard.in_place_writes.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+          } else {
+            Buffer* buffer = state->active.get();
+            size_t n = buffer->size.load(std::memory_order_relaxed);
+            if (n == buffer->capacity) {
+              SealLocked(&shard, state);
+              state = shard.state.load(std::memory_order_relaxed);
+              buffer = state->active.get();
+              n = 0;
+              sealed = true;
+            }
+            buffer->filter.Mark(hash);
+            buffer->slots[n] = Entry{key, value, tombstone};
+            // Release-publish the appended entry and its filter marks
+            // (paired with the acquire load in ProbeBuffer).
+            buffer->size.store(n + 1, std::memory_order_release);
           }
-          buffer->filter.Mark(FilterHash(key));
-          buffer->slots[n] = Entry{key, value, tombstone};
-          // Release-publish the appended entry and its filter marks
-          // (paired with the acquire load in ProbeBuffer).
-          buffer->size.store(n + 1, std::memory_order_release);
           done = true;
         }
       }
@@ -1164,27 +1273,39 @@ class ShardedIndex {
   void DrainOnce(Shard* shard) {
     const bool force =
         shard->force_rebuild.exchange(false, std::memory_order_acq_rel);
-    // Capture immutable inputs under an epoch pin; the shared_ptr copies
-    // keep them alive after unpinning, so the heavy merge below runs
-    // without blocking writers or readers.
+    // Capture the inputs under the writer lock; the shared_ptr copies keep
+    // them alive after unlocking, so the heavy merge below runs without
+    // blocking writers or readers. A drain that may rebuild (forced, or
+    // the delta and sealed buffers together reach the threshold) turns
+    // in-place writes off before it unlocks, so every store into the
+    // snapshot's value column is ordered before the rebuild copies it.
     std::shared_ptr<const Index> snapshot;
     size_t snapshot_size = 0;
     std::shared_ptr<const Delta> delta;
     std::vector<std::shared_ptr<Buffer>> sealed;
+    size_t rebuild_threshold = 0;
     {
-      EpochManager::Guard guard = epoch_->Pin();
-      const State* state = shard->state.load(std::memory_order_acquire);
-      epoch_->AssertProtected(state);
+      MutexLock lock(shard->write_mu);
+      const State* state = shard->state.load(std::memory_order_relaxed);
       snapshot = state->snapshot;
       snapshot_size = state->snapshot_size;
       delta = state->delta;
       sealed = state->sealed;
+      if (sealed.empty() &&
+          (!force || (delta == nullptr && snapshot == nullptr))) {
+        return;  // Nothing sealed, or a forced rebuild of an empty shard.
+      }
+      rebuild_threshold = std::max(
+          options_.rebuild_min_delta,
+          static_cast<size_t>(options_.rebuild_fraction *
+                              static_cast<double>(snapshot_size)));
+      size_t merged_bound = delta == nullptr ? 0 : delta->run.size();
+      for (const auto& b : sealed) {
+        merged_bound += b->size.load(std::memory_order_relaxed);
+      }
+      if (force || merged_bound >= rebuild_threshold) shard->in_place = false;
     }
     const size_t merged_count = sealed.size();
-    if (merged_count == 0 && !force) return;
-    if (merged_count == 0 && delta == nullptr && snapshot == nullptr) {
-      return;  // Forced rebuild of an empty shard: nothing to do.
-    }
 
     // Newest-first streams for the shared LSM merge: each sealed buffer
     // becomes a sorted run (newest entry per key wins within a buffer),
@@ -1210,10 +1331,6 @@ class ShardedIndex {
     std::shared_ptr<const Index> new_snapshot = snapshot;
     size_t new_snapshot_size = snapshot_size;
     std::shared_ptr<const Delta> new_delta;
-    const size_t rebuild_threshold = std::max(
-        options_.rebuild_min_delta,
-        static_cast<size_t>(options_.rebuild_fraction *
-                            static_cast<double>(snapshot_size)));
     if (force || merged_view.size() >= rebuild_threshold) {
       RebuildSnapshot(merged_view, &new_snapshot, &new_snapshot_size);
       rebuild_count_.fetch_add(1, std::memory_order_relaxed);
@@ -1235,6 +1352,7 @@ class ShardedIndex {
                           current->sealed.end());
       next->active = current->active;
       shard->state.store(next, std::memory_order_release);
+      shard->in_place = true;
       epoch_->RetireDelete(current);
     }
     drain_count_.fetch_add(1, std::memory_order_relaxed);
@@ -1402,6 +1520,9 @@ class ShardedIndex {
   std::atomic<uint64_t> drain_count_{0};
   std::atomic<uint64_t> rebuild_count_{0};
   std::atomic<uint64_t> rebalance_count_{0};
+  // In-place writes counted by the shards of tables BulkLoad and Rebalance
+  // replaced.
+  std::atomic<uint64_t> retired_in_place_writes_{0};
 };
 
 }  // namespace lidx

@@ -769,9 +769,9 @@ TEST(DynamicPgmTest, BulkLoadHoldsOnlyItsColumnsAndModel) {
   }
 }
 
-// SoleColumns lends the columns of an index that is exactly one
-// tombstone-free component with an empty buffer, the shape a bulk load
-// leaves, and nothing for any other shape.
+// SoleComponent lends the component, and so the key and value columns, of
+// an index that is exactly one tombstone-free component with an empty
+// buffer, the shape a bulk load leaves, and nothing for any other shape.
 TEST(DynamicPgmTest, SoleColumnsOnlyForOneBulkLoadedComponent) {
   DynamicPgm<uint64_t, uint64_t>::Options opts;
   opts.base_capacity = 16;
@@ -784,23 +784,26 @@ TEST(DynamicPgmTest, SoleColumnsOnlyForOneBulkLoadedComponent) {
   };
 
   DynamicPgm<uint64_t, uint64_t> empty(opts);
-  EXPECT_FALSE(empty.SoleColumns().has_value());
+  EXPECT_EQ(empty.SoleComponent(), nullptr);
   empty.BulkLoad({}, {});
-  EXPECT_FALSE(empty.SoleColumns().has_value());
+  EXPECT_EQ(empty.SoleComponent(), nullptr);
 
   DynamicPgm<uint64_t, uint64_t> loaded = load();
-  const auto columns = loaded.SoleColumns();
-  ASSERT_TRUE(columns.has_value());
-  EXPECT_TRUE(std::ranges::equal(columns->first, keys));
-  EXPECT_TRUE(std::ranges::equal(columns->second, values));
+  const PgmIndex<uint64_t, uint64_t>* sole = loaded.SoleComponent();
+  ASSERT_NE(sole, nullptr);
+  EXPECT_TRUE(std::ranges::equal(sole->keys(), keys));
+  EXPECT_TRUE(std::ranges::equal(sole->values(), values));
+  for (size_t i = 0; i < keys.size(); i += 97) {
+    EXPECT_EQ(sole->LowerBound(keys[i]), i);
+  }
 
   DynamicPgm<uint64_t, uint64_t> inserted = load();
   inserted.Insert(keys.back() + 1, 0);
-  EXPECT_FALSE(inserted.SoleColumns().has_value());
+  EXPECT_EQ(inserted.SoleComponent(), nullptr);
 
   DynamicPgm<uint64_t, uint64_t> erased = load();
   ASSERT_TRUE(erased.Erase(keys[7]));
-  EXPECT_FALSE(erased.SoleColumns().has_value());
+  EXPECT_EQ(erased.SoleComponent(), nullptr);
 
   // A full buffer spills into a second component below the bulk load.
   DynamicPgm<uint64_t, uint64_t> two = load();
@@ -808,7 +811,7 @@ TEST(DynamicPgmTest, SoleColumnsOnlyForOneBulkLoadedComponent) {
     two.Insert(keys.back() + i, i);
   }
   ASSERT_EQ(two.NumComponents(), 2u);
-  EXPECT_FALSE(two.SoleColumns().has_value());
+  EXPECT_EQ(two.SoleComponent(), nullptr);
 }
 
 }  // namespace

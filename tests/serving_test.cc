@@ -520,6 +520,9 @@ TYPED_TEST(ShardedIndexTest, ShardRebuildIsAsCompactAsABulkLoad) {
 // The delta is rewritten by every drain: overwrites and tombstones on a
 // small key set must keep the newest version per key across dozens of
 // drains before any rebuild, and across the forced rebuilds after them.
+// Half the hot keys are loaded: an update of one goes in place until a
+// tombstone or a filter false positive first sends it to a buffer, and
+// from then on the delta holds it, so every later write of it is buffered.
 TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
   using Engine = ShardedIndex<TypeParam>;
   typename Engine::Options opts;
@@ -555,20 +558,34 @@ TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
   };
 
   Rng rng(23);
-  std::set<uint64_t> drained;  // Distinct keys of every drained write.
-  uint64_t last = 0;           // The newest write stays in the active buffer.
+  std::set<uint64_t> buffered;  // Distinct keys of every buffered write.
+  std::set<uint64_t> drained;   // Distinct keys of every drained write.
+  std::optional<uint64_t> last;  // The newest buffered write stays active.
   for (int step = 0; step < 600; ++step) {
-    const uint64_t drains_before = index.GetStats().drains;
+    const auto before = index.GetStats();
     const uint64_t k = rng.NextBounded(48) * 5;
-    if (step > 0) drained.insert(last);
-    last = k;
-    if (rng.NextBounded(4) == 0) {
+    const bool erase = rng.NextBounded(4) == 0;
+    if (erase) {
       EXPECT_EQ(index.Erase(k), ref.erase(k) > 0) << k;
     } else {
       index.Insert(k, k * 1000 + static_cast<uint64_t>(step));
       ref[k] = k * 1000 + static_cast<uint64_t>(step);
     }
-    if (index.GetStats().drains == drains_before) continue;
+    const auto after = index.GetStats();
+    const bool in_place = after.in_place_writes != before.in_place_writes;
+    // Never in place: a tombstone, a fresh key (k % 10 != 0), a key a
+    // buffer or the delta holds, or any write when the inner lends no
+    // columns.
+    if (erase || k % 10 != 0 || buffered.count(k) != 0 ||
+        !Engine::kUpdatesInPlace) {
+      EXPECT_FALSE(in_place) << "step " << step;
+    }
+    if (!in_place) {
+      if (last.has_value()) drained.insert(*last);
+      last = k;
+      buffered.insert(k);
+    }
+    if (after.drains == before.drains) continue;
     const auto stats = index.TakeShardStats();
     EXPECT_EQ(stats.shards[0].delta, drained.size()) << "step " << step;
     for (size_t s = 1; s < stats.shards.size(); ++s) {
@@ -578,6 +595,7 @@ TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
   }
   EXPECT_GE(index.GetStats().drains, 50u);
   EXPECT_EQ(index.GetStats().rebuilds, 0u);
+  EXPECT_EQ(index.GetStats().in_place_writes > 0, Engine::kUpdatesInPlace);
 
   for (size_t s = 0; s < index.num_shards(); ++s) index.RequestShardRebuild(s);
   EXPECT_GT(index.GetStats().rebuilds, 0u);
@@ -591,6 +609,8 @@ TYPED_TEST(ShardedIndexTest, DeltaKeepsNewestAcrossDrains) {
 // absent and erased keys at every level must read as std::map says, via
 // Find and FindBatch. The delta grows over dozens of inline drains, so its
 // filter is both carried forward (copied and re-marked) and rebuilt larger.
+// Where the inner lends columns, updates of keys only the snapshot holds
+// go in place, so the delta holds the keys of the other writes only.
 TYPED_TEST(ShardedIndexTest, PointReadsSeeEveryLevelBehindFilters) {
   using Engine = ShardedIndex<TypeParam>;
   typename Engine::Options opts;
@@ -653,16 +673,19 @@ TYPED_TEST(ShardedIndexTest, PointReadsSeeEveryLevelBehindFilters) {
   check();
 
   // Delta level: updates, tombstones and fresh keys, drained every eight
-  // writes per shard.
+  // buffered writes per shard.
   Rng rng(31);
-  std::set<uint64_t> delta_keys;
+  std::set<uint64_t> delta_keys;  // Keys of the buffered writes.
   for (int step = 0; step < 400; ++step) {
     const uint64_t k = rng.NextBounded(400) * 5;
-    delta_keys.insert(k);
+    const uint64_t in_place_before = index.GetStats().in_place_writes;
     if (rng.NextBounded(4) == 0) {
       erase(k);
     } else {
       put(k, k * 7 + static_cast<uint64_t>(step));
+    }
+    if (index.GetStats().in_place_writes == in_place_before) {
+      delta_keys.insert(k);
     }
     if (step % 25 == 0) check();
   }
@@ -672,6 +695,7 @@ TYPED_TEST(ShardedIndexTest, PointReadsSeeEveryLevelBehindFilters) {
     EXPECT_GT(shard.delta, 64u);
   }
   EXPECT_GE(index.GetStats().drains, 40u);
+  EXPECT_EQ(index.GetStats().in_place_writes > 0, Engine::kUpdatesInPlace);
   check();
 
   // Active buffers: per shard, an update and a tombstone over live delta
@@ -712,7 +736,9 @@ TYPED_TEST(ShardedIndexTest, PointReadsSeeEveryLevelBehindFilters) {
 // buffer, delta, snapshot — and each newer level holds a tombstone over an
 // older level's key. Scans that take the direct snapshot path, see only a
 // tombstone, straddle the shard boundary or append to a non-empty output
-// must all match std::map, before and after the levels drain.
+// must all match std::map, before and after the levels drain. The two
+// updates of keys only the snapshot holds go in place where the inner
+// lends columns, so those scans read the snapshot's updated column.
 TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
   using Engine = ShardedIndex<TypeParam>;
   typename Engine::Options opts;
@@ -746,7 +772,7 @@ TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
 
   // Delta: drained inline before the workers park.
   put(15, 1500);
-  put(20, 2000);  // Over the snapshot.
+  put(20, 2000);  // Over the snapshot: in place if it can be.
   erase(30);      // Tombstone over the snapshot.
   put(45, 4500);
   put(65, 6500);
@@ -773,14 +799,16 @@ TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
   // (EXPECT, not ASSERT, until the release: an early return would leave
   // the workers parked.)
 
-  // Sealed buffers: four writes fill each shard's buffer, and the shard's
-  // next write seals it and queues a drain that cannot run.
+  // Sealed buffers: four buffered writes fill each shard's buffer, and the
+  // shard's next buffered write seals it and queues a drain that cannot
+  // run. In shard 1, where put(510) goes in place, put(535) fills the
+  // buffer and erase(600) seals it.
   put(25, 2500);
   erase(45);      // Tombstone over the delta.
   put(65, 6501);  // Over the delta.
   put(75, 7500);
   put(505, 5050);
-  put(510, 5100);  // Over the snapshot.
+  put(510, 5100);  // Over the snapshot: in place if it can be.
   erase(515);      // Tombstone over the delta.
   put(525, 5250);
   // Active buffers.
@@ -791,12 +819,16 @@ TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
   put(535, 5350);
   erase(600);
 
+  // put(20) and put(510) are the only writes of a key the snapshot holds
+  // that no newer level holds.
+  const size_t in_place = Engine::kUpdatesInPlace ? 1 : 0;
+  EXPECT_EQ(index.GetStats().in_place_writes, 2 * in_place);
   const auto stats = index.TakeShardStats();
   EXPECT_EQ(stats.shards[0].snapshot, 50u);
-  EXPECT_EQ(stats.shards[0].delta, 5u);
+  EXPECT_EQ(stats.shards[0].delta, 5u - in_place);
   EXPECT_EQ(stats.shards[0].buffered, 8u);
   EXPECT_EQ(stats.shards[1].delta, 2u);
-  EXPECT_EQ(stats.shards[1].buffered, 6u);
+  EXPECT_EQ(stats.shards[1].buffered, 6u - in_place);
 
   const auto check_scans = [&] {
     ExpectRangeMatches(index, ref, 0, UINT64_MAX);
@@ -831,6 +863,132 @@ TYPED_TEST(ShardedIndexTest, RangeScanSeesEveryLevel) {
   EXPECT_EQ(drained.shards[0].buffered + drained.shards[1].buffered, 0u);
   check_scans();
   index.CheckInvariants();
+}
+
+// The same inner index template over another value type.
+template <typename Inner, typename V>
+struct WithValue;
+template <template <typename, typename> class Inner, typename K, typename V0,
+          typename V>
+struct WithValue<Inner<K, V0>, V> {
+  using type = Inner<K, V>;
+};
+
+// Three words: wider than any Value that goes in place (common/value_slot.h).
+struct WideValue {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t c = 0;
+  bool operator==(const WideValue&) const = default;
+};
+static_assert(!InPlaceStorable<WideValue>());
+
+// The in-place rule. An update of a key only the snapshot holds goes in
+// place where the inner lends columns: it bumps in_place_writes and adds
+// no buffered entry. An update of a key that a buffered tombstone, an older
+// buffered value or a delta entry may hold takes the buffer path and reads
+// newest-wins, as does every write to an inner without columns (ALEX,
+// LIPP, B+-tree) or of a Value too wide to store in place.
+TYPED_TEST(ShardedIndexTest, UpdatesGoInPlaceOnlyWhenNothingShadowsThem) {
+  using Engine = ShardedIndex<TypeParam>;
+  typename Engine::Options opts;
+  opts.num_shards = 1;
+  opts.buffer_capacity = 64;
+  opts.rebuild_min_delta = size_t{1} << 20;  // No rebuild.
+  opts.background_drain = false;
+  Engine index(opts);
+  // Snapshot: 0, 10, ..., 9990.
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  Reference ref;
+  for (uint64_t k = 0; k < 10000; k += 10) {
+    keys.push_back(k);
+    values.push_back(k + 1);
+    ref[k] = k + 1;
+  }
+  index.BulkLoad(keys, values);
+  constexpr uint64_t kInPlace = Engine::kUpdatesInPlace ? 1 : 0;
+  const auto in_place = [&] { return index.GetStats().in_place_writes; };
+  const auto buffered = [&] {
+    return index.TakeShardStats().shards[0].buffered;
+  };
+  const auto put = [&](uint64_t k, uint64_t v) {
+    index.Insert(k, v);
+    ref[k] = v;
+  };
+  const auto check = [&](uint64_t k) {
+    EXPECT_EQ(index.Find(k), std::optional<uint64_t>(ref.at(k))) << k;
+    uint64_t batch = 0;
+    index.FindBatch(&k, 1, &batch);
+    EXPECT_EQ(batch, ref.at(k)) << k;
+    ExpectRangeMatches(index, ref, k - 10, k + 10);
+  };
+
+  // A key only the snapshot holds, twice.
+  put(100, 1);
+  put(100, 2);
+  EXPECT_EQ(in_place(), 2 * kInPlace);
+  EXPECT_EQ(buffered(), 2 * (1 - kInPlace));
+  check(100);
+  const size_t base = buffered();
+
+  // Shadowed by a buffered tombstone.
+  EXPECT_TRUE(index.Erase(200));
+  put(200, 3);
+  EXPECT_EQ(in_place(), 2 * kInPlace);
+  EXPECT_EQ(buffered(), base + 2);
+  check(200);
+
+  // Shadowed by a delta entry.
+  index.FlushAll();
+  EXPECT_GT(index.TakeShardStats().shards[0].delta, 0u);
+  put(200, 4);
+  EXPECT_EQ(in_place(), 2 * kInPlace);
+  EXPECT_EQ(buffered(), 1u);
+  check(200);
+
+  // Shadowed by an older buffered value alone. A filter false positive is
+  // what buffers an update of a key only the snapshot holds, so fill the
+  // active buffer with fresh keys and update loaded keys until one is
+  // buffered; then update that key again.
+  for (uint64_t k = 5001; k < 5600; k += 10) put(k, k);
+  const size_t filled = buffered();
+  std::optional<uint64_t> shadowed;
+  for (uint64_t k = 6000; k < 10000 && !shadowed.has_value(); k += 10) {
+    const uint64_t before = in_place();
+    put(k, 5);
+    if (in_place() == before) shadowed = k;
+  }
+  ASSERT_TRUE(shadowed.has_value());
+  EXPECT_EQ(buffered(), filled + 1);
+  const uint64_t before = in_place();
+  put(*shadowed, 6);
+  EXPECT_EQ(in_place(), before);
+  EXPECT_EQ(buffered(), filled + 2);
+  check(*shadowed);
+
+  index.FlushAll();
+  index.CheckInvariants();
+  ExpectRangeMatches(index, ref, 0, UINT64_MAX);
+
+  // A Value too wide to store in place never goes in place, whatever the
+  // inner.
+  using WideEngine =
+      ShardedIndex<typename WithValue<TypeParam, WideValue>::type, uint64_t,
+                   WideValue>;
+  static_assert(!WideEngine::kUpdatesInPlace);
+  typename WideEngine::Options wide_opts;
+  wide_opts.num_shards = 1;
+  wide_opts.background_drain = false;
+  WideEngine wide(wide_opts);
+  std::vector<WideValue> wide_values;
+  for (const uint64_t k : keys) wide_values.push_back(WideValue{k, 1, 2});
+  wide.BulkLoad(keys, wide_values);
+  wide.Insert(100, WideValue{7, 8, 9});
+  EXPECT_EQ(wide.GetStats().in_place_writes, 0u);
+  EXPECT_EQ(wide.TakeShardStats().shards[0].buffered, 1u);
+  EXPECT_EQ(wide.Find(100), std::optional<WideValue>(WideValue{7, 8, 9}));
+  EXPECT_EQ(wide.Find(110), std::optional<WideValue>(WideValue{110, 1, 2}));
 }
 
 // Concurrent smoke: readers and a checker run against writers on a live

@@ -535,6 +535,140 @@ TEST(StressTest, ShardedReadersSeeEveryPublishedWrite) {
   EpochManager::Shared().ReclaimSome();
 }
 
+// Writers update loaded keys in place while a thread forces shard
+// rebuilds in a loop. A rebuild copies the snapshot's value column, so a
+// store that landed after the copy would be lost; a drain that may rebuild
+// turns in-place writes off at its capture and back on at its publish, so
+// writes in between go to the buffers. Each writer owns half the keys and
+// writes each key's versions in increasing order, publishing every write's
+// version per key; readers (Find, FindBatch and RangeScan) that see a
+// published version must read that version or a newer one.
+TEST(StressTest, ShardedInPlaceUpdatesRaceForcedRebuilds) {
+  using Sharded = ShardedIndex<DynamicPgm<uint64_t, uint64_t>>;
+  static_assert(Sharded::kUpdatesInPlace);
+  constexpr uint64_t kLoaded = 2048;  // Keys 0, 3, ..., 6141.
+  // Each writer runs rounds (version v writes all its keys at v) until it
+  // has run kMinRounds and kMinRebuilds rebuilds have happened.
+  constexpr uint64_t kMinRounds = 8;
+  constexpr uint64_t kMinRebuilds = 64;
+  Sharded::Options opts;
+  opts.num_shards = 4;
+  opts.buffer_capacity = 8;
+  opts.rebuild_min_delta = size_t{1} << 20;  // Only the forced rebuilds.
+  opts.background_drain = true;
+  Sharded index(opts);
+  // Value of version v of key i: v * kLoaded + i, so a read names both.
+  std::vector<uint64_t> keys(kLoaded);
+  for (uint64_t i = 0; i < kLoaded; ++i) keys[i] = 3 * i;
+  index.BulkLoad(keys, Ranks(kLoaded));
+  std::vector<std::atomic<uint64_t>> published(kLoaded);  // Versions.
+
+  std::atomic<size_t> writers_left{2};
+  uint64_t last_round[2] = {0, 0};  // Read after the writers are joined.
+  std::atomic<size_t> bad_reads{0};
+  std::atomic<size_t> checked{0};
+  // A read of key i is good when it names key i at the published version
+  // or a newer one.
+  const auto good = [&](uint64_t i, uint64_t version,
+                        std::optional<uint64_t> got) {
+    checked.fetch_add(1, std::memory_order_relaxed);
+    return got.has_value() && *got % kLoaded == i &&
+           *got / kLoaded >= version;
+  };
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {  // Writer t owns the keys i % 2 == t.
+      Rng rng(971 + t);
+      std::vector<uint64_t> mine;
+      for (uint64_t i = t; i < kLoaded; i += 2) mine.push_back(i);
+      uint64_t v = 0;
+      while (v < kMinRounds || index.GetStats().rebuilds < kMinRebuilds) {
+        ++v;
+        for (size_t j = mine.size(); j > 1; --j) {
+          std::swap(mine[j - 1], mine[rng.NextBounded(j)]);
+        }
+        for (const uint64_t i : mine) {
+          index.Insert(keys[i], v * kLoaded + i);
+          published[i].store(v, std::memory_order_release);
+        }
+      }
+      last_round[t] = v;
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {  // Forced rebuilds, one shard after another.
+    for (size_t s = 0; writers_left.load() > 0; ++s) {
+      index.RequestShardRebuild(s % opts.num_shards);
+      std::this_thread::yield();
+    }
+  });
+  threads.emplace_back([&] {  // Find.
+    Rng rng(977);
+    while (writers_left.load(std::memory_order_relaxed) > 0) {
+      const uint64_t i = rng.NextBounded(kLoaded);
+      const uint64_t version = published[i].load(std::memory_order_acquire);
+      if (!good(i, version, index.Find(keys[i]))) bad_reads.fetch_add(1);
+    }
+  });
+  threads.emplace_back([&] {  // FindBatch over keys of every shard.
+    Rng rng(983);
+    constexpr size_t kBatch = 32;
+    std::vector<uint64_t> ids(kBatch);
+    std::vector<uint64_t> versions(kBatch);
+    std::vector<uint64_t> batch(kBatch);
+    std::vector<uint64_t> out(kBatch);
+    while (writers_left.load(std::memory_order_relaxed) > 0) {
+      for (size_t j = 0; j < kBatch; ++j) {
+        ids[j] = rng.NextBounded(kLoaded);
+        versions[j] = published[ids[j]].load(std::memory_order_acquire);
+        batch[j] = keys[ids[j]];
+      }
+      index.FindBatch(batch.data(), kBatch, out.data());
+      for (size_t j = 0; j < kBatch; ++j) {
+        if (!good(ids[j], versions[j], out[j])) bad_reads.fetch_add(1);
+      }
+    }
+  });
+  threads.emplace_back([&] {  // RangeScan across shard boundaries.
+    Rng rng(991);
+    constexpr uint64_t kSpan = 64;
+    std::vector<uint64_t> versions(kSpan);
+    std::vector<std::pair<uint64_t, uint64_t>> rows;
+    while (writers_left.load(std::memory_order_relaxed) > 0) {
+      const uint64_t first = rng.NextBounded(kLoaded - kSpan);
+      for (uint64_t j = 0; j < kSpan; ++j) {
+        versions[j] = published[first + j].load(std::memory_order_acquire);
+      }
+      rows.clear();
+      index.RangeScan(keys[first], keys[first + kSpan - 1], &rows);
+      if (rows.size() != kSpan) {
+        bad_reads.fetch_add(1);
+        continue;
+      }
+      for (uint64_t j = 0; j < kSpan; ++j) {
+        if (rows[j].first != keys[first + j] ||
+            !good(first + j, versions[j], rows[j].second)) {
+          bad_reads.fetch_add(1);
+        }
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  index.WaitForDrains();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
+  const auto stats = index.GetStats();
+  EXPECT_GT(stats.in_place_writes, 0u);
+  EXPECT_GT(stats.rebuilds, 0u);
+  for (uint64_t i = 0; i < kLoaded; ++i) {
+    const uint64_t last = last_round[i % 2] * kLoaded + i;
+    EXPECT_EQ(index.Find(keys[i]), std::optional<uint64_t>(last)) << i;
+  }
+  index.CheckInvariants();
+  EpochManager::Shared().ReclaimSome();
+}
+
 // The full adaptation loop under fire: a ShardedAdaptor ticking on its own
 // thread (skew sensing -> rebalance / forced shard rebuilds) while
 // an explicit rebalancer cycles the shard count and writers, readers, and
