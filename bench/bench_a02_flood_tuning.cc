@@ -7,6 +7,11 @@
 // per-column model. Expected shape: on skewed data the learned boundaries
 // matter most; tuning matters when the workload's selectivity is far from
 // the default's sweet spot.
+//
+// Every answer of every variant is checked against a brute-force scan; a
+// mismatch exits non-zero after the JSON is written.
+//
+// Usage: bench_a02_flood_tuning [num_points]   (default 1M)
 
 #include <cstdint>
 #include <string>
@@ -18,49 +23,72 @@
 #include "datasets/generators.h"
 #include "datasets/workload.h"
 #include "multi_d/flood.h"
+#include "spatial/geometry.h"
 #include "spatial/grid.h"
 
 namespace lidx {
 namespace {
 
-constexpr size_t kNumPoints = 1'000'000;
 constexpr size_t kNumQueries = 300;
 
+struct Workload {
+  std::vector<RangeQuery2D> queries;
+  std::vector<std::vector<uint32_t>> truth;  // Sorted brute-force ids.
+};
+
+std::vector<bench::JsonRow> g_json;
+size_t g_mismatches = 0;
+
+// Times `index` on the workload, checks every answer, and adds the row.
 template <typename Index>
-double MeasureUs(const Index& index,
-                 const std::vector<RangeQuery2D>& queries) {
+void Measure(TablePrinter* table, const std::string& variant,
+             const std::string& columns, const Index& index,
+             const Workload& w) {
   uint64_t sink = 0;
   Timer timer;
-  for (const RangeQuery2D& q : queries) sink += index.RangeQuery(q).size();
+  for (const RangeQuery2D& q : w.queries) sink += index.RangeQuery(q).size();
   DoNotOptimize(sink);
-  return timer.ElapsedSeconds() * 1e6 / static_cast<double>(queries.size());
+  const double us =
+      timer.ElapsedSeconds() * 1e6 / static_cast<double>(w.queries.size());
+  const size_t mismatches = bench::CountMismatches(
+      w.queries, w.truth,
+      [&](const RangeQuery2D& q) { return index.RangeQuery(q); });
+  g_mismatches += mismatches;
+  table->AddRow({variant, columns, TablePrinter::FormatDouble(us, 1)});
+  g_json.push_back({bench::JsonField::Str("variant", variant),
+                    bench::JsonField::Str("columns", columns),
+                    bench::JsonField::Num("us_per_query", us),
+                    bench::JsonField::Num("mismatches", mismatches)});
 }
 
 }  // namespace
 }  // namespace lidx
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lidx;
+  const size_t num_points = bench::ArgCount(argc, argv, 1, 1'000'000);
   bench::PrintHeader(
-      "A2 (ablation): what each learned component of Flood buys (1M skewed "
-      "points)",
+      "A2 (ablation): what each learned component of Flood buys (" +
+          std::to_string(num_points) + " skewed points)",
       "learned equi-depth boundaries vs uniform; tuned vs fixed column "
       "count");
 
   const auto points =
-      GeneratePoints(PointDistribution::kSkewedGrid, kNumPoints, 4343);
+      GeneratePoints(PointDistribution::kSkewedGrid, num_points, 4343);
   const auto tuning = GenerateRangeQueries(points, 32, 0.001, 4444);
-  const auto queries =
-      GenerateRangeQueries(points, kNumQueries, 0.001, 4545);
+  Workload w;
+  w.queries = GenerateRangeQueries(points, kNumQueries, 0.001, 4545);
+  for (const RangeQuery2D& q : w.queries) {
+    w.truth.push_back(BruteForceRange(points, q));
+  }
 
   TablePrinter table({"variant", "columns", "us/query"});
   {
     // Full Flood: learned boundaries + workload tuning.
     FloodIndex flood;
     flood.Build(points, tuning);
-    table.AddRow({"flood (learned CDF + tuned)",
-                  std::to_string(flood.NumColumns()),
-                  TablePrinter::FormatDouble(MeasureUs(flood, queries), 1)});
+    Measure(&table, "flood (learned CDF + tuned)",
+            std::to_string(flood.NumColumns()), flood, w);
   }
   for (size_t columns : {16u, 64u, 1024u}) {
     // Learned boundaries, fixed (untuned) column count.
@@ -68,17 +96,20 @@ int main() {
     FloodIndex::Options opts;
     opts.num_columns = columns;
     flood.Build(points, {}, opts);
-    table.AddRow({"flood (learned CDF, fixed)", std::to_string(columns),
-                  TablePrinter::FormatDouble(MeasureUs(flood, queries), 1)});
+    Measure(&table, "flood (learned CDF, fixed)", std::to_string(columns),
+            flood, w);
   }
   {
     // Un-learned boundaries: a plain uniform grid at comparable resolution
     // (256x256 cells ~ 256 columns of 256 rows).
     UniformGrid grid(256);
     grid.Build(points);
-    table.AddRow({"uniform grid (no learning)", "256x256",
-                  TablePrinter::FormatDouble(MeasureUs(grid, queries), 1)});
+    Measure(&table, "uniform grid (no learning)", "256x256", grid, w);
   }
   table.Print();
+  bench::ReportJson("a02_flood_tuning", g_json,
+                    {bench::JsonField::Num("num_points", num_points),
+                     bench::JsonField::Num("mismatches", g_mismatches)});
+  bench::ExitOnMismatches("A2", g_mismatches);
   return 0;
 }

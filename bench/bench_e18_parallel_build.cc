@@ -32,7 +32,6 @@
 #include "lsm/lsm_tree.h"
 #include "multi_d/flood.h"
 #include "multi_d/zm_index.h"
-#include "multi_d/zm_index3d.h"
 #include "one_d/alex.h"
 #include "one_d/pgm.h"
 #include "one_d/radix_spline.h"
@@ -182,19 +181,19 @@ void RunMultiDim(size_t n, std::vector<Row>* rows) {
   Sweep(
       "zm-index", probe_ids,
       [&](size_t threads) {
-        auto index = std::make_shared<ZmIndex>();
-        ZmIndex::Options opts;
+        auto index = std::make_shared<ZmIndex<2>>();
+        ZmIndex<2>::Options opts;
         opts.build_threads = threads;
         index->Build(points, opts);
         return index;
       },
-      [&](const std::shared_ptr<ZmIndex>& ix, uint64_t id) {
+      [&](const std::shared_ptr<ZmIndex<2>>& ix, uint64_t id) {
         const auto hits = ix->FindExact(points[id]);
         uint64_t sum = hits.size();
         for (uint32_t h : hits) sum += h;
         return sum;
       },
-      [](const std::shared_ptr<ZmIndex>&) {}, rows);
+      [](const std::shared_ptr<ZmIndex<2>>&) {}, rows);
 
   Sweep(
       "flood", probe_ids,
@@ -224,19 +223,19 @@ void RunMultiDim(size_t n, std::vector<Row>* rows) {
   Sweep(
       "zm-index-3d", probe_ids,
       [&](size_t threads) {
-        auto index = std::make_shared<ZmIndex3D>();
-        ZmIndex3D::Options opts;
+        auto index = std::make_shared<ZmIndex<3>>();
+        ZmIndex<3>::Options opts;
         opts.build_threads = threads;
         index->Build(points3, opts);
         return index;
       },
-      [&](const std::shared_ptr<ZmIndex3D>& ix, uint64_t id) {
+      [&](const std::shared_ptr<ZmIndex<3>>& ix, uint64_t id) {
         const auto hits = ix->FindExact(points3[id]);
         uint64_t sum = hits.size();
         for (uint32_t h : hits) sum += h;
         return sum;
       },
-      [](const std::shared_ptr<ZmIndex3D>&) {}, rows);
+      [](const std::shared_ptr<ZmIndex<3>>&) {}, rows);
 }
 
 // LSM: compaction-thread sweep on a Put-then-Flush workload, plus the

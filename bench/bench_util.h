@@ -7,9 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -144,6 +147,66 @@ inline size_t FileSizeBytes(const std::string& path) {
 inline double BytesPerKey(size_t file_bytes, size_t num_keys) {
   if (num_keys == 0) return 0.0;
   return static_cast<double>(file_bytes) / static_cast<double>(num_keys);
+}
+
+// Optional positional count argument `argv[index]`; `fallback` when absent.
+inline size_t ArgCount(int argc, char** argv, int index, size_t fallback) {
+  return argc > index
+             ? static_cast<size_t>(std::strtoull(argv[index], nullptr, 10))
+             : fallback;
+}
+
+// ----- Answer checks -----
+//
+// The multi-D benches check every answer of every index against a reference
+// before they report, and exit non-zero on a wrong one, so a fast row can
+// never come from a wrong answer.
+
+// Answers of `query` over `queries` whose id set differs from the sorted
+// `truth` for that query (ids may come back in any order).
+template <typename Query, typename QueryFn>
+size_t CountMismatches(const std::vector<Query>& queries,
+                       const std::vector<std::vector<uint32_t>>& truth,
+                       QueryFn query) {
+  size_t mismatches = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<uint32_t> got = query(queries[i]);
+    std::sort(got.begin(), got.end());
+    mismatches += got != truth[i];
+  }
+  return mismatches;
+}
+
+// The sorted ids of the points equal to each query: the reference every
+// FindExact answer is checked against.
+inline std::vector<std::vector<uint32_t>> ExactTruth(
+    const std::vector<Point2D>& points, const std::vector<Point2D>& queries) {
+  std::vector<uint32_t> order(points.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::tie(points[a].x, points[a].y, a) <
+           std::tie(points[b].x, points[b].y, b);
+  });
+  const auto before = [&](uint32_t id, const Point2D& q) {
+    return std::tie(points[id].x, points[id].y) < std::tie(q.x, q.y);
+  };
+  std::vector<std::vector<uint32_t>> truth(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (auto it = std::lower_bound(order.begin(), order.end(), queries[i],
+                                    before);
+         it != order.end() && points[*it] == queries[i]; ++it) {
+      truth[i].push_back(*it);
+    }
+  }
+  return truth;
+}
+
+// Prints the mismatch total; exits 1 if any answer was wrong.
+inline void ExitOnMismatches(const std::string& experiment,
+                             size_t mismatches) {
+  std::printf("%s: %zu mismatched answers\n", experiment.c_str(),
+              mismatches);
+  if (mismatches != 0) std::exit(1);
 }
 
 // Standard header every bench binary prints, so outputs are self-describing

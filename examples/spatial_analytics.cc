@@ -35,7 +35,7 @@ int main() {
 
   RTree rtree;
   rtree.BulkLoad(pickups);
-  ZmIndex zm;
+  ZmIndex<2> zm;
   zm.Build(pickups);
   FloodIndex flood;
   // Flood tunes its column count against a sample of the workload.

@@ -19,7 +19,6 @@
 #include "multi_d/ml_index.h"
 #include "multi_d/qd_tree.h"
 #include "multi_d/zm_index.h"
-#include "multi_d/zm_index3d.h"
 #include "one_d/alex.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/fiting_tree.h"
@@ -202,7 +201,7 @@ int main() {
 
   std::printf("--- Part 2: multi-dimensional space ---\n");
   {
-    ZmIndex zm;
+    ZmIndex<2> zm;
     zm.Build(points);
     std::snprintf(proof, sizeof(proof),
                   "BIGMIN range scan ok, %zu PLA segments", zm.NumSegments());
@@ -245,7 +244,7 @@ int main() {
          proof);
   }
   {
-    ZmIndex3D zm3;
+    ZmIndex<3> zm3;
     std::vector<Point3D> pts3;
     Rng rng3(77);
     for (int i = 0; i < 50000; ++i) {
@@ -253,8 +252,7 @@ int main() {
                       rng3.NextDouble()});
     }
     zm3.Build(pts3);
-    const auto hits = zm3.BoxQuery(
-        {0.4, 0.4, 0.4, 0.6, 0.6, 0.6});
+    const auto hits = zm3.RangeQuery({0.4, 0.4, 0.4, 0.6, 0.6, 0.6});
     std::snprintf(proof, sizeof(proof),
                   "3-D BIGMIN box query returned %zu points", hits.size());
     Stop("ZM-index (3-D)", "multi-D (3-D) / immutable / pure / projected",

@@ -10,8 +10,7 @@
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/search.h"
-#include "models/linear_model.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 #include "spatial/geometry.h"
 
 namespace lidx {
@@ -74,7 +73,7 @@ class FloodIndex {
     std::vector<uint32_t> out;
     if (columns_.empty()) return out;
     const Column& col = columns_[ColumnOf(p.x)];
-    const size_t lb = col.LowerBoundY(p.y, options_.epsilon);
+    const size_t lb = col.locator.LowerBound(col.ys, p.y);
     for (size_t i = lb; i < col.entries.size() && col.entries[i].point.y == p.y;
          ++i) {
       if (col.entries[i].point == p) out.push_back(col.entries[i].id);
@@ -91,7 +90,7 @@ class FloodIndex {
       const Column& col = columns_[c];
       if (col.entries.empty()) continue;
       const bool interior = (c > c_lo && c < c_hi);
-      const size_t begin = col.LowerBoundY(q.min_y, options_.epsilon);
+      const size_t begin = col.locator.LowerBound(col.ys, q.min_y);
       for (size_t i = begin; i < col.entries.size(); ++i) {
         const Point2D& p = col.entries[i].point;
         if (p.y > q.max_y) break;
@@ -107,14 +106,15 @@ class FloodIndex {
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   size_t NumColumns() const { return columns_.size(); }
+  // Segments in column `c`'s model; 0 for a column too small to carry one.
+  size_t NumSegments(size_t c) const {
+    return columns_[c].locator.NumSegments();
+  }
 
   size_t ModelSizeBytes() const {
     size_t total = sizeof(*this) +
                    column_boundaries_.capacity() * sizeof(double);
-    for (const Column& c : columns_) {
-      total += c.segments.capacity() * sizeof(PlaSegment) +
-               c.segment_first_keys.capacity() * sizeof(double);
-    }
+    for (const Column& c : columns_) total += c.locator.SizeBytes();
     return total;
   }
 
@@ -136,24 +136,7 @@ class FloodIndex {
   struct Column {
     std::vector<Entry> entries;  // Sorted by y.
     std::vector<double> ys;      // Parallel y array for search.
-    std::vector<PlaSegment> segments;
-    std::vector<double> segment_first_keys;
-
-    size_t LowerBoundY(double y, size_t epsilon) const {
-      if (ys.empty()) return 0;
-      if (segments.empty()) {
-        return BinarySearchLowerBound(ys, y, 0, ys.size());
-      }
-      const auto it = std::upper_bound(segment_first_keys.begin(),
-                                       segment_first_keys.end(), y);
-      const size_t seg =
-          (it == segment_first_keys.begin())
-              ? 0
-              : static_cast<size_t>(it - segment_first_keys.begin()) - 1;
-      const size_t pred = segments[seg].model.PredictClamped(y, ys.size());
-      return WindowLowerBoundWithFixup(ys, y, pred, epsilon + 1, epsilon + 1,
-                                       ys.size());
-    }
+    PlaLocator locator;          // Empty below 32 rows: binary search.
   };
 
   void BuildWithColumns(const std::vector<Point2D>& points, size_t columns) {
@@ -198,12 +181,7 @@ class FloodIndex {
       for (const Entry& e : col.entries) col.ys.push_back(e.point.y);
       // ε-bounded model over the (dedup-fed) y array.
       if (col.ys.size() >= 32) {
-        col.segments = BuildPlaDedupBlocked(
-            col.ys, static_cast<double>(options_.epsilon), /*threads=*/1);
-        col.segment_first_keys.reserve(col.segments.size());
-        for (const PlaSegment& s : col.segments) {
-          col.segment_first_keys.push_back(s.first_key);
-        }
+        col.locator.Build(col.ys, options_.epsilon, /*threads=*/1);
       }
     });
   }
@@ -238,7 +216,7 @@ class FloodIndex {
         for (size_t c = c_lo; c <= c_hi; ++c) {
           const Column& col = columns_[c];
           if (col.entries.empty()) continue;
-          const size_t begin = col.LowerBoundY(q.min_y, options_.epsilon);
+          const size_t begin = col.locator.LowerBound(col.ys, q.min_y);
           size_t i = begin;
           while (i < col.entries.size() && col.entries[i].point.y <= q.max_y) {
             ++i;

@@ -1,15 +1,12 @@
 #ifndef LIDX_MULTI_D_HM_INDEX_H_
 #define LIDX_MULTI_D_HM_INDEX_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/search.h"
-#include "models/plr.h"
+#include "multi_d/projected_index.h"
 #include "sfc/hilbert.h"
 #include "sfc/morton.h"
 #include "sfc/zrange.h"
@@ -29,7 +26,7 @@ namespace lidx {
 //
 // Taxonomy position: multi-dimensional / immutable / pure / projected
 // (Hilbert).
-class HmIndex {
+class HmIndex : public ProjectedIndex<Point2D> {
  public:
   struct Options {
     int bits_per_dim = 16;       // Hilbert order (codes < 2^(2*bits)).
@@ -46,61 +43,23 @@ class HmIndex {
   void Build(const std::vector<Point2D>& points, const Options& options) {
     LIDX_CHECK(options.bits_per_dim >= 1 && options.bits_per_dim <= 26);
     options_ = options;
-    entries_.clear();
-    codes_.clear();
-    segments_.clear();
-    segment_first_keys_.clear();
-    entries_.reserve(points.size());
-    for (uint32_t i = 0; i < points.size(); ++i) {
-      entries_.push_back({EncodePoint(points[i]), points[i], i});
-    }
-    std::sort(entries_.begin(), entries_.end(),
-              [](const HEntry& a, const HEntry& b) {
-                if (a.code != b.code) return a.code < b.code;
-                return a.id < b.id;
-              });
-    codes_.reserve(entries_.size());
-    for (const HEntry& e : entries_) codes_.push_back(e.code);
-
-    SwingFilterBuilder builder(static_cast<double>(options_.epsilon));
-    uint64_t prev = 0;
-    bool has_prev = false;
-    for (size_t i = 0; i < codes_.size(); ++i) {
-      if (has_prev && codes_[i] == prev) continue;
-      builder.Add(static_cast<double>(codes_[i]), i);
-      prev = codes_[i];
-      has_prev = true;
-    }
-    segments_ = builder.Finish();
-    segment_first_keys_.reserve(segments_.size());
-    for (const PlaSegment& s : segments_) {
-      segment_first_keys_.push_back(s.first_key);
-    }
+    BuildCodes(points, [this](const Point2D& p) { return Encode(p); },
+               options.epsilon, /*threads=*/1);
   }
 
   std::vector<uint32_t> FindExact(const Point2D& p) const {
-    std::vector<uint32_t> out;
-    if (entries_.empty()) return out;
-    const uint64_t code = EncodePoint(p);
-    for (size_t i = LowerBoundCode(code);
-         i < entries_.size() && entries_[i].code == code; ++i) {
-      if (entries_[i].point == p) out.push_back(entries_[i].id);
-    }
-    return out;
+    return FindCode(Encode(p), p);
   }
 
   std::vector<uint32_t> RangeQuery(const RangeQuery2D& q) const {
     std::vector<uint32_t> out;
     if (entries_.empty()) return out;
-    sfc::ZRect rect;
-    rect.min_x = sfc::Quantize(q.min_x, options_.bits_per_dim);
-    rect.min_y = sfc::Quantize(q.min_y, options_.bits_per_dim);
-    rect.max_x = sfc::Quantize(q.max_x, options_.bits_per_dim);
-    rect.max_y = sfc::Quantize(q.max_y, options_.bits_per_dim);
+    const sfc::ZRect rect{{Quantize(q.min_x), Quantize(q.min_y)},
+                          {Quantize(q.max_x), Quantize(q.max_y)}};
     const auto intervals = sfc::DecomposeHilbertRanges(
         rect, options_.bits_per_dim, options_.max_query_ranges);
     for (const sfc::ZInterval& iv : intervals) {
-      for (size_t i = LowerBoundCode(iv.lo);
+      for (size_t i = LowerBound(iv.lo);
            i < entries_.size() && entries_[i].code <= iv.hi; ++i) {
         // Post-filter: budget coarsening and cell quantization both admit
         // candidates outside the true rectangle.
@@ -110,49 +69,17 @@ class HmIndex {
     return out;
   }
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  size_t NumSegments() const { return segments_.size(); }
-
-  size_t SizeBytes() const {
-    return sizeof(*this) + entries_.capacity() * sizeof(HEntry) +
-           codes_.capacity() * sizeof(uint64_t) +
-           segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double);
-  }
-
  private:
-  struct HEntry {
-    uint64_t code;
-    Point2D point;
-    uint32_t id;
-  };
-
-  uint64_t EncodePoint(const Point2D& p) const {
-    return sfc::HilbertEncode2D(
-        sfc::Quantize(p.x, options_.bits_per_dim),
-        sfc::Quantize(p.y, options_.bits_per_dim), options_.bits_per_dim);
+  uint32_t Quantize(double v) const {
+    return sfc::Quantize(v, options_.bits_per_dim);
   }
 
-  size_t LowerBoundCode(uint64_t code) const {
-    const double k = static_cast<double>(code);
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), k);
-    const size_t seg =
-        (it == segment_first_keys_.begin())
-            ? 0
-            : static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-    const size_t pred = segments_[seg].model.PredictClamped(k, codes_.size());
-    return WindowLowerBoundWithFixup(codes_, code, pred,
-                                     options_.epsilon + 1,
-                                     options_.epsilon + 1, codes_.size());
+  uint64_t Encode(const Point2D& p) const {
+    return sfc::HilbertEncode2D(Quantize(p.x), Quantize(p.y),
+                                options_.bits_per_dim);
   }
 
   Options options_;
-  std::vector<HEntry> entries_;  // Sorted by (code, id).
-  std::vector<uint64_t> codes_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
 };
 
 }  // namespace lidx

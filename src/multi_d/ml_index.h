@@ -10,8 +10,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
-#include "common/search.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 #include "spatial/geometry.h"
 
 namespace lidx {
@@ -48,6 +47,7 @@ class MlIndex {
     entries_.clear();
     keys_.clear();
     refs_.clear();
+    locator_ = PlaLocator();
     if (points.empty()) return;
 
     TrainReferencePoints(points);
@@ -68,21 +68,8 @@ class MlIndex {
     keys_.reserve(entries_.size());
     for (const MlEntry& e : entries_) keys_.push_back(e.key);
 
-    // Learned model over the composite keys (dedup-fed swing filter).
-    SwingFilterBuilder builder(static_cast<double>(options_.epsilon));
-    double prev = 0.0;
-    bool has_prev = false;
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (has_prev && keys_[i] == prev) continue;
-      builder.Add(keys_[i], i);
-      prev = keys_[i];
-      has_prev = true;
-    }
-    segments_ = builder.Finish();
-    segment_first_keys_.reserve(segments_.size());
-    for (const PlaSegment& s : segments_) {
-      segment_first_keys_.push_back(s.first_key);
-    }
+    // Learned model over the composite keys.
+    locator_.Build(keys_, options_.epsilon, /*threads=*/1);
   }
 
   std::vector<uint32_t> FindExact(const Point2D& p) const {
@@ -91,7 +78,7 @@ class MlIndex {
     const size_t part = NearestRef(p);
     const double dist = std::sqrt(Dist2(p, refs_[part]));
     const double key = MakeKey(part, dist);
-    for (size_t i = LowerBoundKey(key);
+    for (size_t i = locator_.LowerBound(keys_, key);
          i < entries_.size() && entries_[i].key == key; ++i) {
       if (entries_[i].point == p) out.push_back(entries_[i].id);
     }
@@ -106,7 +93,7 @@ class MlIndex {
       // Candidate annulus: [min dist(ref, rect), max dist(ref, corner)].
       const double dmin = std::sqrt(rect.MinDist2(refs_[part]));
       const double dmax = MaxDistToRect(refs_[part], rect);
-      const size_t begin = LowerBoundKey(MakeKey(part, dmin));
+      const size_t begin = locator_.LowerBound(keys_, MakeKey(part, dmin));
       const double hi_key = MakeKey(part, dmax);
       for (size_t i = begin; i < entries_.size() && entries_[i].key <= hi_key;
            ++i) {
@@ -139,7 +126,7 @@ class MlIndex {
         // Ball(q, r) intersects partition's annulus [qdist - r, qdist + r].
         const double dmin = std::max(0.0, qdist[part] - r);
         const double dmax = qdist[part] + r;
-        const size_t begin = LowerBoundKey(MakeKey(part, dmin));
+        const size_t begin = locator_.LowerBound(keys_, MakeKey(part, dmin));
         const double hi_key = MakeKey(part, dmax);
         for (size_t i = begin;
              i < entries_.size() && entries_[i].key <= hi_key; ++i) {
@@ -165,11 +152,11 @@ class MlIndex {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   size_t NumPartitions() const { return refs_.size(); }
+  size_t NumSegments() const { return locator_.NumSegments(); }
 
   size_t ModelSizeBytes() const {
     return sizeof(*this) + refs_.capacity() * sizeof(Point2D) +
-           segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double);
+           locator_.SizeBytes();
   }
 
   size_t SizeBytes() const {
@@ -255,25 +242,11 @@ class MlIndex {
     return best;
   }
 
-  size_t LowerBoundKey(double key) const {
-    if (segments_.empty()) return 0;
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), key);
-    const size_t seg =
-        (it == segment_first_keys_.begin())
-            ? 0
-            : static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-    const size_t pred = segments_[seg].model.PredictClamped(key, keys_.size());
-    return WindowLowerBoundWithFixup(keys_, key, pred, options_.epsilon + 1,
-                                     options_.epsilon + 1, keys_.size());
-  }
-
   Options options_;
   std::vector<Point2D> refs_;
   std::vector<MlEntry> entries_;  // Sorted by (key, id).
   std::vector<double> keys_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
+  PlaLocator locator_;
 };
 
 }  // namespace lidx

@@ -1,16 +1,14 @@
 #ifndef LIDX_MULTI_D_ZM_INDEX_H_
 #define LIDX_MULTI_D_ZM_INDEX_H_
 
-#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/parallel.h"
-#include "common/search.h"
-#include "models/plr.h"
+#include "multi_d/projected_index.h"
 #include "sfc/morton.h"
 #include "sfc/zrange.h"
 #include "spatial/geometry.h"
@@ -25,146 +23,110 @@ namespace lidx {
 // BIGMIN jumps (Tropf & Herzog), re-entering the learned index at each
 // jump instead of walking a B-tree.
 //
+// The recipe is the same in every dimension; D = 2 indexes Point2D under
+// RangeQuery2D and D = 3 indexes Point3D under BoxQuery3D. The
+// curve-locality tax grows with D (a box shatters into more intervals),
+// which is the scaling caveat §6.1 raises.
+//
 // Taxonomy position: multi-dimensional / immutable / pure / projected.
-class ZmIndex {
+template <int D>
+class ZmIndex
+    : public ProjectedIndex<std::conditional_t<D == 2, Point2D, Point3D>> {
+  static_assert(D == 2 || D == 3, "ZmIndex is 2-D or 3-D");
+
  public:
+  using Point = std::conditional_t<D == 2, Point2D, Point3D>;
+  using Box = std::conditional_t<D == 2, RangeQuery2D, BoxQuery3D>;
+
   struct Options {
-    int bits_per_dim = 20;   // Grid resolution for quantization.
-    size_t epsilon = 64;     // PLA error bound on the code array.
-    // Threads for Build: Morton encoding, the (code, id) sort, and the PLA
+    // Grid resolution for quantization. Build requires D * bits_per_dim
+    // <= 53, so every code is exact as a double for the learned model.
+    int bits_per_dim = D == 2 ? 20 : 16;
+    size_t epsilon = 64;  // PLA error bound on the code array.
+    // Threads for Build: encoding, the (code, id) sort and the PLA
     // segmentation all parallelize. Entries and codes are identical for
-    // every thread count (the sort key is a total order); only the PLA
-    // segment boundaries may differ at block seams, with the same
-    // ε-guarantee. 1 = fully serial.
+    // every thread count; only the PLA segment boundaries may differ at
+    // block seams, with the same ε-guarantee. 1 = fully serial.
     size_t build_threads = 1;
   };
 
   ZmIndex() = default;
 
-  void Build(const std::vector<Point2D>& points) {
-    Build(points, Options());
-  }
+  void Build(const std::vector<Point>& points) { Build(points, Options()); }
 
-  void Build(const std::vector<Point2D>& points, const Options& options) {
+  void Build(const std::vector<Point>& points, const Options& options) {
+    LIDX_CHECK(options.bits_per_dim >= 1 && D * options.bits_per_dim <= 53);
     options_ = options;
-    const size_t threads = options.build_threads;
-    const size_t n = points.size();
-    entries_.assign(n, ZEntry{});
-    ParallelForIndex(threads, n, [&](size_t i) {
-      const uint32_t qx = sfc::Quantize(points[i].x, options_.bits_per_dim);
-      const uint32_t qy = sfc::Quantize(points[i].y, options_.bits_per_dim);
-      entries_[i] = {sfc::MortonEncode2D(qx, qy), points[i],
-                     static_cast<uint32_t>(i)};
-    });
-    // (code, id) is a total order, so the parallel sort is byte-identical
-    // to the serial one.
-    ParallelSort(threads, &entries_,
-                 [](const ZEntry& a, const ZEntry& b) {
-                   if (a.code != b.code) return a.code < b.code;
-                   return a.id < b.id;
-                 });
-    codes_.assign(n, 0);
-    ParallelForIndex(threads, n, [&](size_t i) { codes_[i] = entries_[i].code; });
-
-    // ε-bounded PLA over the (deduplicated) codes; duplicates are rare but
-    // legal, so the model trains on first occurrences and lookups widen
-    // through the fix-up search.
-    segments_ = BuildPlaDedupBlocked(
-        codes_, static_cast<double>(options_.epsilon), threads);
-    segment_first_keys_.clear();
-    segment_first_keys_.reserve(segments_.size());
-    for (const PlaSegment& s : segments_) {
-      segment_first_keys_.push_back(s.first_key);
-    }
+    this->BuildCodes(points, [this](const Point& p) { return Encode(p); },
+                     options.epsilon, options.build_threads);
   }
 
   // Ids of points exactly equal to `p`.
-  std::vector<uint32_t> FindExact(const Point2D& p) const {
-    std::vector<uint32_t> out;
-    if (entries_.empty()) return out;
-    const uint32_t qx = sfc::Quantize(p.x, options_.bits_per_dim);
-    const uint32_t qy = sfc::Quantize(p.y, options_.bits_per_dim);
-    const uint64_t code = sfc::MortonEncode2D(qx, qy);
-    for (size_t i = LowerBoundCode(code);
-         i < entries_.size() && entries_[i].code == code; ++i) {
-      if (entries_[i].point == p) out.push_back(entries_[i].id);
-    }
-    return out;
+  std::vector<uint32_t> FindExact(const Point& p) const {
+    return this->FindCode(Encode(p), p);
   }
 
-  std::vector<uint32_t> RangeQuery(const RangeQuery2D& q) const {
+  std::vector<uint32_t> RangeQuery(const Box& q) const {
     std::vector<uint32_t> out;
-    if (entries_.empty()) return out;
-    sfc::ZRect rect;
-    rect.min_x = sfc::Quantize(q.min_x, options_.bits_per_dim);
-    rect.min_y = sfc::Quantize(q.min_y, options_.bits_per_dim);
-    rect.max_x = sfc::Quantize(q.max_x, options_.bits_per_dim);
-    rect.max_y = sfc::Quantize(q.max_y, options_.bits_per_dim);
-    const uint64_t zmin = sfc::MortonEncode2D(rect.min_x, rect.min_y);
-    const uint64_t zmax = sfc::MortonEncode2D(rect.max_x, rect.max_y);
+    const auto& entries = this->entries_;
+    if (entries.empty()) return out;
+    const auto [lo, hi] = Corners(q);
+    const sfc::ZBox<D> box{Cell(lo), Cell(hi)};
+    const uint64_t zmax = sfc::MortonEncode<D>(box.hi);
 
-    size_t i = LowerBoundCode(zmin);
-    while (i < entries_.size() && entries_[i].code <= zmax) {
-      const uint64_t code = entries_[i].code;
-      if (sfc::ZCodeInRect(code, rect)) {
+    size_t i = this->LowerBound(sfc::MortonEncode<D>(box.lo));
+    while (i < entries.size() && entries[i].code <= zmax) {
+      const uint64_t code = entries[i].code;
+      if (sfc::ZCodeInBox(code, box)) {
         // Consume the whole duplicate-code run.
-        for (; i < entries_.size() && entries_[i].code == code; ++i) {
-          if (q.Contains(entries_[i].point)) out.push_back(entries_[i].id);
+        for (; i < entries.size() && entries[i].code == code; ++i) {
+          if (q.Contains(entries[i].point)) out.push_back(entries[i].id);
         }
         continue;
       }
-      // Outside the rectangle: leapfrog with BIGMIN and re-enter via the
-      // learned index.
-      const uint64_t next = sfc::BigMin(code, rect);
+      // Outside the box: leapfrog with BIGMIN and re-enter via the learned
+      // index.
+      const uint64_t next = sfc::BigMin(code, box);
       if (next == UINT64_MAX || next > zmax) break;
       LIDX_DCHECK(next > code);
-      i = LowerBoundCode(next);
+      i = this->LowerBound(next);
     }
     return out;
   }
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  size_t NumSegments() const { return segments_.size(); }
-
-  size_t ModelSizeBytes() const {
-    return sizeof(*this) + segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double);
-  }
-
-  size_t SizeBytes() const {
-    return ModelSizeBytes() + entries_.capacity() * sizeof(ZEntry) +
-           codes_.capacity() * sizeof(uint64_t);
-  }
-
  private:
-  struct ZEntry {
-    uint64_t code;
-    Point2D point;
-    uint32_t id;
-  };
+  static std::array<double, D> Coords(const Point& p) {
+    if constexpr (D == 2) {
+      return {p.x, p.y};
+    } else {
+      return {p.x, p.y, p.z};
+    }
+  }
 
-  // First index with codes_[i] >= code, via the learned model.
-  size_t LowerBoundCode(uint64_t code) const {
-    const double k = static_cast<double>(code);
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), k);
-    const size_t seg =
-        (it == segment_first_keys_.begin())
-            ? 0
-            : static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-    const size_t pred =
-        segments_[seg].model.PredictClamped(k, codes_.size());
-    return WindowLowerBoundWithFixup(codes_, code, pred,
-                                     options_.epsilon + 1,
-                                     options_.epsilon + 1, codes_.size());
+  // The query's low and high corners.
+  static std::array<Point, 2> Corners(const Box& q) {
+    if constexpr (D == 2) {
+      return {Point{q.min_x, q.min_y}, Point{q.max_x, q.max_y}};
+    } else {
+      return {Point{q.min_x, q.min_y, q.min_z},
+              Point{q.max_x, q.max_y, q.max_z}};
+    }
+  }
+
+  std::array<uint32_t, D> Cell(const Point& p) const {
+    const std::array<double, D> coords = Coords(p);
+    std::array<uint32_t, D> cell;
+    for (int d = 0; d < D; ++d) {
+      cell[d] = sfc::Quantize(coords[d], options_.bits_per_dim);
+    }
+    return cell;
+  }
+
+  uint64_t Encode(const Point& p) const {
+    return sfc::MortonEncode<D>(Cell(p));
   }
 
   Options options_;
-  std::vector<ZEntry> entries_;  // Sorted by (code, id).
-  std::vector<uint64_t> codes_;  // Parallel code array for search.
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
 };
 
 }  // namespace lidx

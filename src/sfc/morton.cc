@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/macros.h"
+
 namespace lidx::sfc {
 
 namespace {
@@ -69,6 +71,7 @@ void MortonDecode3D(uint64_t code, uint32_t* x, uint32_t* y, uint32_t* z) {
 }
 
 uint32_t Quantize(double v, int bits) {
+  LIDX_DCHECK(bits >= 1 && bits <= 32);
   if (v < 0.0) v = 0.0;
   if (v >= 1.0) v = std::nextafter(1.0, 0.0);
   const double scale = static_cast<double>(1ull << bits);

@@ -10,41 +10,48 @@ namespace lidx::sfc {
 
 namespace {
 
-constexpr uint64_t kEvenBits = 0x5555555555555555ull;  // x dimension.
-constexpr uint64_t kOddBits = 0xAAAAAAAAAAAAAAAAull;   // y dimension.
+// Bits of dimension 0 within a D-dimensional Morton code: 0, D, 2D, ...
+// Dimension d owns the same pattern shifted left by d.
+template <int D>
+constexpr uint64_t Dim0Bits() {
+  uint64_t mask = 0;
+  for (int bit = 0; bit < 64; bit += D) mask |= 1ull << bit;
+  return mask;
+}
 
-uint64_t DimMask(int bit) { return (bit & 1) ? kOddBits : kEvenBits; }
+// The bits below `bit` that belong to the same dimension as `bit`.
+template <int D>
+uint64_t LowerBitsOfDim(int bit) {
+  return ((1ull << bit) - 1) & (Dim0Bits<D>() << (bit % D));
+}
 
 // LOAD "10...0": set `bit`, clear all lower bits of the same dimension.
+template <int D>
 uint64_t LoadOneZeros(uint64_t v, int bit) {
-  const uint64_t lower =
-      (bit == 0) ? 0 : (((1ull << bit) - 1) & DimMask(bit));
-  v |= (1ull << bit);
-  v &= ~lower;
-  return v;
+  return (v | (1ull << bit)) & ~LowerBitsOfDim<D>(bit);
 }
 
 // LOAD "01...1": clear `bit`, set all lower bits of the same dimension.
+template <int D>
 uint64_t LoadZeroOnes(uint64_t v, int bit) {
-  const uint64_t lower =
-      (bit == 0) ? 0 : (((1ull << bit) - 1) & DimMask(bit));
-  v &= ~(1ull << bit);
-  v |= lower;
-  return v;
+  return (v & ~(1ull << bit)) | LowerBitsOfDim<D>(bit);
 }
 
 }  // namespace
 
-bool ZCodeInRect(uint64_t code, const ZRect& rect) {
-  const auto [x, y] = MortonDecode2D(code);
-  return rect.ContainsCell(x, y);
+template <int D>
+bool ZCodeInBox(uint64_t code, const ZBox<D>& box) {
+  return box.ContainsCell(MortonDecode<D>(code));
 }
 
-uint64_t BigMin(uint64_t code, const ZRect& rect) {
-  uint64_t zmin = MortonEncode2D(rect.min_x, rect.min_y);
-  uint64_t zmax = MortonEncode2D(rect.max_x, rect.max_y);
+template <int D>
+uint64_t BigMin(uint64_t code, const ZBox<D>& box) {
+  uint64_t zmin = MortonEncode<D>(box.lo);
+  uint64_t zmax = MortonEncode<D>(box.hi);
   uint64_t bigmin = UINT64_MAX;
-  for (int bit = 63; bit >= 0; --bit) {
+  // The highest bit a code uses: 32 bits per dimension in 2-D, 21 in 3-D.
+  constexpr int kTopBit = D * (64 / D) - 1;
+  for (int bit = kTopBit; bit >= 0; --bit) {
     const unsigned z_bit = (code >> bit) & 1;
     const unsigned min_bit = (zmin >> bit) & 1;
     const unsigned max_bit = (zmax >> bit) & 1;
@@ -53,62 +60,33 @@ uint64_t BigMin(uint64_t code, const ZRect& rect) {
       case 0b000:
         break;
       case 0b001:
-        bigmin = LoadOneZeros(zmin, bit);
-        zmax = LoadZeroOnes(zmax, bit);
+        bigmin = LoadOneZeros<D>(zmin, bit);
+        zmax = LoadZeroOnes<D>(zmax, bit);
         break;
       case 0b011:
-        // code's path is entirely below the rectangle: the answer is zmin.
+        // code's path is entirely below the box: the answer is zmin.
         return zmin;
       case 0b100:
-        // code's path is entirely above the rectangle: best seen so far.
+        // code's path is entirely above the box: best seen so far.
         return bigmin;
       case 0b101:
-        zmin = LoadOneZeros(zmin, bit);
+        zmin = LoadOneZeros<D>(zmin, bit);
         break;
       case 0b111:
         break;
       default:
         // 0b010 / 0b110 mean zmin > zmax in this dimension: impossible for a
-        // well-formed rectangle.
+        // well-formed box.
         LIDX_CHECK(false);
     }
   }
   return bigmin;
 }
 
-uint64_t LitMax(uint64_t code, const ZRect& rect) {
-  uint64_t zmin = MortonEncode2D(rect.min_x, rect.min_y);
-  uint64_t zmax = MortonEncode2D(rect.max_x, rect.max_y);
-  uint64_t litmax = UINT64_MAX;
-  for (int bit = 63; bit >= 0; --bit) {
-    const unsigned z_bit = (code >> bit) & 1;
-    const unsigned min_bit = (zmin >> bit) & 1;
-    const unsigned max_bit = (zmax >> bit) & 1;
-    const unsigned combo = (z_bit << 2) | (min_bit << 1) | max_bit;
-    switch (combo) {
-      case 0b000:
-        break;
-      case 0b001:
-        // code's bit is 0, so any candidate in the upper half would exceed
-        // it: restrict the rectangle to the lower half.
-        zmax = LoadZeroOnes(zmax, bit);
-        break;
-      case 0b011:
-        return litmax;
-      case 0b100:
-        return zmax;
-      case 0b101:
-        litmax = LoadZeroOnes(zmax, bit);
-        zmin = LoadOneZeros(zmin, bit);
-        break;
-      case 0b111:
-        break;
-      default:
-        LIDX_CHECK(false);
-    }
-  }
-  return litmax;
-}
+template bool ZCodeInBox<2>(uint64_t, const ZBox<2>&);
+template bool ZCodeInBox<3>(uint64_t, const ZBox<3>&);
+template uint64_t BigMin<2>(uint64_t, const ZBox<2>&);
+template uint64_t BigMin<3>(uint64_t, const ZBox<3>&);
 
 namespace {
 
@@ -122,12 +100,12 @@ enum class Overlap { kDisjoint, kPartial, kContained };
 Overlap Classify(const Block& b, const ZRect& rect) {
   const uint64_t bx1 = static_cast<uint64_t>(b.x0) + b.size - 1;
   const uint64_t by1 = static_cast<uint64_t>(b.y0) + b.size - 1;
-  if (bx1 < rect.min_x || b.x0 > rect.max_x || by1 < rect.min_y ||
-      b.y0 > rect.max_y) {
+  if (bx1 < rect.lo[0] || b.x0 > rect.hi[0] || by1 < rect.lo[1] ||
+      b.y0 > rect.hi[1]) {
     return Overlap::kDisjoint;
   }
-  if (b.x0 >= rect.min_x && bx1 <= rect.max_x && b.y0 >= rect.min_y &&
-      by1 <= rect.max_y) {
+  if (b.x0 >= rect.lo[0] && bx1 <= rect.hi[0] && b.y0 >= rect.lo[1] &&
+      by1 <= rect.hi[1]) {
     return Overlap::kContained;
   }
   return Overlap::kPartial;
@@ -145,11 +123,11 @@ ZInterval BlockInterval(const Block& b) {
 std::vector<ZInterval> DecomposeZRanges(const ZRect& rect,
                                         size_t max_ranges) {
   LIDX_CHECK(max_ranges >= 1);
-  LIDX_CHECK(rect.min_x <= rect.max_x && rect.min_y <= rect.max_y);
+  LIDX_CHECK(rect.lo[0] <= rect.hi[0] && rect.lo[1] <= rect.hi[1]);
 
   // Smallest power-of-two block enclosing the rectangle's coordinates.
   uint32_t side = 1;
-  const uint32_t needed = std::max(rect.max_x, rect.max_y);
+  const uint32_t needed = std::max(rect.hi[0], rect.hi[1]);
   while (side <= needed && side < (1u << 31)) side <<= 1;
 
   std::vector<ZInterval> result;
@@ -190,9 +168,9 @@ std::vector<ZInterval> DecomposeHilbertRanges(const ZRect& rect, int bits,
                                               size_t max_ranges) {
   LIDX_CHECK(max_ranges >= 1);
   LIDX_CHECK(bits >= 1 && bits <= 31);
-  LIDX_CHECK(rect.min_x <= rect.max_x && rect.min_y <= rect.max_y);
+  LIDX_CHECK(rect.lo[0] <= rect.hi[0] && rect.lo[1] <= rect.hi[1]);
   const uint32_t side = 1u << bits;
-  LIDX_CHECK(rect.max_x < side && rect.max_y < side);
+  LIDX_CHECK(rect.hi[0] < side && rect.hi[1] < side);
 
   // An aligned block of side s is one contiguous Hilbert stretch; its
   // start is the minimum corner encoding (the curve enters at a corner).

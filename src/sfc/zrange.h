@@ -1,43 +1,51 @@
 #ifndef LIDX_SFC_ZRANGE_H_
 #define LIDX_SFC_ZRANGE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace lidx::sfc {
 
-// Range-query machinery on the 2-D Z-order curve. A rectangle in space maps
-// to many disjoint intervals on the curve; the two classic tools are:
+// Range-query machinery on the Z-order curve. A box in space maps to many
+// disjoint intervals on the curve; the two classic tools are:
 //
-//  * BIGMIN / LITMAX (Tropf & Herzog 1981): given a code outside the query
-//    rectangle, jump directly to the next (previous) code inside it. This
-//    lets an index scan a sorted code array and skip dead stretches without
-//    materializing the interval decomposition.
-//  * Explicit decomposition of the rectangle into at most `max_ranges` code
-//    intervals (over-covering when the budget is hit).
+//  * BIGMIN (Tropf & Herzog 1981): given a code outside the query box, jump
+//    directly to the next code inside it. This lets an index scan a sorted
+//    code array and skip dead stretches without materializing the interval
+//    decomposition. One algorithm serves every dimension: the per-bit
+//    dimension mask cycles with period D.
+//  * Explicit decomposition of a 2-D rectangle into at most `max_ranges`
+//    code intervals (over-covering when the budget is hit).
 
-// A query rectangle in grid coordinates (inclusive bounds).
-struct ZRect {
-  uint32_t min_x = 0, min_y = 0, max_x = 0, max_y = 0;
+// A query box of grid cells in D dimensions (inclusive bounds). D = 2 or 3,
+// the dimensions MortonEncode<D> interleaves.
+template <int D>
+struct ZBox {
+  std::array<uint32_t, D> lo{};
+  std::array<uint32_t, D> hi{};
 
-  bool ContainsCell(uint32_t x, uint32_t y) const {
-    return x >= min_x && x <= max_x && y >= min_y && y <= max_y;
+  bool ContainsCell(const std::array<uint32_t, D>& cell) const {
+    for (int d = 0; d < D; ++d) {
+      if (cell[d] < lo[d] || cell[d] > hi[d]) return false;
+    }
+    return true;
   }
 };
 
-// True iff the point encoded by `code` lies inside `rect`.
-bool ZCodeInRect(uint64_t code, const ZRect& rect);
+// The 2-D box: {{min_x, min_y}, {max_x, max_y}}.
+using ZRect = ZBox<2>;
 
-// Smallest Z-code >= `code` that lies inside `rect`. `code` is typically the
-// first code found outside the rectangle during a scan. Requires that such a
-// code exists (i.e. code <= MortonEncode2D(rect.max_x, rect.max_y) region);
-// returns max_code+1-like sentinel UINT64_MAX if the rectangle has no code
-// >= `code`.
-uint64_t BigMin(uint64_t code, const ZRect& rect);
+// True iff the cell encoded by `code` lies inside `box`.
+template <int D>
+bool ZCodeInBox(uint64_t code, const ZBox<D>& box);
 
-// Largest Z-code <= `code` inside `rect`; UINT64_MAX if none.
-uint64_t LitMax(uint64_t code, const ZRect& rect);
+// Smallest Z-code >= `code` that lies inside `box`; UINT64_MAX if the box
+// has no code >= `code`. `code` is typically the first code found outside
+// the box during a scan.
+template <int D>
+uint64_t BigMin(uint64_t code, const ZBox<D>& box);
 
 // An inclusive interval [lo, hi] of Z-codes.
 struct ZInterval {

@@ -11,6 +11,28 @@
 
 namespace lidx {
 
+// A 3-D point in the unit cube.
+struct Point3D {
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+
+  friend bool operator==(const Point3D& a, const Point3D& b) {
+    return a.x == b.x && a.y == b.y && a.z == b.z;
+  }
+};
+
+// Axis-aligned 3-D box query (inclusive bounds).
+struct BoxQuery3D {
+  double min_x, min_y, min_z;
+  double max_x, max_y, max_z;
+
+  bool Contains(const Point3D& p) const {
+    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y &&
+           p.z >= min_z && p.z <= max_z;
+  }
+};
+
 // Axis-aligned rectangle (MBR). Degenerate (point) rectangles are valid.
 struct Rect {
   double min_x = std::numeric_limits<double>::max();

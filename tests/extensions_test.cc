@@ -19,7 +19,7 @@
 #include "models/drift.h"
 #include "multi_d/hm_index.h"
 #include "multi_d/learned_packing.h"
-#include "multi_d/zm_index3d.h"
+#include "multi_d/zm_index.h"
 #include "one_d/fiting_tree.h"
 #include "one_d/learned_hash.h"
 #include "one_d/pgm.h"
@@ -30,7 +30,6 @@
 #include "sfc/morton.h"
 #include "sfc/hilbert.h"
 #include "sfc/zrange.h"
-#include "sfc/zrange3d.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define LIDX_TEST_TSAN 1
@@ -264,32 +263,32 @@ std::vector<uint32_t> BruteBox3D(const std::vector<Point3D>& pts,
 TEST(BigMin3DTest, MatchesBruteForceRandomized) {
   Rng rng(971);
   for (int trial = 0; trial < 500; ++trial) {
-    sfc::ZBox3D box;
-    box.min_x = static_cast<uint32_t>(rng.NextBounded(16));
-    box.min_y = static_cast<uint32_t>(rng.NextBounded(16));
-    box.min_z = static_cast<uint32_t>(rng.NextBounded(16));
-    box.max_x = box.min_x + static_cast<uint32_t>(rng.NextBounded(8));
-    box.max_y = box.min_y + static_cast<uint32_t>(rng.NextBounded(8));
-    box.max_z = box.min_z + static_cast<uint32_t>(rng.NextBounded(8));
+    sfc::ZBox<3> box;
+    for (int d = 0; d < 3; ++d) {
+      box.lo[d] = static_cast<uint32_t>(rng.NextBounded(16));
+    }
+    for (int d = 0; d < 3; ++d) {
+      box.hi[d] = box.lo[d] + static_cast<uint32_t>(rng.NextBounded(8));
+    }
     const uint64_t code = rng.NextBounded(32 * 32 * 32);
-    if (sfc::ZCodeInBox3D(code, box)) continue;
+    if (sfc::ZCodeInBox(code, box)) continue;
     // Brute force: smallest code >= `code` in the box.
     uint64_t expected = UINT64_MAX;
-    for (uint32_t x = box.min_x; x <= box.max_x; ++x) {
-      for (uint32_t y = box.min_y; y <= box.max_y; ++y) {
-        for (uint32_t z = box.min_z; z <= box.max_z; ++z) {
+    for (uint32_t x = box.lo[0]; x <= box.hi[0]; ++x) {
+      for (uint32_t y = box.lo[1]; y <= box.hi[1]; ++y) {
+        for (uint32_t z = box.lo[2]; z <= box.hi[2]; ++z) {
           const uint64_t c = sfc::MortonEncode3D(x, y, z);
           if (c >= code && c < expected) expected = c;
         }
       }
     }
-    ASSERT_EQ(sfc::BigMin3D(code, box), expected) << "code " << code;
+    ASSERT_EQ(sfc::BigMin(code, box), expected) << "code " << code;
   }
 }
 
 TEST(ZmIndex3DTest, PointQueries) {
   const auto pts = GeneratePoints3D(20000, 977);
-  ZmIndex3D index;
+  ZmIndex<3> index;
   index.Build(pts);
   for (size_t i = 0; i < pts.size(); i += 13) {
     const auto got = index.FindExact(pts[i]);
@@ -301,7 +300,7 @@ TEST(ZmIndex3DTest, PointQueries) {
 
 TEST(ZmIndex3DTest, BoxQueriesMatchBruteForce) {
   const auto pts = GeneratePoints3D(20000, 983);
-  ZmIndex3D index;
+  ZmIndex<3> index;
   index.Build(pts);
   Rng rng(991);
   for (int trial = 0; trial < 60; ++trial) {
@@ -310,7 +309,7 @@ TEST(ZmIndex3DTest, BoxQueriesMatchBruteForce) {
     BoxQuery3D q{std::max(0.0, c.x - r), std::max(0.0, c.y - r),
                  std::max(0.0, c.z - r), std::min(1.0, c.x + r),
                  std::min(1.0, c.y + r), std::min(1.0, c.z + r)};
-    auto got = index.BoxQuery(q);
+    auto got = index.RangeQuery(q);
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, BruteBox3D(pts, q)) << "trial " << trial;
   }
@@ -318,8 +317,8 @@ TEST(ZmIndex3DTest, BoxQueriesMatchBruteForce) {
 
 TEST(ZmIndex3DTest, CoarseGridStillExact) {
   const auto pts = GeneratePoints3D(5000, 997);
-  ZmIndex3D index;
-  ZmIndex3D::Options opts;
+  ZmIndex<3> index;
+  ZmIndex<3>::Options opts;
   opts.bits_per_dim = 4;  // Heavy duplicate codes.
   index.Build(pts, opts);
   Rng rng(1009);
@@ -328,7 +327,7 @@ TEST(ZmIndex3DTest, CoarseGridStillExact) {
     BoxQuery3D q{std::max(0.0, c.x - 0.2), std::max(0.0, c.y - 0.2),
                  std::max(0.0, c.z - 0.2), std::min(1.0, c.x + 0.2),
                  std::min(1.0, c.y + 0.2), std::min(1.0, c.z + 0.2)};
-    auto got = index.BoxQuery(q);
+    auto got = index.RangeQuery(q);
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, BruteBox3D(pts, q));
   }
@@ -534,12 +533,12 @@ TEST(HilbertRangeTest, ExactCoverWithUnlimitedBudget) {
   Rng rng(1401);
   for (int trial = 0; trial < 200; ++trial) {
     sfc::ZRect rect;
-    rect.min_x = static_cast<uint32_t>(rng.NextBounded(32));
-    rect.min_y = static_cast<uint32_t>(rng.NextBounded(32));
-    rect.max_x = std::min<uint32_t>(
-        31, rect.min_x + static_cast<uint32_t>(rng.NextBounded(8)));
-    rect.max_y = std::min<uint32_t>(
-        31, rect.min_y + static_cast<uint32_t>(rng.NextBounded(8)));
+    rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(32));
+    rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(32));
+    rect.hi[0] = std::min<uint32_t>(
+        31, rect.lo[0] + static_cast<uint32_t>(rng.NextBounded(8)));
+    rect.hi[1] = std::min<uint32_t>(
+        31, rect.lo[1] + static_cast<uint32_t>(rng.NextBounded(8)));
     const auto intervals =
         sfc::DecomposeHilbertRanges(rect, bits, 1u << 20);
     for (size_t i = 1; i < intervals.size(); ++i) {
@@ -551,8 +550,8 @@ TEST(HilbertRangeTest, ExactCoverWithUnlimitedBudget) {
       for (uint64_t d = iv.lo; d <= iv.hi; ++d) covered.insert(d);
     }
     std::set<uint64_t> expected;
-    for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-      for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
+    for (uint32_t x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+      for (uint32_t y = rect.lo[1]; y <= rect.hi[1]; ++y) {
         expected.insert(sfc::HilbertEncode2D(x, y, bits));
       }
     }
@@ -566,17 +565,17 @@ TEST(HilbertRangeTest, BudgetedCoverIsSuperset) {
   for (size_t budget : {1u, 4u, 16u}) {
     for (int trial = 0; trial < 30; ++trial) {
       sfc::ZRect rect;
-      rect.min_x = static_cast<uint32_t>(rng.NextBounded(200));
-      rect.min_y = static_cast<uint32_t>(rng.NextBounded(200));
-      rect.max_x = std::min<uint32_t>(
-          255, rect.min_x + static_cast<uint32_t>(rng.NextBounded(40)));
-      rect.max_y = std::min<uint32_t>(
-          255, rect.min_y + static_cast<uint32_t>(rng.NextBounded(40)));
+      rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(200));
+      rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(200));
+      rect.hi[0] = std::min<uint32_t>(
+          255, rect.lo[0] + static_cast<uint32_t>(rng.NextBounded(40)));
+      rect.hi[1] = std::min<uint32_t>(
+          255, rect.lo[1] + static_cast<uint32_t>(rng.NextBounded(40)));
       const auto intervals =
           sfc::DecomposeHilbertRanges(rect, bits, budget);
       ASSERT_LE(intervals.size(), budget);
-      for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-        for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
+      for (uint32_t x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+        for (uint32_t y = rect.lo[1]; y <= rect.hi[1]; ++y) {
           const uint64_t d = sfc::HilbertEncode2D(x, y, bits);
           bool found = false;
           for (const auto& iv : intervals) {
@@ -598,10 +597,10 @@ TEST(HilbertRangeTest, FewerIntervalsThanZOrder) {
   size_t z_total = 0, h_total = 0;
   for (int trial = 0; trial < 50; ++trial) {
     sfc::ZRect rect;
-    rect.min_x = static_cast<uint32_t>(rng.NextBounded(900));
-    rect.min_y = static_cast<uint32_t>(rng.NextBounded(900));
-    rect.max_x = rect.min_x + 60;
-    rect.max_y = rect.min_y + 60;
+    rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(900));
+    rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(900));
+    rect.hi[0] = rect.lo[0] + 60;
+    rect.hi[1] = rect.lo[1] + 60;
     z_total += sfc::DecomposeZRanges(rect, 1u << 20).size();
     h_total += sfc::DecomposeHilbertRanges(rect, bits, 1u << 20).size();
   }

@@ -10,6 +10,7 @@
 #include "datasets/workload.h"
 #include "multi_d/airtree.h"
 #include "multi_d/flood.h"
+#include "multi_d/hm_index.h"
 #include "multi_d/lisa.h"
 #include "multi_d/ml_index.h"
 #include "multi_d/qd_tree.h"
@@ -261,7 +262,7 @@ class ZmParamTest : public ::testing::TestWithParam<Params> {};
 TEST_P(ZmParamTest, Correct) {
   const auto [dist, n] = GetParam();
   const auto points = GeneratePoints(dist, n, 439);
-  ZmIndex index;
+  ZmIndex<2> index;
   index.Build(points);
   CheckSpatial(index, points, 443);
 }
@@ -275,8 +276,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ZmTest, EpsilonControlsSegments) {
   const auto points =
       GeneratePoints(PointDistribution::kGaussianClusters, 50000, 449);
-  ZmIndex tight, loose;
-  ZmIndex::Options topts, lopts;
+  ZmIndex<2> tight, loose;
+  ZmIndex<2>::Options topts, lopts;
   topts.epsilon = 8;
   lopts.epsilon = 256;
   tight.Build(points, topts);
@@ -288,11 +289,76 @@ TEST(ZmTest, LowResolutionGridStillExact) {
   // Coarse quantization means many duplicate codes; results must remain
   // exact through the post-filter.
   const auto points = GeneratePoints(PointDistribution::kSkewedGrid, 5000, 457);
-  ZmIndex index;
-  ZmIndex::Options opts;
+  ZmIndex<2> index;
+  ZmIndex<2>::Options opts;
   opts.bits_per_dim = 6;
   index.Build(points, opts);
   CheckSpatial(index, points, 461);
+}
+
+TEST(ZmTest, BitsPerDimBoundFollowsFromD) {
+  // Codes must stay exact as doubles: D * bits_per_dim <= 53.
+  const std::vector<Point2D> points2 = {{0.25, 0.5}, {0.75, 0.125}};
+  const std::vector<Point3D> points3 = {{0.25, 0.5, 0.75}};
+  ZmIndex<2>::Options opts2;
+  ZmIndex<3>::Options opts3;
+  opts2.bits_per_dim = 27;
+  EXPECT_DEATH(ZmIndex<2>().Build(points2, opts2), "LIDX_CHECK failed");
+  opts3.bits_per_dim = 18;
+  EXPECT_DEATH(ZmIndex<3>().Build(points3, opts3), "LIDX_CHECK failed");
+  opts2.bits_per_dim = 0;
+  EXPECT_DEATH(ZmIndex<2>().Build(points2, opts2), "LIDX_CHECK failed");
+
+  opts2.bits_per_dim = 26;
+  ZmIndex<2> zm2;
+  zm2.Build(points2, opts2);
+  EXPECT_EQ(zm2.FindExact(points2[1]), std::vector<uint32_t>{1});
+  opts3.bits_per_dim = 17;
+  ZmIndex<3> zm3;
+  zm3.Build(points3, opts3);
+  EXPECT_EQ(zm3.FindExact(points3[0]), std::vector<uint32_t>{0});
+}
+
+// Every learned code locator trains exactly as the hand-written loops it
+// replaced: on a fixed seed, each index's segment count is pinned to the
+// count those loops produced.
+TEST(PlaLocatorTest, SegmentCountsPinnedOnAFixedSeed) {
+  const auto points =
+      GeneratePoints(PointDistribution::kGaussianClusters, 20000, 2718);
+  ZmIndex<2> zm2;
+  zm2.Build(points);
+  EXPECT_EQ(zm2.NumSegments(), 62u);
+  ZmIndex<2> zm2_blocked;
+  ZmIndex<2>::Options blocked;
+  blocked.build_threads = 4;  // Four PLA blocks, so three seams.
+  zm2_blocked.Build(points, blocked);
+  EXPECT_EQ(zm2_blocked.NumSegments(), 65u);
+
+  std::vector<Point3D> points3(points.size());
+  Rng rng(31);
+  for (size_t i = 0; i < points.size(); ++i) {
+    points3[i] = {points[i].x, points[i].y, rng.NextDouble()};
+  }
+  ZmIndex<3> zm3;
+  zm3.Build(points3);
+  EXPECT_EQ(zm3.NumSegments(), 62u);
+
+  HmIndex hm;
+  hm.Build(points);
+  EXPECT_EQ(hm.NumSegments(), 60u);
+  MlIndex ml;
+  ml.Build(points);
+  EXPECT_EQ(ml.NumSegments(), 135u);
+
+  FloodIndex flood;
+  FloodIndex::Options opts;
+  opts.num_columns = 8;
+  flood.Build(points, {}, opts);
+  const std::vector<size_t> column_segments = {7, 10, 9, 11, 7, 11, 8, 9};
+  ASSERT_EQ(flood.NumColumns(), column_segments.size());
+  for (size_t c = 0; c < column_segments.size(); ++c) {
+    EXPECT_EQ(flood.NumSegments(c), column_segments[c]) << "column " << c;
+  }
 }
 
 // ----- Flood -----
@@ -533,7 +599,7 @@ TEST(TinySpatialTest, SinglePointEverywhere) {
   grid.Build(one);
   EXPECT_EQ(grid.RangeQuery(hit), expect_hit);
 
-  ZmIndex zm;
+  ZmIndex<2> zm;
   zm.Build(one);
   EXPECT_EQ(zm.RangeQuery(hit), expect_hit);
   EXPECT_TRUE(zm.RangeQuery(miss).empty());
@@ -573,7 +639,7 @@ TEST(TinySpatialTest, DuplicatePoints) {
   rtree.BulkLoad(dup);
   EXPECT_EQ(Sorted(rtree.FindExact({0.5, 0.5})), both);
 
-  ZmIndex zm;
+  ZmIndex<2> zm;
   zm.Build(dup);
   EXPECT_EQ(Sorted(zm.FindExact({0.5, 0.5})), both);
 

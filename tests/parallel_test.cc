@@ -20,7 +20,6 @@
 #include "models/linear_model.h"
 #include "multi_d/flood.h"
 #include "multi_d/zm_index.h"
-#include "multi_d/zm_index3d.h"
 #include "one_d/alex.h"
 #include "one_d/dynamic_pgm.h"
 #include "one_d/pgm.h"
@@ -265,11 +264,11 @@ TEST(BuildEquivalenceTest, DynamicPgmForwardsBuildThreads) {
 TEST(BuildEquivalenceTest, ZmIndexQueriesAgreeAcrossThreadCounts) {
   const auto points =
       GeneratePoints(PointDistribution::kGaussianClusters, 40'000, 131);
-  ZmIndex serial;
+  ZmIndex<2> serial;
   serial.Build(points);
   for (size_t threads : kThreadCounts) {
-    ZmIndex parallel;
-    ZmIndex::Options opts;
+    ZmIndex<2> parallel;
+    ZmIndex<2>::Options opts;
     opts.build_threads = threads;
     parallel.Build(points, opts);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -299,11 +298,11 @@ TEST(BuildEquivalenceTest, ZmIndex3dQueriesAgreeAcrossThreadCounts) {
          static_cast<double>(rng.NextBounded(1u << 16)) / 65536.0,
          static_cast<double>(rng.NextBounded(1u << 16)) / 65536.0};
   }
-  ZmIndex3D serial;
+  ZmIndex<3> serial;
   serial.Build(points);
   for (size_t threads : kThreadCounts) {
-    ZmIndex3D parallel;
-    ZmIndex3D::Options opts;
+    ZmIndex<3> parallel;
+    ZmIndex<3>::Options opts;
     opts.build_threads = threads;
     parallel.Build(points, opts);
     for (size_t i = 0; i < points.size(); i += 97) {

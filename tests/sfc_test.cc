@@ -140,26 +140,15 @@ TEST(HilbertTest, ZOrderHasJumpsHilbertDoesNot) {
   EXPECT_GT(z_jumps, 0u);
 }
 
-// ----- BIGMIN / LITMAX -----
+// ----- BIGMIN -----
 
 // Brute-force next code >= `code` inside rect.
 uint64_t BruteBigMin(uint64_t code, const ZRect& rect) {
   uint64_t best = UINT64_MAX;
-  for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-    for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
+  for (uint32_t x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+    for (uint32_t y = rect.lo[1]; y <= rect.hi[1]; ++y) {
       const uint64_t z = MortonEncode2D(x, y);
       if (z >= code && z < best) best = z;
-    }
-  }
-  return best;
-}
-
-uint64_t BruteLitMax(uint64_t code, const ZRect& rect) {
-  uint64_t best = UINT64_MAX;
-  for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-    for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
-      const uint64_t z = MortonEncode2D(x, y);
-      if (z <= code && (best == UINT64_MAX || z > best)) best = z;
     }
   }
   return best;
@@ -171,13 +160,10 @@ TEST(BigMinTest, MatchesBruteForceExhaustiveSmallGrid) {
     for (uint32_t y0 = 0; y0 < 8; y0 += 3) {
       for (uint32_t x1 = x0; x1 < 8; x1 += 2) {
         for (uint32_t y1 = y0; y1 < 8; y1 += 2) {
-          const ZRect rect{x0, y0, x1, y1};
+          const ZRect rect{{x0, y0}, {x1, y1}};
           for (uint64_t code = 0; code < 64; ++code) {
-            if (ZCodeInRect(code, rect)) continue;
+            if (ZCodeInBox(code, rect)) continue;
             ASSERT_EQ(BigMin(code, rect), BruteBigMin(code, rect))
-                << "rect (" << x0 << "," << y0 << ")-(" << x1 << "," << y1
-                << ") code " << code;
-            ASSERT_EQ(LitMax(code, rect), BruteLitMax(code, rect))
                 << "rect (" << x0 << "," << y0 << ")-(" << x1 << "," << y1
                 << ") code " << code;
           }
@@ -191,24 +177,23 @@ TEST(BigMinTest, RandomizedLargerGrid) {
   Rng rng(5);
   for (int trial = 0; trial < 2000; ++trial) {
     ZRect rect;
-    rect.min_x = static_cast<uint32_t>(rng.NextBounded(64));
-    rect.min_y = static_cast<uint32_t>(rng.NextBounded(64));
-    rect.max_x = rect.min_x + static_cast<uint32_t>(rng.NextBounded(16));
-    rect.max_y = rect.min_y + static_cast<uint32_t>(rng.NextBounded(16));
+    rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(64));
+    rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(64));
+    rect.hi[0] = rect.lo[0] + static_cast<uint32_t>(rng.NextBounded(16));
+    rect.hi[1] = rect.lo[1] + static_cast<uint32_t>(rng.NextBounded(16));
     const uint64_t code = rng.NextBounded(128 * 128);
-    if (ZCodeInRect(code, rect)) continue;
+    if (ZCodeInBox(code, rect)) continue;
     ASSERT_EQ(BigMin(code, rect), BruteBigMin(code, rect));
-    ASSERT_EQ(LitMax(code, rect), BruteLitMax(code, rect));
   }
 }
 
 TEST(BigMinTest, BelowRectReturnsZMin) {
-  const ZRect rect{4, 4, 7, 7};
+  const ZRect rect{{4, 4}, {7, 7}};
   EXPECT_EQ(BigMin(0, rect), MortonEncode2D(4, 4));
 }
 
 TEST(BigMinTest, AboveRectReturnsSentinel) {
-  const ZRect rect{0, 0, 1, 1};
+  const ZRect rect{{0, 0}, {1, 1}};
   EXPECT_EQ(BigMin(MortonEncode2D(31, 31), rect), UINT64_MAX);
 }
 
@@ -218,10 +203,10 @@ TEST(ZRangeTest, ExactCoverWithUnlimitedBudget) {
   Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     ZRect rect;
-    rect.min_x = static_cast<uint32_t>(rng.NextBounded(32));
-    rect.min_y = static_cast<uint32_t>(rng.NextBounded(32));
-    rect.max_x = rect.min_x + static_cast<uint32_t>(rng.NextBounded(8));
-    rect.max_y = rect.min_y + static_cast<uint32_t>(rng.NextBounded(8));
+    rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(32));
+    rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(32));
+    rect.hi[0] = rect.lo[0] + static_cast<uint32_t>(rng.NextBounded(8));
+    rect.hi[1] = rect.lo[1] + static_cast<uint32_t>(rng.NextBounded(8));
     const auto intervals = DecomposeZRanges(rect, 1u << 20);
 
     // Intervals sorted and disjoint.
@@ -234,8 +219,8 @@ TEST(ZRangeTest, ExactCoverWithUnlimitedBudget) {
       for (uint64_t z = iv.lo; z <= iv.hi; ++z) covered.insert(z);
     }
     std::set<uint64_t> expected;
-    for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-      for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
+    for (uint32_t x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+      for (uint32_t y = rect.lo[1]; y <= rect.hi[1]; ++y) {
         expected.insert(MortonEncode2D(x, y));
       }
     }
@@ -248,15 +233,15 @@ TEST(ZRangeTest, BudgetedCoverIsSupersetAndBounded) {
   for (size_t budget : {1u, 2u, 4u, 8u, 16u}) {
     for (int trial = 0; trial < 50; ++trial) {
       ZRect rect;
-      rect.min_x = static_cast<uint32_t>(rng.NextBounded(200));
-      rect.min_y = static_cast<uint32_t>(rng.NextBounded(200));
-      rect.max_x = rect.min_x + static_cast<uint32_t>(rng.NextBounded(40));
-      rect.max_y = rect.min_y + static_cast<uint32_t>(rng.NextBounded(40));
+      rect.lo[0] = static_cast<uint32_t>(rng.NextBounded(200));
+      rect.lo[1] = static_cast<uint32_t>(rng.NextBounded(200));
+      rect.hi[0] = rect.lo[0] + static_cast<uint32_t>(rng.NextBounded(40));
+      rect.hi[1] = rect.lo[1] + static_cast<uint32_t>(rng.NextBounded(40));
       const auto intervals = DecomposeZRanges(rect, budget);
       ASSERT_LE(intervals.size(), budget);
       // Every cell of the rect must be covered by some interval.
-      for (uint32_t x = rect.min_x; x <= rect.max_x; ++x) {
-        for (uint32_t y = rect.min_y; y <= rect.max_y; ++y) {
+      for (uint32_t x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+        for (uint32_t y = rect.lo[1]; y <= rect.hi[1]; ++y) {
           const uint64_t z = MortonEncode2D(x, y);
           bool found = false;
           for (const ZInterval& iv : intervals) {
@@ -273,7 +258,7 @@ TEST(ZRangeTest, BudgetedCoverIsSupersetAndBounded) {
 }
 
 TEST(ZRangeTest, SingleCell) {
-  const ZRect rect{5, 9, 5, 9};
+  const ZRect rect{{5, 9}, {5, 9}};
   const auto intervals = DecomposeZRanges(rect, 100);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_EQ(intervals[0].lo, MortonEncode2D(5, 9));
