@@ -19,7 +19,6 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
-#include "common/timer.h"
 #include "datasets/generators.h"
 #include "datasets/workload.h"
 #include "multi_d/flood.h"
@@ -39,20 +38,17 @@ struct Workload {
 std::vector<bench::JsonRow> g_json;
 size_t g_mismatches = 0;
 
-// Times `index` on the workload, checks every answer, and adds the row.
+// Times `index` on the workload (median of bench::kTimedPasses passes),
+// checks every answer, and adds the row.
 template <typename Index>
 void Measure(TablePrinter* table, const std::string& variant,
              const std::string& columns, const Index& index,
              const Workload& w) {
-  uint64_t sink = 0;
-  Timer timer;
-  for (const RangeQuery2D& q : w.queries) sink += index.RangeQuery(q).size();
-  DoNotOptimize(sink);
-  const double us =
-      timer.ElapsedSeconds() * 1e6 / static_cast<double>(w.queries.size());
-  const size_t mismatches = bench::CountMismatches(
-      w.queries, w.truth,
-      [&](const RangeQuery2D& q) { return index.RangeQuery(q); });
+  const auto query = [&](const RangeQuery2D& q) {
+    return index.RangeQuery(q);
+  };
+  const double us = bench::MedianUsPerQuery(w.queries, query);
+  const size_t mismatches = bench::CountMismatches(w.queries, w.truth, query);
   g_mismatches += mismatches;
   table->AddRow({variant, columns, TablePrinter::FormatDouble(us, 1)});
   g_json.push_back({bench::JsonField::Str("variant", variant),
@@ -109,6 +105,7 @@ int main(int argc, char** argv) {
   table.Print();
   bench::ReportJson("a02_flood_tuning", g_json,
                     {bench::JsonField::Num("num_points", num_points),
+                     bench::JsonField::Num("timed_passes", bench::kTimedPasses),
                      bench::JsonField::Num("mismatches", g_mismatches)});
   bench::ExitOnMismatches("A2", g_mismatches);
   return 0;

@@ -7,8 +7,9 @@
 // grows, Flood and the R-tree scale with output size while the ZM-index's
 // BIGMIN jumping keeps it competitive but behind on wide rectangles.
 //
-// Every answer of every index is checked against a brute-force scan; a
-// mismatch exits non-zero after the JSON is written.
+// Each row is the median of 5 timed passes over its 300 queries. Every
+// answer of every index is checked against a brute-force scan; a mismatch
+// exits non-zero after the JSON is written.
 //
 // Usage: bench_e08_range_2d [num_points]   (default 1M)
 
@@ -19,7 +20,6 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
-#include "common/timer.h"
 #include "datasets/generators.h"
 #include "datasets/workload.h"
 #include "multi_d/flood.h"
@@ -33,18 +33,6 @@ namespace lidx {
 namespace {
 
 constexpr size_t kNumQueries = 300;
-
-template <typename QueryFn>
-double MeasureUsPerQuery(const std::vector<RangeQuery2D>& queries,
-                         QueryFn query) {
-  uint64_t sink = 0;
-  Timer timer;
-  for (const RangeQuery2D& q : queries) sink += query(q).size();
-  const double us =
-      timer.ElapsedSeconds() * 1e6 / static_cast<double>(queries.size());
-  DoNotOptimize(sink);
-  return us;
-}
 
 }  // namespace
 }  // namespace lidx
@@ -92,7 +80,7 @@ int main(int argc, char** argv) {
         TablePrinter::FormatDouble(selectivity * 100, 4) + "%",
         TablePrinter::FormatDouble(avg_results, 0)};
     const auto measure = [&](const std::string& name, auto query) {
-      const double us = MeasureUsPerQuery(queries, query);
+      const double us = bench::MedianUsPerQuery(queries, query);
       const size_t mismatches = bench::CountMismatches(queries, truth, query);
       total_mismatches += mismatches;
       cells.push_back(TablePrinter::FormatDouble(us, 1));
@@ -119,6 +107,7 @@ int main(int argc, char** argv) {
   bench::ReportJson("e08_range_2d", json,
                     {bench::JsonField::Num("num_points", num_points),
                      bench::JsonField::Num("flood_columns", flood.NumColumns()),
+                     bench::JsonField::Num("timed_passes", bench::kTimedPasses),
                      bench::JsonField::Num("mismatches", total_mismatches)});
   bench::ExitOnMismatches("E8", total_mismatches);
   return 0;

@@ -77,6 +77,26 @@ inline double MeasureMs(const std::function<void()>& fn) {
   return timer.ElapsedSeconds() * 1e3;
 }
 
+// Timed passes per row in the query benches that take a median.
+inline constexpr size_t kTimedPasses = 5;
+
+// Median over kTimedPasses passes of the per-query time of
+// `query(queries[i])` over the whole query set, in microseconds: one
+// descheduled pass cannot move the row the way a single timed pass can.
+template <typename Query, typename QueryFn>
+double MedianUsPerQuery(const std::vector<Query>& queries, QueryFn&& query) {
+  std::vector<double> us;
+  for (size_t pass = 0; pass < kTimedPasses; ++pass) {
+    uint64_t sink = 0;
+    Timer timer;
+    for (const Query& q : queries) sink += query(q).size();
+    us.push_back(timer.ElapsedSeconds() * 1e6 /
+                 static_cast<double>(queries.size()));
+    DoNotOptimize(sink);
+  }
+  return Percentile(&us, 50.0);
+}
+
 // Average nanoseconds per iteration of `fn(i)` over `n` iterations.
 // One warmup pass over min(n, warmup) iterations.
 template <typename Fn>

@@ -45,7 +45,7 @@ void BloomFilter::Add(uint64_t key) {
   const uint64_t h2 = Hash2(key) | 1;  // Odd so the probe cycle covers bits.
   uint64_t h = h1;
   for (int i = 0; i < num_hashes_; ++i) {
-    const size_t bit = h % num_bits_;
+    const size_t bit = Probe(h);
     bits_[bit / 64] |= (1ull << (bit % 64));
     h += h2;
   }
@@ -56,7 +56,7 @@ bool BloomFilter::MayContain(uint64_t key) const {
   const uint64_t h2 = Hash2(key) | 1;
   uint64_t h = h1;
   for (int i = 0; i < num_hashes_; ++i) {
-    const size_t bit = h % num_bits_;
+    const size_t bit = Probe(h);
     if ((bits_[bit / 64] & (1ull << (bit % 64))) == 0) return false;
     h += h2;
   }
@@ -75,14 +75,14 @@ void BloomFilter::MayContainBatch(const uint64_t* keys, size_t count,
     // any bit: the filter words are random cache lines, so this turns m
     // dependent misses into m overlapped ones.
     for (size_t i = 0; i < m; ++i) {
-      LIDX_PREFETCH_READ(&bits_[(h1[i] % num_bits_) / 64]);
+      LIDX_PREFETCH_READ(&bits_[Probe(h1[i]) / 64]);
     }
     for (size_t i = 0; i < m; ++i) {
       const uint64_t step = h2[i] | 1;
       uint64_t h = h1[i];
       bool hit = true;
       for (int j = 0; j < num_hashes_; ++j) {
-        const size_t bit = h % num_bits_;
+        const size_t bit = Probe(h);
         if ((bits_[bit / 64] & (1ull << (bit % 64))) == 0) {
           hit = false;
           break;

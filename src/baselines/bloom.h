@@ -36,6 +36,14 @@ class BloomFilter {
   static uint64_t Hash1(uint64_t key);
   static uint64_t Hash2(uint64_t key);
 
+  // Maps a probe hash onto [0, num_bits_) by its high bits (Lemire's
+  // multiply-shift range reduction): one multiply where `h % num_bits_`
+  // would be a 64-bit division.
+  size_t Probe(uint64_t h) const {
+    return static_cast<size_t>(
+        (static_cast<unsigned __int128>(h) * num_bits_) >> 64);
+  }
+
   size_t num_bits_;
   int num_hashes_;
   std::vector<uint64_t> bits_;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -40,10 +41,11 @@ namespace lidx::storage {
 //
 // The predictor for element i of an n-record column is
 //
-//   pred_i = base + floor(span * i / (n - 1))        (span = 0 for kFor)
+//   pred_i = base + trunc(span * i / (n - 1))        (span = 0 for kFor)
 //
-// evaluated in 128-bit integer arithmetic, so encode and decode are exact
-// and deterministic on every platform. The stored field is
+// where trunc rounds toward zero (a negative span mirrors a positive
+// one). It is evaluated in exact integer arithmetic (PackedLine), so
+// encode and decode are deterministic on every platform. The stored field is
 // (x_i - pred_i) - res_min, an unsigned value of at most `bits` bits;
 // reconstruction is pred_i + res_min + field, with uint64_t wraparound
 // doing the right thing for the full key range.
@@ -108,16 +110,87 @@ static_assert(sizeof(PackedPayloadHeader) == 56,
 
 inline constexpr uint8_t kPackedFlagTombstones = 1;
 
-// floor(base + span * i / (n - 1)) in 128-bit arithmetic; the shared
-// predictor of encoder and decoder.
+// The packed predictor's line, pred_i = base + trunc(span * i / (n - 1)),
+// evaluated without 128-bit division. With |span| = q (n - 1) + r,
+//
+//   trunc(|span| i / (n - 1)) = q i + floor(r i / (n - 1)),
+//
+// and for i < n <= kMaxPageRecords both terms fit 64 bits: q i <= |span|
+// <= 2^63 and r i < (n - 1)^2 < 2^32. The offset is added to or subtracted
+// from base with uint64_t wraparound, which is what the 128-bit formula
+// truncated to 64 bits gives. At(i) costs one 64-bit division; a Cursor
+// walks i = 0, 1, 2, ... with none.
+class PackedLine {
+ public:
+  PackedLine() = default;  // The flat line at 0.
+  PackedLine(uint64_t base, int64_t span, size_t n) : base_(base) {
+    LIDX_DCHECK(n <= kMaxPageRecords);
+    if (span == 0 || n <= 1) return;
+    negative_ = span < 0;
+    const uint64_t mag = negative_ ? uint64_t{0} - static_cast<uint64_t>(span)
+                                   : static_cast<uint64_t>(span);
+    d_ = n - 1;
+    q_ = mag / d_;
+    r_ = mag % d_;
+  }
+
+  // pred_i; requires i < n.
+  uint64_t At(size_t i) const { return Apply(Split(i).first); }
+
+  // Walks pred_i, pred_i+1, ... stepping the quotient and the remainder.
+  class Cursor;
+  Cursor CursorAt(size_t i) const;  // Requires i < n.
+
+ private:
+  // {trunc(|span| i / (n - 1)), (r i) mod (n - 1)}.
+  std::pair<uint64_t, uint64_t> Split(size_t i) const {
+    const uint64_t prod = r_ * i;
+    return {q_ * i + prod / d_, prod % d_};
+  }
+
+  uint64_t Apply(uint64_t offset) const {
+    return negative_ ? base_ - offset : base_ + offset;
+  }
+
+  uint64_t base_ = 0;
+  uint64_t q_ = 0;
+  uint64_t r_ = 0;
+  uint64_t d_ = 1;  // n - 1; 1 keeps a flat line's At(i) division-safe.
+  bool negative_ = false;
+};
+
+class PackedLine::Cursor {
+ public:
+  uint64_t value() const { return line_.Apply(offset_); }
+  void Next() {
+    offset_ += line_.q_;
+    rem_ += line_.r_;
+    if (rem_ >= line_.d_) {
+      rem_ -= line_.d_;
+      ++offset_;
+    }
+  }
+
+ private:
+  friend class PackedLine;
+  explicit Cursor(const PackedLine& line) : line_(line) {}
+
+  PackedLine line_;
+  uint64_t offset_ = 0;
+  uint64_t rem_ = 0;
+};
+
+inline PackedLine::Cursor PackedLine::CursorAt(size_t i) const {
+  Cursor c(*this);
+  std::tie(c.offset_, c.rem_) = Split(i);
+  return c;
+}
+
+// base + trunc(span * i / (n - 1)); the shared predictor of encoder and
+// decoder. Requires i < n.
 inline uint64_t PackedPredict(uint64_t base, int64_t span, size_t i,
                               size_t n) {
-  if (span == 0 || n <= 1) return base;
-  using I128 = __int128;
-  return static_cast<uint64_t>(
-      static_cast<I128>(base) +
-      static_cast<I128>(span) * static_cast<I128>(i) /
-          static_cast<I128>(n - 1));
+  return PackedLine(base, span, n).At(i);
 }
 
 // Writes `value`'s low `bits` bits at absolute bit `bit_offset` of `dst`,
@@ -164,45 +237,48 @@ struct ColumnPlan {
 };
 
 // Fits the predictor over column elements get(0..n) and measures the
-// residual range. All arithmetic 128-bit so the extremes of the uint64_t
-// domain stay exact.
+// residual range. Residuals are exact 128-bit differences, so the extremes
+// of the uint64_t domain stay exact; the predictor steps along its
+// PackedLine, so no record pays a division. The plan fails as soon as the
+// running residual range needs more than `max_bits` bits: the page could
+// not hold the column, and the rest of the scan cannot narrow the range.
 template <typename Get>
-inline ColumnPlan PlanColumn(Get&& get, size_t n, bool use_slope) {
+inline ColumnPlan PlanColumn(Get&& get, size_t n, bool use_slope,
+                             unsigned max_bits = 64) {
   using I128 = __int128;
   ColumnPlan plan;
   plan.base = get(0);
-  I128 span = 0;
   if (use_slope && n > 1) {
-    span = static_cast<I128>(get(n - 1)) - static_cast<I128>(plan.base);
+    const I128 span =
+        static_cast<I128>(get(n - 1)) - static_cast<I128>(plan.base);
     if (span > std::numeric_limits<int64_t>::max() ||
         span < std::numeric_limits<int64_t>::min()) {
       return plan;
     }
     plan.span = static_cast<int64_t>(span);
   }
-  I128 rmin = 0;
+  const I128 max_range =
+      max_bits >= 64 ? static_cast<I128>(std::numeric_limits<uint64_t>::max())
+                     : (I128{1} << max_bits) - 1;
+  PackedLine::Cursor pred = PackedLine(plan.base, plan.span, n).CursorAt(0);
+  I128 rmin = 0;  // Residual 0 is x_0 - pred_0.
   I128 rmax = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const I128 pred =
-        static_cast<I128>(plan.base) +
-        (plan.span != 0 ? span * static_cast<I128>(i) /
-                              static_cast<I128>(n - 1)
-                        : 0);
-    const I128 r = static_cast<I128>(get(i)) - pred;
-    rmin = (i == 0) ? r : std::min(rmin, r);
-    rmax = (i == 0) ? r : std::max(rmax, r);
+  for (size_t i = 1; i < n; ++i) {
+    pred.Next();
+    const I128 r = static_cast<I128>(get(i)) - static_cast<I128>(pred.value());
+    if (r < rmin) {
+      rmin = r;
+    } else if (r > rmax) {
+      rmax = r;
+    } else {
+      continue;
+    }
+    if (rmax - rmin > max_range) return plan;
   }
-  if (rmin < std::numeric_limits<int64_t>::min() ||
-      rmin > std::numeric_limits<int64_t>::max()) {
-    return plan;
-  }
-  const I128 range = rmax - rmin;
-  if (range > static_cast<I128>(std::numeric_limits<uint64_t>::max())) {
-    return plan;
-  }
+  if (rmin < std::numeric_limits<int64_t>::min()) return plan;
   plan.res_min = static_cast<int64_t>(rmin);
   plan.bits = static_cast<unsigned>(
-      std::bit_width(static_cast<uint64_t>(range)));
+      std::bit_width(static_cast<uint64_t>(rmax - rmin)));
   plan.ok = true;
   return plan;
 }
@@ -233,15 +309,24 @@ std::optional<PackedFit<Key, Value>> TryFit(
     const std::pair<Key, RunEntry<Value>>* entries, size_t m, bool slope) {
   PackedFit<Key, Value> fit;
   fit.m = m;
+  // Stream bits the page has room for once the header and slack are paid;
+  // each column's plan gives up when its residual width alone exceeds what
+  // is left for it.
+  constexpr size_t kStreamBits =
+      8 * (kPagePayloadSize - sizeof(PackedPayloadHeader) - kCodecSlackBytes);
+  const auto bits_left = [m](size_t used_bits) {
+    return static_cast<unsigned>(
+        std::min<size_t>(64, (kStreamBits - used_bits) / m));
+  };
   fit.keys = PlanColumn(
       [&](size_t i) { return static_cast<uint64_t>(entries[i].first); }, m,
-      slope);
+      slope, bits_left(0));
   if (!fit.keys.ok) return std::nullopt;
   fit.vals = PlanColumn(
       [&](size_t i) {
         return static_cast<uint64_t>(entries[i].second.value);
       },
-      m, slope);
+      m, slope, bits_left(8 * ((m * fit.keys.bits + 7) / 8)));
   if (!fit.vals.ok) return std::nullopt;
   fit.tombstones = false;
   for (size_t i = 0; i < m; ++i) {
@@ -345,19 +430,20 @@ size_t EncodeDataPage(const std::pair<Key, RunEntry<Value>>* entries,
     const size_t keys_off = sizeof(PackedPayloadHeader);
     const size_t vals_off = keys_off + (m * fit.keys.bits + 7) / 8;
     const size_t tomb_off = vals_off + (m * fit.vals.bits + 7) / 8;
-    using I128 = __int128;
-    for (size_t i = 0; i < m; ++i) {
-      const I128 kpred = static_cast<I128>(
-          PackedPredict(fit.keys.base, fit.keys.span, i, m));
-      const uint64_t kres = static_cast<uint64_t>(
-          static_cast<I128>(static_cast<uint64_t>(entries[i].first)) - kpred -
-          static_cast<I128>(fit.keys.res_min));
+    // field = x_i - pred_i - res_min, taken mod 2^64: the plan proved it
+    // lies in [0, 2^bits).
+    PackedLine::Cursor kpred =
+        PackedLine(fit.keys.base, fit.keys.span, m).CursorAt(0);
+    PackedLine::Cursor vpred =
+        PackedLine(fit.vals.base, fit.vals.span, m).CursorAt(0);
+    for (size_t i = 0; i < m; ++i, kpred.Next(), vpred.Next()) {
+      const uint64_t kres = static_cast<uint64_t>(entries[i].first) -
+                            kpred.value() -
+                            static_cast<uint64_t>(fit.keys.res_min);
       PackBits(payload + keys_off, i * fit.keys.bits, fit.keys.bits, kres);
-      const I128 vpred = static_cast<I128>(
-          PackedPredict(fit.vals.base, fit.vals.span, i, m));
-      const uint64_t vres = static_cast<uint64_t>(
-          static_cast<I128>(static_cast<uint64_t>(entries[i].second.value)) -
-          vpred - static_cast<I128>(fit.vals.res_min));
+      const uint64_t vres = static_cast<uint64_t>(entries[i].second.value) -
+                            vpred.value() -
+                            static_cast<uint64_t>(fit.vals.res_min);
       PackBits(payload + vals_off, i * fit.vals.bits, fit.vals.bits, vres);
       if (fit.tombstones && entries[i].second.deleted) {
         unsigned char* b = payload + tomb_off + (i >> 3);
@@ -410,6 +496,8 @@ class DataPageView {
                      "page codec: packed payload leaves decode slack");
       std::memcpy(&ph_, page.payload(), sizeof(ph_));
       count_ = h.record_count;
+      key_line_ = PackedLine(ph_.key_base, ph_.key_span, count_);
+      val_line_ = PackedLine(ph_.val_base, ph_.val_span, count_);
       LIDX_INVARIANT(count_ > 0, "page codec: packed page not empty");
       LIDX_INVARIANT(ph_.key_bits <= 64 && ph_.val_bits <= 64,
                      "page codec: field widths fit a word");
@@ -447,8 +535,8 @@ class DataPageView {
       const uint64_t res =
           ExtractBits(page_->payload() + keys_off_,
                       i * ph_.key_bits, ph_.key_bits);
-      return static_cast<Key>(Reconstruct(ph_.key_base, ph_.key_span,
-                                          ph_.key_res_min, i, res));
+      return static_cast<Key>(key_line_.At(i) +
+                              static_cast<uint64_t>(ph_.key_res_min) + res);
     }
     LIDX_CHECK(false);  // Ctor rejects packed pages of unpackable records.
     return Key{};
@@ -467,8 +555,8 @@ class DataPageView {
       const uint64_t res =
           ExtractBits(page_->payload() + vals_off_,
                       i * ph_.val_bits, ph_.val_bits);
-      entry.value = static_cast<Value>(Reconstruct(
-          ph_.val_base, ph_.val_span, ph_.val_res_min, i, res));
+      entry.value = static_cast<Value>(
+          val_line_.At(i) + static_cast<uint64_t>(ph_.val_res_min) + res);
       entry.deleted = TombstoneAt(i);
       return entry;
     }
@@ -489,14 +577,16 @@ class DataPageView {
       return;
     }
     if constexpr (kPackableRecord<Key, Value>) {
+      if (lo == hi) return;
       uint64_t buf[kDecodeChunk];
       const unsigned char* src = page_->payload() + keys_off_;
+      PackedLine::Cursor pred = key_line_.CursorAt(lo);
+      const uint64_t kmin = static_cast<uint64_t>(ph_.key_res_min);
       for (size_t i = lo; i < hi;) {
         const size_t len = std::min(hi - i, kDecodeChunk);
         simd::UnpackBits(src, i * ph_.key_bits, ph_.key_bits, len, buf);
-        for (size_t j = 0; j < len; ++j) {
-          out[i - lo + j] = static_cast<Key>(Reconstruct(
-              ph_.key_base, ph_.key_span, ph_.key_res_min, i + j, buf[j]));
+        for (size_t j = 0; j < len; ++j, pred.Next()) {
+          out[i - lo + j] = static_cast<Key>(pred.value() + kmin + buf[j]);
         }
         i += len;
       }
@@ -514,24 +604,25 @@ class DataPageView {
       return;
     }
     if constexpr (kPackableRecord<Key, Value>) {
+      if (lo == hi) return;
       uint64_t kbuf[kDecodeChunk];
       uint64_t vbuf[kDecodeChunk];
       const unsigned char* ksrc = page_->payload() + keys_off_;
       const unsigned char* vsrc = page_->payload() + vals_off_;
+      PackedLine::Cursor kpred = key_line_.CursorAt(lo);
+      PackedLine::Cursor vpred = val_line_.CursorAt(lo);
+      const uint64_t kmin = static_cast<uint64_t>(ph_.key_res_min);
+      const uint64_t vmin = static_cast<uint64_t>(ph_.val_res_min);
       for (size_t i = lo; i < hi;) {
         const size_t len = std::min(hi - i, kDecodeChunk);
         simd::UnpackBits(ksrc, i * ph_.key_bits, ph_.key_bits, len, kbuf);
         simd::UnpackBits(vsrc, i * ph_.val_bits, ph_.val_bits, len, vbuf);
-        for (size_t j = 0; j < len; ++j) {
+        for (size_t j = 0; j < len; ++j, kpred.Next(), vpred.Next()) {
           RunEntry<Value> entry;
-          entry.value = static_cast<Value>(
-              Reconstruct(ph_.val_base, ph_.val_span, ph_.val_res_min, i + j,
-                          vbuf[j]));
+          entry.value = static_cast<Value>(vpred.value() + vmin + vbuf[j]);
           entry.deleted = TombstoneAt(i + j);
-          out->emplace_back(
-              static_cast<Key>(Reconstruct(ph_.key_base, ph_.key_span,
-                                           ph_.key_res_min, i + j, kbuf[j])),
-              entry);
+          out->emplace_back(static_cast<Key>(kpred.value() + kmin + kbuf[j]),
+                            entry);
         }
         i += len;
       }
@@ -540,14 +631,6 @@ class DataPageView {
 
  private:
   static constexpr size_t kDecodeChunk = 256;
-
-  uint64_t Reconstruct(uint64_t base, int64_t span, int64_t res_min,
-                       size_t i, uint64_t stored) const {
-    using I128 = __int128;
-    return static_cast<uint64_t>(
-        static_cast<I128>(PackedPredict(base, span, i, count_)) +
-        static_cast<I128>(res_min) + static_cast<I128>(stored));
-  }
 
   bool TombstoneAt(size_t i) const {
     if ((ph_.flags & kPackedFlagTombstones) == 0) return false;
@@ -558,6 +641,8 @@ class DataPageView {
   PageCodec codec_ = PageCodec::kPlain;
   size_t count_ = 0;
   PackedPayloadHeader ph_;
+  PackedLine key_line_;  // Packed pages: each column's predictor.
+  PackedLine val_line_;
   size_t keys_off_ = 0;
   size_t vals_off_ = 0;
   size_t tomb_off_ = 0;

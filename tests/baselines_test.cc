@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -338,6 +339,32 @@ TEST(BloomTest, FprNearTheory) {
   const double fpr = static_cast<double>(fp) / probes;
   EXPECT_LT(fpr, 0.03);
   EXPECT_GT(fpr, 0.0001);
+}
+
+TEST(BloomTest, FprNearTheoryAtOddSizesOnSequentialKeys) {
+  // Probes map onto the bit array by their high bits; at bit counts that
+  // are no power of two, and under dense sequential keys, the filter must
+  // still spread them over every word and keep its theoretical FPR.
+  for (const size_t words : {size_t{37}, size_t{1001}, size_t{4099}}) {
+    const size_t keys = words * 64 / 10;
+    BloomFilter bloom(keys, 10.0);
+    ASSERT_EQ(bloom.num_bits(), words * 64);
+    for (uint64_t k = 0; k < keys; ++k) bloom.Add(k);
+    const double k = bloom.num_hashes();
+    const double theory = std::pow(
+        1.0 - std::exp(-k * static_cast<double>(keys) /
+                       static_cast<double>(bloom.num_bits())),
+        k);
+    Rng rng(71 + words);
+    size_t fp = 0;
+    const size_t probes = 200000;
+    for (size_t i = 0; i < probes; ++i) {
+      fp += bloom.MayContain((uint64_t{1} << 62) | rng.Next());
+    }
+    const double fpr = static_cast<double>(fp) / probes;
+    EXPECT_LT(fpr, 2.0 * theory + 0.002) << words << " words";
+    EXPECT_GT(fpr, theory / 4.0) << words << " words";
+  }
 }
 
 TEST(BloomTest, MoreBitsLowerFpr) {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -9,12 +10,76 @@
 #include "common/batch.h"
 #include "common/random.h"
 #include "common/search.h"
+#include "common/serialize.h"
 #include "common/stats.h"
 #include "datasets/generators.h"
 #include "datasets/workload.h"
 
 namespace lidx {
 namespace {
+
+// ----- Crc32 -----
+
+// The byte-at-a-time table CRC the sliced Crc32 must reproduce.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t len, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0xDEADBEEFu), 0xDEADBEEFu);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryOffsetAndLength) {
+  // Every length 0..4100 (past one page, so every tail length meets many
+  // block counts) at every offset 0..7, so the 8-byte blocks start at
+  // every alignment; each case chains from the previous case's CRC.
+  std::vector<unsigned char> buf(4100 + 8);
+  Rng rng(20260519);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  uint32_t seed = 0;
+  for (size_t len = 0; len <= 4100; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint32_t want = BytewiseCrc32(buf.data() + offset, len, seed);
+      ASSERT_EQ(Crc32(buf.data() + offset, len, seed), want)
+          << "len " << len << " offset " << offset;
+      seed = want;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOnRandomSlicesAndChains) {
+  std::vector<unsigned char> buf(9000);
+  Rng rng(77);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (int c = 0; c < 2000; ++c) {
+    const size_t offset = rng.NextBounded(64);
+    const size_t len = rng.NextBounded(buf.size() - offset + 1);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(Crc32(p, len, seed), BytewiseCrc32(p, len, seed))
+        << "case " << c;
+    // Chaining: CRC(a ++ b) == CRC(b, CRC(a)) at a random split.
+    const size_t split = len == 0 ? 0 : rng.NextBounded(len + 1);
+    ASSERT_EQ(Crc32(p + split, len - split, Crc32(p, split, seed)),
+              Crc32(p, len, seed))
+        << "case " << c << " split " << split;
+  }
+}
 
 // ----- Rng -----
 

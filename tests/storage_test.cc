@@ -3,10 +3,12 @@
 // disk-resident structures against their in-memory counterparts.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,6 +29,7 @@
 #include "storage/file_manager.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
+#include "storage/page_codec.h"
 
 namespace lidx::storage {
 namespace {
@@ -447,6 +450,319 @@ TEST(PageCodecTest, TinyPageFallsBackToPlain) {
     EXPECT_EQ(view.KeyAt(0), entries[0].first);
     EXPECT_EQ(view.KeyAt(1), entries[1].first);
   }
+}
+
+// ----- Page codec arithmetic: the predictor against the 128-bit formula -----
+
+// The predictor and column plan as the format defines them: one signed
+// 128-bit product and quotient per record, truncating toward zero.
+uint64_t Reference128Predict(uint64_t base, int64_t span, size_t i,
+                             size_t n) {
+  if (span == 0 || n <= 1) return base;
+  using I128 = __int128;
+  return static_cast<uint64_t>(static_cast<I128>(base) +
+                               static_cast<I128>(span) * static_cast<I128>(i) /
+                                   static_cast<I128>(n - 1));
+}
+
+ColumnPlan Reference128Plan(const std::vector<uint64_t>& col, bool slope) {
+  using I128 = __int128;
+  const size_t n = col.size();
+  ColumnPlan plan;
+  plan.base = col[0];
+  if (slope && n > 1) {
+    const I128 span =
+        static_cast<I128>(col[n - 1]) - static_cast<I128>(col[0]);
+    if (span > std::numeric_limits<int64_t>::max() ||
+        span < std::numeric_limits<int64_t>::min()) {
+      return plan;
+    }
+    plan.span = static_cast<int64_t>(span);
+  }
+  I128 rmin = 0;
+  I128 rmax = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const I128 pred = static_cast<I128>(plan.base) +
+                      (plan.span != 0 ? static_cast<I128>(plan.span) *
+                                            static_cast<I128>(i) /
+                                            static_cast<I128>(n - 1)
+                                      : 0);
+    const I128 r = static_cast<I128>(col[i]) - pred;
+    rmin = i == 0 ? r : std::min(rmin, r);
+    rmax = i == 0 ? r : std::max(rmax, r);
+  }
+  if (rmin < std::numeric_limits<int64_t>::min() ||
+      rmax - rmin > static_cast<I128>(std::numeric_limits<uint64_t>::max())) {
+    return plan;
+  }
+  plan.res_min = static_cast<int64_t>(rmin);
+  plan.bits = static_cast<unsigned>(
+      std::bit_width(static_cast<uint64_t>(rmax - rmin)));
+  plan.ok = true;
+  return plan;
+}
+
+constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+TEST(PageCodecArithmeticTest, PredictMatchesThe128BitFormulaAtTheEdges) {
+  const std::vector<int64_t> spans = {
+      0, 1, -1, kI64Min, kI64Max, kI64Min + 1, kI64Max - 1, -65534, 65533};
+  const std::vector<uint64_t> bases = {
+      0, 1, 2, kU64Max, kU64Max - 1, kU64Max - 2, uint64_t{1} << 63};
+  for (const size_t n : {size_t{2}, size_t{3}, kMaxPageRecords}) {
+    for (const int64_t span : spans) {
+      for (const uint64_t base : bases) {
+        const PackedLine line(base, span, n);
+        PackedLine::Cursor cursor = line.CursorAt(0);
+        for (size_t i = 0; i < n; ++i, cursor.Next()) {
+          const uint64_t want = Reference128Predict(base, span, i, n);
+          ASSERT_EQ(PackedPredict(base, span, i, n), want)
+              << "base " << base << " span " << span << " i " << i
+              << " n " << n;
+          ASSERT_EQ(cursor.value(), want)
+              << "base " << base << " span " << span << " i " << i
+              << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(PageCodecArithmeticTest, PredictMatchesThe128BitFormulaOnRandomTuples) {
+  Rng rng(909);
+  for (int c = 0; c < 1'000'000; ++c) {
+    const uint64_t base = rng.Next();
+    // Half the spans use the full int64 range, half are page-scale.
+    const int64_t span =
+        c % 2 == 0 ? static_cast<int64_t>(rng.Next())
+                   : static_cast<int64_t>(rng.NextBounded(1u << 20)) -
+                         (int64_t{1} << 19);
+    const size_t n = 2 + rng.NextBounded(kMaxPageRecords - 1);
+    const size_t i = rng.NextBounded(n);
+    const uint64_t want = Reference128Predict(base, span, i, n);
+    ASSERT_EQ(PackedPredict(base, span, i, n), want)
+        << "base " << base << " span " << span << " i " << i << " n " << n;
+    // A cursor placed at i and stepped agrees with the formula there and
+    // one record later.
+    PackedLine::Cursor cursor = PackedLine(base, span, n).CursorAt(i);
+    ASSERT_EQ(cursor.value(), want);
+    if (i + 1 < n) {
+      cursor.Next();
+      ASSERT_EQ(cursor.value(), Reference128Predict(base, span, i + 1, n));
+    }
+  }
+}
+
+// Columns of the shapes pages meet: sorted keys, noisy rising and falling
+// values, constants, and values pinned at either end of the uint64_t range.
+std::vector<uint64_t> ArithmeticColumn(Rng* rng, size_t n, int shape) {
+  std::vector<uint64_t> col(n);
+  uint64_t x = shape == 3 ? kU64Max - n * 70 : rng->Next() >> 8;
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0:  // Sorted keys with uneven gaps.
+      case 3:  // The same near 2^64 - 1.
+        x += 1 + rng->NextBounded(i % 97 == 0 ? 64 : 8);
+        col[i] = x;
+        break;
+      case 1:  // Falling values with noise.
+        col[i] = (uint64_t{1} << 40) - 9 * i + rng->NextBounded(32);
+        break;
+      case 2:  // Values hugging 0 and 2^64 - 1 by turns.
+        col[i] = i % 2 == 0 ? rng->NextBounded(1000)
+                            : kU64Max - rng->NextBounded(1000);
+        break;
+      case 4:  // Constant.
+        col[i] = 424242;
+        break;
+      default:  // Unstructured.
+        col[i] = rng->Next();
+        break;
+    }
+  }
+  return col;
+}
+
+TEST(PageCodecArithmeticTest, SteppedPlanMatchesThe128BitPlan) {
+  Rng rng(4711);
+  for (int c = 0; c < 3000; ++c) {
+    const int shape = c % 6;
+    const size_t max_n = c % 100 == 0 ? kMaxPageRecords : 600;
+    const size_t n = 1 + rng.NextBounded(max_n);
+    const std::vector<uint64_t> col = ArithmeticColumn(&rng, n, shape);
+    for (const bool slope : {false, true}) {
+      const ColumnPlan want = Reference128Plan(col, slope);
+      const ColumnPlan got =
+          PlanColumn([&](size_t i) { return col[i]; }, n, slope);
+      ASSERT_EQ(got.ok, want.ok) << "case " << c << " slope " << slope;
+      if (!want.ok) continue;
+      EXPECT_EQ(got.base, want.base) << "case " << c;
+      EXPECT_EQ(got.span, want.span) << "case " << c;
+      EXPECT_EQ(got.res_min, want.res_min) << "case " << c;
+      EXPECT_EQ(got.bits, want.bits) << "case " << c;
+      // A bit budget fails the plan exactly when the width exceeds it.
+      const unsigned below = want.bits > 0 ? want.bits - 1 : 0;
+      for (const unsigned budget : {0u, below, want.bits}) {
+        const ColumnPlan capped =
+            PlanColumn([&](size_t i) { return col[i]; }, n, slope, budget);
+        EXPECT_EQ(capped.ok, want.bits <= budget)
+            << "case " << c << " budget " << budget;
+        if (capped.ok) {
+          EXPECT_EQ(capped.bits, want.bits);
+        }
+      }
+    }
+  }
+}
+
+TEST(PageCodecArithmeticTest, PlanRejectsSpansAndResidualsOutsideTheFields) {
+  // A span past int64 fails the slope plan; the flat plan of the same
+  // column needs all 64 bits and still fits its field.
+  const std::vector<uint64_t> wide = {0, kU64Max / 2, kU64Max};
+  EXPECT_FALSE(Reference128Plan(wide, true).ok);
+  EXPECT_FALSE(PlanColumn([&](size_t i) { return wide[i]; }, 3, true).ok);
+  const ColumnPlan flat =
+      PlanColumn([&](size_t i) { return wide[i]; }, 3, false);
+  ASSERT_TRUE(flat.ok);
+  EXPECT_EQ(flat.bits, 64u);
+  // A dip from 2^64 - 1 to 0 and back: the flat plan's residual minimum,
+  // -(2^64 - 1), lies below int64, so the plan fails.
+  const std::vector<uint64_t> dip = {kU64Max, 0, kU64Max};
+  EXPECT_FALSE(Reference128Plan(dip, false).ok);
+  EXPECT_FALSE(PlanColumn([&](size_t i) { return dip[i]; }, 3, false).ok);
+}
+
+// ----- Page bytes pinned: the on-disk format does not drift -----
+
+// SplitMix64, local so the pinned bytes depend on nothing but this file and
+// the encoder.
+uint64_t GoldenMix(uint64_t* state) {
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+uint64_t Fnv1a(const unsigned char* bytes, size_t len, uint64_t h) {
+  for (size_t i = 0; i < len; ++i) {
+    h = (h ^ bytes[i]) * 0x100000001B3ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+// 40k records in four segments: lognormal-like keys with uneven gaps and a
+// few wild jumps, under falling values (a negative value slope) with
+// tombstones; then keys and values pressed against 2^64 - 1; then values
+// hugging 0; then unstructured values, which kDelta can only write as
+// plain fallback pages.
+std::vector<std::pair<uint64_t, Entry>> GoldenEntries() {
+  std::vector<std::pair<uint64_t, Entry>> entries;
+  uint64_t state = 20240611;
+  uint64_t key = 1000;
+  constexpr size_t kSegment = 10'000;
+  for (size_t i = 0; i < kSegment; ++i) {
+    const uint64_t r = GoldenMix(&state);
+    key += 1 + (r % 61) + (i % 3001 == 3000 ? (uint64_t{1} << 36) : 0);
+    entries.emplace_back(
+        key, Entry{(uint64_t{1} << 42) - 7 * i + (r >> 60), r % 9 == 0});
+  }
+  key = std::numeric_limits<uint64_t>::max() - 3 * kSegment * 400;
+  for (size_t i = 0; i < kSegment; ++i) {
+    const uint64_t r = GoldenMix(&state);
+    key += 1 + r % 300;
+    entries.emplace_back(
+        key, Entry{std::numeric_limits<uint64_t>::max() - 5 * i - (r >> 61),
+                   r % 13 == 0});
+  }
+  for (size_t i = 0; i < kSegment; ++i) {
+    const uint64_t r = GoldenMix(&state);
+    key += 1 + r % 200;
+    entries.emplace_back(key, Entry{r % 4, false});
+  }
+  for (size_t i = 0; i < kSegment; ++i) {
+    const uint64_t r = GoldenMix(&state);
+    key += 1 + r % 100;
+    entries.emplace_back(key, Entry{GoldenMix(&state), r % 5 == 0});
+  }
+  return entries;
+}
+
+struct GoldenDigest {
+  size_t pages = 0;
+  size_t plain_pages = 0;
+  uint64_t bytes_hash = kFnvOffset;  // Every byte of every encoded page.
+  uint64_t crc_hash = kFnvOffset;    // Every stamped page's PageChecksum.
+};
+
+// Encodes the entries page by page, as a run build does, checks that each
+// page decodes back to its records, and digests the bytes and checksums.
+GoldenDigest EncodeGoldenRun(
+    const std::vector<std::pair<uint64_t, Entry>>& entries, PageCodec codec) {
+  GoldenDigest d;
+  for (size_t pos = 0; pos < entries.size(); ++d.pages) {
+    Page page{};
+    const size_t count = EncodeDataPage(entries.data() + pos,
+                                        entries.size() - pos, codec, &page);
+    EXPECT_GT(count, 0u);
+    if (count == 0) break;
+    const DataPageView<uint64_t, uint64_t> view(page);
+    if (!view.packed()) ++d.plain_pages;
+    std::vector<std::pair<uint64_t, Entry>> decoded;
+    view.DecodeInto(0, view.count(), &decoded);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(decoded[i].first, entries[pos + i].first);
+      EXPECT_EQ(decoded[i].second.value, entries[pos + i].second.value);
+      EXPECT_EQ(decoded[i].second.deleted, entries[pos + i].second.deleted);
+    }
+    d.bytes_hash = Fnv1a(page.bytes.data(), kPageSize, d.bytes_hash);
+    // Stamp the identity fields as FileManager::WritePage does.
+    PageHeader h = page.header();
+    h.magic = kPageMagic;
+    h.version = kPageFormatVersion;
+    h.page_id = d.pages;
+    h.crc32 = 0;
+    page.set_header(h);
+    const uint32_t crc = PageChecksum(page);
+    d.crc_hash = Fnv1a(reinterpret_cast<const unsigned char*>(&crc),
+                       sizeof(crc), d.crc_hash);
+    pos += count;
+  }
+  return d;
+}
+
+TEST(PageCodecGoldenTest, DeltaRunBytesArePinned) {
+  const GoldenDigest d = EncodeGoldenRun(GoldenEntries(), PageCodec::kDelta);
+  EXPECT_EQ(d.pages, 60u);
+  EXPECT_EQ(d.plain_pages, 42u);
+  EXPECT_EQ(d.bytes_hash, 0xA6D68046E9F5C076ull);
+  EXPECT_EQ(d.crc_hash, 0x7879475C92BD5EB0ull);
+}
+
+TEST(PageCodecGoldenTest, ForRunBytesArePinned) {
+  const GoldenDigest d = EncodeGoldenRun(GoldenEntries(), PageCodec::kFor);
+  EXPECT_EQ(d.pages, 57u);
+  EXPECT_EQ(d.plain_pages, 11u);
+  EXPECT_EQ(d.bytes_hash, 0x937CABD465F2A60Dull);
+  EXPECT_EQ(d.crc_hash, 0xFA09F91B161C9044ull);
+}
+
+TEST(PageChecksumTest, FixedPageChecksumIsPinned) {
+  Page page{};
+  uint64_t state = 31337;
+  for (auto& b : page.bytes) b = static_cast<unsigned char>(GoldenMix(&state));
+  PageHeader h{};
+  h.magic = kPageMagic;
+  h.version = kPageFormatVersion;
+  h.type = static_cast<uint16_t>(PageType::kData);
+  h.page_id = 0x0123456789ABCDEFull;
+  h.payload_bytes = static_cast<uint32_t>(kPagePayloadSize);
+  h.crc32 = 0xFFFFFFFFu;  // The checksum reads this field as zero.
+  page.set_header(h);
+  EXPECT_EQ(PageChecksum(page), 0x0FF32D3Cu);
 }
 
 TEST(DiskRunCodecTest, MixedPackedAndFallbackPagesResolveEveryKey) {
