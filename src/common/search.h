@@ -111,36 +111,6 @@ size_t ExponentialSearchLowerBound(const Vec& data, Key key, size_t predicted,
   return BoundedLowerBound(data, key, left, pos + 1);
 }
 
-// Interpolation search: effective on near-uniform data, used by the
-// interpolation-enhanced B+-tree leaves (hybrid learned index ancestry).
-// Falls back to binary search when the interpolation stops making progress.
-template <typename Vec, typename Key>
-size_t InterpolationSearchLowerBound(const Vec& data, Key key, size_t lo,
-                                     size_t hi) {
-  size_t left = lo;
-  size_t right = hi;
-  int budget = 3;  // Interpolation probes before falling back.
-  while (right - left > 16 && budget-- > 0) {
-    const auto lo_key = data[left];
-    const auto hi_key = data[right - 1];
-    if (!(lo_key < key)) return left;
-    if (hi_key < key) return right;
-    const double frac = static_cast<double>(key - lo_key) /
-                        static_cast<double>(hi_key - lo_key);
-    size_t mid = left + static_cast<size_t>(
-                            frac * static_cast<double>(right - left - 1));
-    if (mid <= left) mid = left + 1;
-    if (mid >= right) mid = right - 1;
-    if (data[mid] < key) {
-      left = mid + 1;
-    } else {
-      right = mid + 1;  // Keep mid as a candidate lower bound.
-      if (!(data[mid - 1] < key)) right = mid;
-    }
-  }
-  return BinarySearchLowerBound(data, key, left, right);
-}
-
 // Bounded search in the clamped ε-window with a correctness fix-up: learned
 // indexes record per-model error bounds that hold for *trained* keys, but a
 // lookup key absent from the data can route to a neighboring model whose

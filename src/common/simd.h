@@ -139,17 +139,6 @@ inline void PredictClampedU64Scalar(double slope, double intercept,
                                                       : static_cast<size_t>(p));
   }
 }
-inline void PredictClampedF64Scalar(double slope, double intercept,
-                                    const double* xs, size_t count, size_t n,
-                                    size_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const double p = slope * xs[i] + intercept;
-    out[i] = (p <= 0.0)
-                 ? 0
-                 : ((p >= static_cast<double>(n - 1)) ? n - 1
-                                                      : static_cast<size_t>(p));
-  }
-}
 
 // The two Bloom-filter finalizers (must stay in lockstep with
 // BloomFilter::Hash1/Hash2 in baselines/bloom.cc — the filter's bit
@@ -388,39 +377,6 @@ __attribute__((target("avx2"))) inline void PredictClampedU64Avx2(
   }
 }
 
-__attribute__((target("avx2"))) inline void PredictClampedF64Avx2(
-    double slope, double intercept, const double* xs, size_t count, size_t n,
-    size_t* out) {
-  if (n - 1 >= (1ull << 31)) {
-    PredictClampedF64Scalar(slope, intercept, xs, count, n, out);
-    return;
-  }
-  const __m256d vslope = _mm256_set1_pd(slope);
-  const __m256d vicept = _mm256_set1_pd(intercept);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vnm1 = _mm256_set1_pd(static_cast<double>(n - 1));
-  const __m256i vnm1i =
-      _mm256_set1_epi64x(static_cast<long long>(n - 1));
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d x = _mm256_loadu_pd(xs + i);
-    const __m256d pred =
-        _mm256_add_pd(_mm256_mul_pd(vslope, x), vicept);
-    const __m128i t32 = _mm256_cvttpd_epi32(pred);
-    __m256i r = _mm256_cvtepi32_epi64(t32);
-    const __m256i ge_hi =
-        _mm256_castpd_si256(_mm256_cmp_pd(pred, vnm1, _CMP_GE_OQ));
-    const __m256i le_zero =
-        _mm256_castpd_si256(_mm256_cmp_pd(pred, vzero, _CMP_LE_OQ));
-    r = _mm256_blendv_epi8(r, vnm1i, ge_hi);
-    r = _mm256_andnot_si256(le_zero, r);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-  }
-  if (i < count) {
-    PredictClampedF64Scalar(slope, intercept, xs + i, count - i, n, out + i);
-  }
-}
-
 namespace detail {
 
 // 64x64 -> low 64 multiply via three 32x32 partial products (no
@@ -592,8 +548,6 @@ struct KernelTable {
   size_t (*lower_bound_f64)(const double*, size_t, size_t, double);
   void (*predict_clamped_u64)(double, double, const uint64_t*, size_t, size_t,
                               size_t*);
-  void (*predict_clamped_f64)(double, double, const double*, size_t, size_t,
-                              size_t*);
   void (*bloom_hash)(const uint64_t*, size_t, uint64_t*, uint64_t*);
   void (*unpack_bits)(const unsigned char*, size_t, unsigned, size_t,
                       uint64_t*);
@@ -647,7 +601,6 @@ inline KernelTable MakeTable(Level level) {
                 &LowerBoundU64Scalar,
                 &LowerBoundF64Scalar,
                 &PredictClampedU64Scalar,
-                &PredictClampedF64Scalar,
                 &BloomHashScalar,
                 &UnpackBitsScalar};
 #if defined(LIDX_SIMD_X86)
@@ -665,7 +618,6 @@ inline KernelTable MakeTable(Level level) {
     t.lower_bound_u64 = &HybridLowerBound<uint64_t, &CountLessU64Avx2>;
     t.lower_bound_f64 = &HybridLowerBound<double, &CountLessF64Avx2>;
     t.predict_clamped_u64 = &PredictClampedU64Avx2;
-    t.predict_clamped_f64 = &PredictClampedF64Avx2;
     t.bloom_hash = &BloomHashAvx2;
     // Variable shift (srlv) and byte-granular gather arrive with AVX2;
     // SSE2 and NEON keep the scalar unpack.
@@ -727,11 +679,6 @@ inline void PredictClampedBatch(double slope, double intercept,
                                 const uint64_t* keys, size_t count, size_t n,
                                 size_t* out) {
   Active().predict_clamped_u64(slope, intercept, keys, count, n, out);
-}
-inline void PredictClampedBatch(double slope, double intercept,
-                                const double* xs, size_t count, size_t n,
-                                size_t* out) {
-  Active().predict_clamped_f64(slope, intercept, xs, count, n, out);
 }
 
 inline void BloomHashBatch(const uint64_t* keys, size_t count, uint64_t* h1,

@@ -14,7 +14,7 @@
 #include "common/macros.h"
 #include "common/search.h"
 #include "common/simd.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 
 namespace lidx {
 
@@ -75,14 +75,8 @@ class SortedRun {
       values_.push_back(entry);
       bloom_.Add(static_cast<uint64_t>(key));
     }
-    if (options_.search_mode == RunSearchMode::kLearned && !keys_.empty()) {
-      segments_ =
-          BuildPlaBlocked(keys_, static_cast<double>(options_.learned_epsilon),
-                          options_.build_threads);
-      segment_first_keys_.reserve(segments_.size());
-      for (const PlaSegment& s : segments_) {
-        segment_first_keys_.push_back(s.first_key);
-      }
+    if (options_.search_mode == RunSearchMode::kLearned) {
+      locator_.Build(keys_, options_.learned_epsilon, options_.build_threads);
     }
   }
 
@@ -95,14 +89,7 @@ class SortedRun {
     if (stats != nullptr) ++stats->run_probes;
     size_t lo = 0, hi = keys_.size();
     if (options_.search_mode == RunSearchMode::kLearned) {
-      const double k = static_cast<double>(key);
-      // Locate the covering segment (few segments per run: binary search).
-      const size_t seg = SegmentFor(k);
-      const size_t pred =
-          segments_[seg].model.PredictClamped(k, keys_.size());
-      const size_t eps = options_.learned_epsilon;
-      const SearchWindow w =
-          ClampSearchWindow(pred, eps, eps, keys_.size());
+      const SearchWindow w = locator_.Window(key, keys_.size());
       lo = w.lo;
       hi = w.hi;
       // The ε-window is a handful of cache lines: one vectorized
@@ -165,17 +152,13 @@ class SortedRun {
            ModelSizeBytes();
   }
 
-  size_t ModelSizeBytes() const {
-    return segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double);
-  }
+  size_t ModelSizeBytes() const { return locator_.SizeBytes(); }
 
-  size_t NumSegments() const { return segments_.size(); }
+  size_t NumSegments() const { return locator_.NumSegments(); }
 
   // Structural invariants: strict key order, parallel key/value arrays,
-  // Bloom filter with no false negatives, and in learned mode a PLA whose
-  // segment mirror is consistent and whose ε bound holds for every key.
-  // Aborts on violation. Test hook.
+  // Bloom filter with no false negatives, and in learned mode the PLA's
+  // own invariants over the keys. Aborts on violation. Test hook.
   void CheckInvariants() const {
     LIDX_INVARIANT(keys_.size() == values_.size(), "run: parallel arrays");
     invariants::CheckStrictlySorted(keys_, "run: keys strictly sorted");
@@ -183,45 +166,17 @@ class SortedRun {
       LIDX_INVARIANT(bloom_.MayContain(static_cast<uint64_t>(k)),
                      "run: bloom has no false negatives");
     }
-    if (options_.search_mode != RunSearchMode::kLearned || keys_.empty()) {
-      return;
-    }
-    LIDX_INVARIANT(!segments_.empty(), "run: learned mode has segments");
-    LIDX_INVARIANT(segments_.size() == segment_first_keys_.size(),
-                   "run: segment/first-key parallel arrays");
-    for (size_t s = 0; s < segments_.size(); ++s) {
-      LIDX_INVARIANT(segments_[s].first_key == segment_first_keys_[s],
-                     "run: first-key mirror matches segment");
-      if (s > 0) {
-        LIDX_INVARIANT(segment_first_keys_[s - 1] < segment_first_keys_[s],
-                       "run: segment first keys strictly increasing");
-      }
-    }
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      const double k = static_cast<double>(keys_[i]);
-      const double pred = segments_[SegmentFor(k)].model.Predict(k);
-      const double eps = static_cast<double>(options_.learned_epsilon) + 1.0;
-      const double err = pred - static_cast<double>(i);
-      LIDX_INVARIANT(err <= eps && -err <= eps,
-                     "run: epsilon guarantee on learned model");
+    if (options_.search_mode == RunSearchMode::kLearned) {
+      locator_.CheckInvariants(keys_);
     }
   }
 
  private:
-  // Last segment with first_key <= k.
-  size_t SegmentFor(double k) const {
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), k);
-    if (it == segment_first_keys_.begin()) return 0;
-    return static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-  }
-
   Options options_;
   std::vector<Key> keys_;
   std::vector<RunEntry<Value>> values_;
   BloomFilter bloom_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
+  PlaLocator locator_;
 };
 
 }  // namespace lidx

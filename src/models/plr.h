@@ -1,6 +1,7 @@
 #ifndef LIDX_MODELS_PLR_H_
 #define LIDX_MODELS_PLR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -130,9 +131,51 @@ std::vector<PlaSegment> BuildPla(const Vec& keys, double epsilon) {
   return builder.Finish();
 }
 
-// Blocked parallel segmentation: split [0, n) into at most `threads`
-// contiguous blocks, run an independent swing filter per block (ranks stay
-// global), and concatenate the per-block segment lists in block order.
+// The one block loop behind every blocked builder: split [0, n) into at
+// most `threads` contiguous blocks of at least kMinBlock keys, run
+// `fit(lo, hi)` on each block (ranks stay global), and concatenate the
+// per-block outputs in block order. Block boundaries depend only on
+// (threads, n), so a given thread count reproduces bit-identical output on
+// any machine.
+template <typename Fit>
+auto ConcatBlocks(size_t n, size_t threads, const Fit& fit) {
+  static constexpr size_t kMinBlock = size_t{1} << 12;
+  using Out = decltype(fit(size_t{0}, size_t{0}));
+  const size_t blocks =
+      (threads <= 1) ? 1
+                     : std::min(threads, std::max<size_t>(1, n / kMinBlock));
+  std::vector<Out> per_block(blocks);
+  ParallelForIndex(threads, blocks, [&](size_t b) {
+    per_block[b] = fit(b * n / blocks, (b + 1) * n / blocks);
+  });
+  Out out;
+  for (Out& part : per_block) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+// One block of a blocked PLA: a swing filter over keys[lo, hi) with global
+// ranks. Each trained key's double must exceed its predecessor's (checked
+// across block seams too). With `dedup`, a key equal to its predecessor is
+// skipped, so the model trains on first occurrences; on a sorted array that
+// is the classic "skip if equal to the previously added key" loop, and the
+// rule needs no cross-block state.
+template <typename Vec>
+std::vector<PlaSegment> FitPlaBlock(const Vec& keys, double epsilon,
+                                    size_t lo, size_t hi, bool dedup) {
+  SwingFilterBuilder builder(epsilon);
+  for (size_t i = lo; i < hi; ++i) {
+    const double k = static_cast<double>(keys[i]);
+    if (i > 0) {
+      if (dedup && keys[i] == keys[i - 1]) continue;
+      LIDX_CHECK(k > static_cast<double>(keys[i - 1]));
+    }
+    builder.Add(k, i);
+  }
+  return builder.Finish();
+}
+
+// Blocked parallel segmentation: an independent swing filter per block,
+// segment lists concatenated in block order.
 //
 // The seam argument for why ε is preserved: every segment is emitted by
 // *some* block's swing filter, which certifies |predict(key) - rank| <= ε
@@ -145,69 +188,26 @@ std::vector<PlaSegment> BuildPla(const Vec& keys, double epsilon) {
 // observable difference from the serial build is the (slightly larger)
 // segment count.
 //
-// With threads <= 1 this is exactly BuildPla. Block boundaries depend only
-// on (threads, n), so a given thread count reproduces bit-identical
-// segments on any machine.
+// With threads <= 1 this is exactly BuildPla.
 template <typename Vec>
 std::vector<PlaSegment> BuildPlaBlocked(const Vec& keys, double epsilon,
                                         size_t threads) {
-  static constexpr size_t kMinBlock = size_t{1} << 12;
-  const size_t n = keys.size();
-  const size_t blocks =
-      (threads <= 1) ? 1
-                     : std::min(threads, std::max<size_t>(1, n / kMinBlock));
-  if (blocks <= 1) return BuildPla(keys, epsilon);
-  std::vector<std::vector<PlaSegment>> per_block(blocks);
-  ParallelForIndex(threads, blocks, [&](size_t b) {
-    const size_t lo = b * n / blocks;
-    const size_t hi = (b + 1) * n / blocks;
-    SwingFilterBuilder builder(epsilon);
-    double prev = -std::numeric_limits<double>::infinity();
-    for (size_t i = lo; i < hi; ++i) {
-      const double k = static_cast<double>(keys[i]);
-      LIDX_CHECK(k > prev);  // Keys must be strictly increasing.
-      builder.Add(k, i);
-      prev = k;
-    }
-    per_block[b] = builder.Finish();
+  if (threads <= 1) return BuildPla(keys, epsilon);
+  return ConcatBlocks(keys.size(), threads, [&](size_t lo, size_t hi) {
+    return FitPlaBlock(keys, epsilon, lo, hi, /*dedup=*/false);
   });
-  std::vector<PlaSegment> segments;
-  for (std::vector<PlaSegment>& segs : per_block) {
-    segments.insert(segments.end(), segs.begin(), segs.end());
-  }
-  return segments;
 }
 
 // BuildPlaBlocked for sorted keys *with duplicates*: the model trains on
 // first occurrences only (duplicates are handled by the caller's fix-up
-// search widening). The serial path reproduces the classic
-// "skip if equal to the previously added key" loop exactly: on a sorted
-// array, keys[i] equals the previously added key iff keys[i] == keys[i-1],
-// so the block-local rule needs no cross-block state.
+// search widening). On strictly increasing keys it emits exactly
+// BuildPlaBlocked's segments.
 template <typename Vec>
 std::vector<PlaSegment> BuildPlaDedupBlocked(const Vec& keys, double epsilon,
                                              size_t threads) {
-  static constexpr size_t kMinBlock = size_t{1} << 12;
-  const size_t n = keys.size();
-  const size_t blocks =
-      (threads <= 1) ? 1
-                     : std::min(threads, std::max<size_t>(1, n / kMinBlock));
-  std::vector<std::vector<PlaSegment>> per_block(blocks);
-  ParallelForIndex(threads, blocks, [&](size_t b) {
-    const size_t lo = b * n / blocks;
-    const size_t hi = (b + 1) * n / blocks;
-    SwingFilterBuilder builder(epsilon);
-    for (size_t i = lo; i < hi; ++i) {
-      if (i > 0 && keys[i] == keys[i - 1]) continue;
-      builder.Add(static_cast<double>(keys[i]), i);
-    }
-    per_block[b] = builder.Finish();
+  return ConcatBlocks(keys.size(), threads, [&](size_t lo, size_t hi) {
+    return FitPlaBlock(keys, epsilon, lo, hi, /*dedup=*/true);
   });
-  std::vector<PlaSegment> segments;
-  for (std::vector<PlaSegment>& segs : per_block) {
-    segments.insert(segments.end(), segs.begin(), segs.end());
-  }
-  return segments;
 }
 
 // ----- Greedy spline corridor (RadixSpline's CDF model) -----
@@ -296,36 +296,15 @@ class GreedySplineBuilder {
 template <typename Vec>
 std::vector<SplineKnot> BuildSplineBlocked(const Vec& keys, double epsilon,
                                            size_t threads) {
-  static constexpr size_t kMinBlock = size_t{1} << 12;
-  const size_t n = keys.size();
-  const size_t blocks =
-      (threads <= 1) ? 1
-                     : std::min(threads, std::max<size_t>(1, n / kMinBlock));
-  if (blocks <= 1) {
+  return ConcatBlocks(keys.size(), threads, [&](size_t lo, size_t hi) {
     GreedySplineBuilder builder(epsilon);
-    for (size_t i = 0; i < n; ++i) {
-      LIDX_DCHECK(i == 0 ||
-                  static_cast<double>(keys[i - 1]) <
-                      static_cast<double>(keys[i]));
+    for (size_t i = lo; i < hi; ++i) {
+      LIDX_DCHECK(i == lo || static_cast<double>(keys[i - 1]) <
+                                 static_cast<double>(keys[i]));
       builder.Add(static_cast<double>(keys[i]), i);
     }
     return builder.Finish();
-  }
-  std::vector<std::vector<SplineKnot>> per_block(blocks);
-  ParallelForIndex(threads, blocks, [&](size_t b) {
-    const size_t lo = b * n / blocks;
-    const size_t hi = (b + 1) * n / blocks;
-    GreedySplineBuilder builder(epsilon);
-    for (size_t i = lo; i < hi; ++i) {
-      builder.Add(static_cast<double>(keys[i]), i);
-    }
-    per_block[b] = builder.Finish();
   });
-  std::vector<SplineKnot> knots;
-  for (std::vector<SplineKnot>& k : per_block) {
-    knots.insert(knots.end(), k.begin(), k.end());
-  }
-  return knots;
 }
 
 }  // namespace lidx

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 
 namespace lidx {
 
@@ -40,7 +40,9 @@ class LearnedHashMap {
     buckets_.resize(16);
   }
 
-  // Trains the CDF model on sorted unique keys and inserts them.
+  // Trains the CDF model on sorted unique keys and inserts them. Like every
+  // learned model's keys, they must stay distinct as doubles (below 2^53
+  // for integers): two that round to one double abort the build.
   void BulkLoad(const std::vector<Key>& keys,
                 const std::vector<Value>& values) {
     LIDX_CHECK(keys.size() == values.size());
@@ -49,23 +51,11 @@ class LearnedHashMap {
         16, static_cast<size_t>(static_cast<double>(keys.size()) *
                                 options_.buckets_per_key));
     buckets_.assign(num_buckets, {});
-    segments_.clear();
-    segment_first_keys_.clear();
-    if (keys.empty()) return;
-
     // CDF model: ε-bounded PLA over the build keys, rescaled to buckets.
-    SwingFilterBuilder builder(static_cast<double>(options_.epsilon));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      LIDX_DCHECK(i == 0 || keys[i - 1] < keys[i]);
-      builder.Add(static_cast<double>(keys[i]), i);
-    }
-    segments_ = builder.Finish();
+    locator_.Build(keys, options_.epsilon, /*threads=*/1);
+    if (keys.empty()) return;
     scale_ = static_cast<double>(num_buckets) /
              static_cast<double>(keys.size());
-    segment_first_keys_.reserve(segments_.size());
-    for (const PlaSegment& s : segments_) {
-      segment_first_keys_.push_back(s.first_key);
-    }
     for (size_t i = 0; i < keys.size(); ++i) {
       buckets_[BucketOf(keys[i])].push_back({keys[i], values[i]});
       ++size_;
@@ -135,9 +125,7 @@ class LearnedHashMap {
   }
 
   size_t SizeBytes() const {
-    size_t total = sizeof(*this) +
-                   segments_.capacity() * sizeof(PlaSegment) +
-                   segment_first_keys_.capacity() * sizeof(double) +
+    size_t total = sizeof(*this) + locator_.SizeBytes() +
                    buckets_.capacity() * sizeof(buckets_[0]);
     for (const auto& bucket : buckets_) {
       total += bucket.capacity() * sizeof(std::pair<Key, Value>);
@@ -147,24 +135,15 @@ class LearnedHashMap {
 
  private:
   size_t BucketOf(const Key& key) const {
-    if (segments_.empty()) return 0;
-    const double k = static_cast<double>(key);
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), k);
-    const size_t seg =
-        (it == segment_first_keys_.begin())
-            ? 0
-            : static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-    const double rank = segments_[seg].model.Predict(k);
-    const double b = rank * scale_;
+    // Unclamped: a clamped, truncated rank would move keys between buckets.
+    const double b = locator_.Predict(key) * scale_;
     if (b <= 0.0) return 0;
     const size_t bucket = static_cast<size_t>(b);
     return bucket >= buckets_.size() ? buckets_.size() - 1 : bucket;
   }
 
   Options options_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
+  PlaLocator locator_;
   double scale_ = 1.0;
   std::vector<std::vector<std::pair<Key, Value>>> buckets_;
   size_t size_ = 0;

@@ -12,7 +12,7 @@
 
 #include "common/macros.h"
 #include "common/search.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 
 namespace lidx {
 
@@ -61,37 +61,24 @@ class StringLearnedIndex {
     values_ = std::move(values);
     epsilon_ = options.epsilon;
     fingerprints_.clear();
-    segments_.clear();
-    segment_first_keys_.clear();
+    locator_ = PlaLocator();
     if (keys_.empty()) return;
 
     // 1. Corpus-wide common prefix.
     common_prefix_len_ = CommonPrefixLength(keys_.front(), keys_.back());
     // (Sorted corpus: LCP(first, last) == LCP of the whole set.)
 
-    // 2+3. Fingerprints and the ε-bounded model over them.
+    // 2+3. Fingerprints and the ε-bounded model over them. The model
+    // works in double space, so it trains on the high 53 bits (exact as
+    // doubles), first occurrences only.
     fingerprints_.reserve(keys_.size());
-    SwingFilterBuilder builder(static_cast<double>(epsilon_));
-    uint64_t prev_hi = 0;
-    bool has_prev = false;
+    std::vector<uint64_t> high(keys_.size());
     for (size_t i = 0; i < keys_.size(); ++i) {
       LIDX_DCHECK(i == 0 || keys_[i - 1] < keys_[i]);
-      const uint64_t fp = Fingerprint(keys_[i]);
-      fingerprints_.push_back(fp);
-      // The model works in double space: feed the high 53 bits, first
-      // occurrence only (the swing filter needs strictly increasing x).
-      const uint64_t hi = fp >> 11;
-      if (!has_prev || hi != prev_hi) {
-        builder.Add(static_cast<double>(hi), i);
-        prev_hi = hi;
-        has_prev = true;
-      }
+      fingerprints_.push_back(Fingerprint(keys_[i]));
+      high[i] = fingerprints_[i] >> 11;
     }
-    segments_ = builder.Finish();
-    segment_first_keys_.reserve(segments_.size());
-    for (const PlaSegment& s : segments_) {
-      segment_first_keys_.push_back(s.first_key);
-    }
+    locator_.Build(high, epsilon_, /*threads=*/1);
   }
 
   // Position of the first key >= `key`. Search runs on the integer
@@ -113,14 +100,7 @@ class StringLearnedIndex {
       if (key.size() < common_prefix_len_) return 0;  // Proper prefix.
     }
     const uint64_t fp = Fingerprint(key);
-    const double fp_hi = static_cast<double>(fp >> 11);
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), fp_hi);
-    const size_t seg =
-        (it == segment_first_keys_.begin())
-            ? 0
-            : static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-    const size_t pred = segments_[seg].model.PredictClamped(fp_hi, n);
+    const size_t pred = locator_.PredictClamped(fp >> 11, n);
     // Certified integer search: first index with fingerprint >= fp.
     const size_t lb = WindowLowerBoundWithFixup(fingerprints_, fp, pred,
                                                 epsilon_ + 1, epsilon_ + 1,
@@ -164,12 +144,11 @@ class StringLearnedIndex {
 
   size_t size() const { return keys_.size(); }
   bool empty() const { return keys_.empty(); }
-  size_t NumSegments() const { return segments_.size(); }
+  size_t NumSegments() const { return locator_.NumSegments(); }
   size_t common_prefix_len() const { return common_prefix_len_; }
 
   size_t ModelSizeBytes() const {
-    return sizeof(*this) + segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double) +
+    return sizeof(*this) + locator_.SizeBytes() +
            fingerprints_.capacity() * sizeof(uint64_t);
   }
 
@@ -205,8 +184,7 @@ class StringLearnedIndex {
   std::vector<std::string> keys_;
   std::vector<Value> values_;
   std::vector<uint64_t> fingerprints_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
+  PlaLocator locator_;
   size_t common_prefix_len_ = 0;
   size_t epsilon_ = 64;
 };

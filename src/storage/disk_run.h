@@ -17,7 +17,7 @@
 #include "common/search.h"
 #include "common/simd.h"
 #include "lsm/run.h"
-#include "models/plr.h"
+#include "models/pla_locator.h"
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
@@ -117,15 +117,7 @@ class DiskRun {
       keys.push_back(key);
       bloom_.Add(static_cast<uint64_t>(key));
     }
-    if (!keys.empty()) {
-      segments_ =
-          BuildPlaBlocked(keys, static_cast<double>(options_.learned_epsilon),
-                          options_.build_threads);
-      segment_first_keys_.reserve(segments_.size());
-      for (const PlaSegment& s : segments_) {
-        segment_first_keys_.push_back(s.first_key);
-      }
-    }
+    locator_.Build(keys, options_.learned_epsilon, options_.build_threads);
     pages_.reserve((n_ + kRecordsPerPage - 1) / kRecordsPerPage);
     fence_keys_.reserve(pages_.capacity());
     std::vector<uint64_t> first_ranks;
@@ -276,7 +268,7 @@ class DiskRun {
 
   size_t size() const { return n_; }
   size_t NumPages() const { return pages_.size(); }
-  size_t NumSegments() const { return segments_.size(); }
+  size_t NumSegments() const { return locator_.NumSegments(); }
   PageCodec codec() const { return options_.codec; }
   // Pages whose payload actually packed (the rest fell back to plain).
   size_t NumPackedPages() const { return packed_pages_; }
@@ -292,10 +284,7 @@ class DiskRun {
            FenceSizeBytes() + bloom_.SizeBytes() + ModelSizeBytes() +
            dir_.SizeBytes();
   }
-  size_t ModelSizeBytes() const {
-    return segments_.capacity() * sizeof(PlaSegment) +
-           segment_first_keys_.capacity() * sizeof(double);
-  }
+  size_t ModelSizeBytes() const { return locator_.SizeBytes(); }
   size_t FenceSizeBytes() const {
     return fence_keys_.capacity() * sizeof(Key);
   }
@@ -304,8 +293,8 @@ class DiskRun {
   // pages validate (magic/self-id/CRC), record counts fill pages densely,
   // fence keys equal each page's first record key, keys are strictly
   // sorted globally, the Bloom filter has no false negatives, and the PLA
-  // model honours its ε bound at every rank. Aborts on violation. Test
-  // hook.
+  // model holds its own invariants over the keys read back. Aborts on
+  // violation. Test hook.
   void CheckInvariants() const {
     LIDX_INVARIANT(pages_.size() == fence_keys_.size(),
                    "diskrun: fence per page");
@@ -321,22 +310,10 @@ class DiskRun {
       LIDX_INVARIANT(dir_.FirstRank(pages_.size()) == n_,
                      "diskrun: directory covers all entries");
     }
-    if (n_ == 0) return;
-    LIDX_INVARIANT(!segments_.empty(), "diskrun: has learned segments");
-    LIDX_INVARIANT(segments_.size() == segment_first_keys_.size(),
-                   "diskrun: segment/first-key parallel arrays");
-    for (size_t s = 0; s < segments_.size(); ++s) {
-      LIDX_INVARIANT(segments_[s].first_key == segment_first_keys_[s],
-                     "diskrun: first-key mirror matches segment");
-      if (s > 0) {
-        LIDX_INVARIANT(segment_first_keys_[s - 1] < segment_first_keys_[s],
-                       "diskrun: segment first keys strictly increasing");
-      }
-    }
     Page page;
     size_t rank = 0;
-    bool have_prev = false;
-    Key prev{};
+    std::vector<Key> keys;  // The page walk's keys, for the model's check.
+    keys.reserve(n_);
     for (size_t p = 0; p < pages_.size(); ++p) {
       LIDX_INVARIANT(file_->ReadPage(pages_[p], &page),
                      "diskrun: page readable and checksummed");
@@ -364,22 +341,15 @@ class DiskRun {
           LIDX_INVARIANT(!(fence_keys_[p] < k) && !(k < fence_keys_[p]),
                          "diskrun: fence equals page's first key");
         }
-        LIDX_INVARIANT(!have_prev || prev < k,
+        LIDX_INVARIANT(keys.empty() || keys.back() < k,
                        "diskrun: keys strictly sorted");
-        prev = k;
-        have_prev = true;
+        keys.push_back(k);
         LIDX_INVARIANT(bloom_.MayContain(static_cast<uint64_t>(k)),
                        "diskrun: bloom has no false negatives");
-        const double kd = static_cast<double>(k);
-        const double pred = segments_[SegmentFor(kd)].model.Predict(kd);
-        const double eps =
-            static_cast<double>(options_.learned_epsilon) + 1.0;
-        const double err = pred - static_cast<double>(rank);
-        LIDX_INVARIANT(err <= eps && -err <= eps,
-                       "diskrun: epsilon guarantee on learned model");
       }
     }
     LIDX_INVARIANT(rank == n_, "diskrun: ranks cover all entries");
+    locator_.CheckInvariants(keys);
   }
 
  private:
@@ -418,11 +388,7 @@ class DiskRun {
     }
     // Model: rank window [lo, hi) that must contain the key if present.
     // Plain layout divides; compressed layouts ask the packed directory.
-    const double k = static_cast<double>(key);
-    const size_t pred =
-        segments_[SegmentFor(k)].model.PredictClamped(k, n_);
-    const size_t eps = options_.learned_epsilon;
-    const SearchWindow w = ClampSearchWindow(pred, eps, eps, n_);
+    const SearchWindow w = locator_.Window(key, n_);
     size_t page_lo;
     size_t page_hi;
     if (options_.codec == PageCodec::kPlain) {
@@ -528,14 +494,6 @@ class DiskRun {
     return resolved;
   }
 
-  // Last segment with first_key <= k.
-  size_t SegmentFor(double k) const {
-    const auto it = std::upper_bound(segment_first_keys_.begin(),
-                                     segment_first_keys_.end(), k);
-    if (it == segment_first_keys_.begin()) return 0;
-    return static_cast<size_t>(it - segment_first_keys_.begin()) - 1;
-  }
-
   Options options_;
   FileManager* file_;
   BufferPool* pool_;
@@ -543,8 +501,7 @@ class DiskRun {
   std::vector<uint64_t> pages_;   // Page id per page, in key order.
   std::vector<Key> fence_keys_;   // First key of each page.
   BloomFilter bloom_;
-  std::vector<PlaSegment> segments_;
-  std::vector<double> segment_first_keys_;
+  PlaLocator locator_;
   // Compressed layout only: per-page first global ranks (variable records
   // per page make rank -> page a directory lookup, not a division), and
   // how many pages actually packed.

@@ -53,10 +53,15 @@ namespace lidx::storage {
 // kDelta fits the slope through the first and last element — ideal for
 // the sorted key column, where residuals are bounded by the page's
 // deviation from linearity. kFor is the span-0 special case (offsets from
-// the first element), which is what unsorted value columns usually want;
-// requesting kDelta applies the slope to both columns and still degrades
-// to near-FOR behaviour when a column isn't linear (the residual width
-// simply grows).
+// the first element), which is what unsorted value columns usually want.
+// Requesting kDelta applies the slope to both columns. A value column that
+// isn't linear does not fall back to FOR: its residuals are measured
+// against the first-to-last line. When its span or residual range does not
+// fit, the encoder packs a shorter prefix, and a page whose packable prefix
+// does not beat the plain record count is written plain. So on
+// unstructured values kDelta writes many more plain pages than kFor:
+// PageCodecGoldenTest's fixed-seed run writes 42 of its 60 pages plain
+// under kDelta, and 11 of 57 under kFor.
 //
 // The encoder is fallback-by-construction: it packs the longest entry
 // prefix that fits the page, and if that doesn't beat the plain layout's

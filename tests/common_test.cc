@@ -178,21 +178,6 @@ TEST_P(SearchKernelTest, ExponentialMatchesStdLowerBound) {
   }
 }
 
-TEST_P(SearchKernelTest, InterpolationMatchesStdLowerBound) {
-  const size_t n = GetParam();
-  Rng rng(n + 3);
-  std::vector<uint64_t> data;
-  for (size_t i = 0; i < n; ++i) data.push_back(rng.NextBounded(n * 4 + 10));
-  std::sort(data.begin(), data.end());
-  for (int probe = 0; probe < 500; ++probe) {
-    const uint64_t key = rng.NextBounded(n * 4 + 20);
-    const size_t expected =
-        std::lower_bound(data.begin(), data.end(), key) - data.begin();
-    EXPECT_EQ(InterpolationSearchLowerBound(data, key, 0, data.size()),
-              expected);
-  }
-}
-
 TEST_P(SearchKernelTest, WindowFixupMatchesStdLowerBound) {
   const size_t n = GetParam();
   Rng rng(n + 4);

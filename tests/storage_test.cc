@@ -21,7 +21,9 @@
 #include "common/random.h"
 #include "datasets/generators.h"
 #include "lsm/lsm_tree.h"
+#include "one_d/learned_hash.h"
 #include "one_d/pgm.h"
+#include "one_d/string_index.h"
 #include "simd_levels.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_lsm_tree.h"
@@ -1336,6 +1338,69 @@ TEST(DiskPgmTableTest, LearnedModePagesPerLookupShrinkWithEpsilon) {
   }
   // The widest ε genuinely costs extra I/O over the tightest.
   EXPECT_GT(prev_pages, 1.5);
+}
+
+// ----- Flat PLA training pins -----
+
+// Every flat ε-PLA user trains exactly as the hand-written loops it
+// replaced: on a fixed seed, each structure's segment count (and the
+// learned hash map's bucket spread) is pinned to the value those loops
+// produced.
+TEST(PlaLocatorTest, FlatRunSegmentCountsPinnedOnAFixedSeed) {
+  const auto keys = GenerateKeys(KeyDistribution::kLognormal, 100000, 3141);
+  std::vector<std::pair<uint64_t, Entry>> entries;
+  entries.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    entries.emplace_back(keys[i], Entry{i, false});
+  }
+  MemRun::Options blocked;
+  blocked.build_threads = 4;  // Four PLA blocks, so three seams.
+  EXPECT_EQ(MemRun(entries, MemRun::Options{}).NumSegments(), 152u);
+  EXPECT_EQ(MemRun(entries, blocked).NumSegments(), 155u);
+
+  FileManager file(FreshFile("pla_pins"));
+  BufferPool pool(&file, 16);
+  DRun::Options delta;
+  delta.codec = PageCodec::kDelta;
+  delta.build_threads = 4;
+  EXPECT_EQ(DRun(entries, &file, &pool, DRun::Options{}).NumSegments(), 152u);
+  EXPECT_EQ(DRun(entries, &file, &pool, delta).NumSegments(), 155u);
+
+  // Deep-prefix keys share fingerprints, so the model skips repeats.
+  for (const auto& [style, segments] :
+       {std::pair{StringKeyStyle::kUrls, size_t{83}},
+        std::pair{StringKeyStyle::kDeepPrefix, size_t{428}}}) {
+    const auto strings = GenerateStringKeys(style, 50000, 2718);
+    StringLearnedIndex<uint64_t> index;
+    index.Build(strings, std::vector<uint64_t>(strings.size()));
+    EXPECT_EQ(index.NumSegments(), segments) << StringKeyStyleName(style);
+  }
+
+  LearnedHashMap<uint64_t, uint64_t> hash;
+  hash.BulkLoad(keys, std::vector<uint64_t>(keys.size()));
+  EXPECT_EQ(hash.MaxChainLength(), 8u);
+  EXPECT_DOUBLE_EQ(hash.LoadVariance(), 1.00798);
+}
+
+// Two distinct u64 keys that round to one double cannot both start a PLA
+// segment: every flat-PLA user refuses to build on them.
+TEST(PlaLocatorDeathTest, FlatRunsAbortOnKeysThatCollideAsDoubles) {
+  const uint64_t a = uint64_t{1} << 60;
+  const std::vector<std::pair<uint64_t, Entry>> entries = {
+      {a, Entry{1, false}}, {a + 1, Entry{2, false}}};
+  EXPECT_DEATH({ MemRun run(entries, MemRun::Options{}); },
+               "LIDX_CHECK failed");
+  EXPECT_DEATH(
+      {
+        FileManager file(FreshFile("pla_collide"));
+        BufferPool pool(&file, 4);
+        DRun run(entries, &file, &pool, DRun::Options{});
+      },
+      "LIDX_CHECK failed");
+  const std::vector<uint64_t> keys = {a, a + 1};
+  using Hash = LearnedHashMap<uint64_t, uint64_t>;
+  EXPECT_DEATH(Hash().BulkLoad(keys, keys),
+               "LIDX_CHECK failed");
 }
 
 }  // namespace
