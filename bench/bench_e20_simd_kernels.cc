@@ -1,5 +1,5 @@
 // E20 — SIMD kernel layer: vectorized last-mile search, model inference,
-// and filter probes vs their scalar twins.
+// filter probes and the page codec's residual range vs their scalar twins.
 //
 // Claim under test (SOSD engineering notes; Kraska et al.'s observation
 // that learned-index lookups bottleneck on the last-mile search): once the
@@ -36,6 +36,7 @@
 #include "one_d/pgm.h"
 #include "one_d/radix_spline.h"
 #include "one_d/rmi.h"
+#include "storage/page_codec.h"
 
 namespace lidx {
 
@@ -271,6 +272,95 @@ void RunBloomSection() {
                     bench::JsonField::Num("speedup", speedup)});
 }
 
+// ----- Page-codec residual range -------------------------------------------
+
+// Page-shaped columns (kColumnRecords records, a cache-resident set of
+// kColumns) planned against their first-to-last line at every runnable
+// level: sorted keys, values that are the keys with their low 32 bits
+// flipped (residuals up to about 2^32), and unstructured values (residuals
+// past 2^61, which the AVX2 kernel hands to the scalar twin). Budgets are
+// the full 64 bits, so every call scans its whole column. Every result is
+// checked against ResidualRangeScalar.
+size_t RunResidualRangeSection() {
+  constexpr size_t kColumnRecords = 2048;
+  constexpr size_t kColumns = 16;
+  std::printf("\n-- page-codec residual range (ResidualRange), %zu columns of "
+              "%zu records --\n", kColumns, kColumnRecords);
+  std::printf("%-10s %-8s %12s %12s\n", "column", "level", "ns/record",
+              "vs-scalar");
+  Rng rng(2718);
+  const std::vector<uint64_t> keys = GenerateKeys(
+      KeyDistribution::kLognormal, kColumns * kColumnRecords, 2718);
+  const size_t passes =
+      std::max<size_t>(1, kKernelOps / (kColumns * kColumnRecords));
+  size_t mismatches = 0;
+  for (const char* shape : {"keys", "xor_vals", "random"}) {
+    std::vector<uint64_t> cols(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      cols[i] = shape[0] == 'k'   ? keys[i]
+                : shape[0] == 'x' ? keys[i] ^ 0x9E3779B9u
+                                  : rng.Next();
+    }
+    std::vector<simd::SteppedLine> lines;
+    std::vector<simd::ResidualExtent> want;
+    for (size_t c = 0; c < kColumns; ++c) {
+      const uint64_t* col = cols.data() + c * kColumnRecords;
+      const __int128 span = static_cast<__int128>(col[kColumnRecords - 1]) -
+                            static_cast<__int128>(col[0]);
+      // A span past int64 (unstructured values) takes the flat line.
+      const bool fits = span == static_cast<int64_t>(span);
+      lines.push_back(storage::PackedLine(col[0],
+                                          fits ? static_cast<int64_t>(span)
+                                               : 0,
+                                          kColumnRecords)
+                          .Steps());
+      want.push_back(simd::ResidualRangeScalar(col, kColumnRecords,
+                                               lines.back(), ~uint64_t{0}));
+    }
+    double scalar_ns = 0.0;
+    for (const simd::Level level : {simd::Level::kScalar, simd::Level::kSse2,
+                                    simd::Level::kAvx2, simd::Level::kNeon}) {
+      if (simd::ClampLevel(level) != level) continue;
+      simd::SetLevel(level);
+      double best_ns = 1e30;
+      for (int rep = 0; rep < kReps; ++rep) {
+        uint64_t checksum = 0;
+        Timer timer;
+        for (size_t pass = 0; pass < passes; ++pass) {
+          for (size_t c = 0; c < kColumns; ++c) {
+            const simd::ResidualExtent got = simd::ResidualRange(
+                cols.data() + c * kColumnRecords, kColumnRecords, lines[c],
+                ~uint64_t{0});
+            checksum += got.above;
+            if (pass == 0 &&
+                (got.within != want[c].within || got.above != want[c].above ||
+                 got.below != want[c].below)) {
+              ++mismatches;
+            }
+          }
+        }
+        DoNotOptimize(checksum);
+        best_ns = std::min(
+            best_ns, static_cast<double>(timer.ElapsedNanos()) /
+                         static_cast<double>(passes * kColumns *
+                                             kColumnRecords));
+      }
+      if (level == simd::Level::kScalar) scalar_ns = best_ns;
+      const double speedup = best_ns > 0 ? scalar_ns / best_ns : 0;
+      std::printf("%-10s %-8s %12.3f %11.2fx\n", shape,
+                  simd::LevelName(level), best_ns, speedup);
+      g_rows.push_back(
+          {bench::JsonField::Str("section", "residual_range"),
+           bench::JsonField::Str("column", shape),
+           bench::JsonField::Str("level", simd::LevelName(level)),
+           bench::JsonField::Num("ns_per_record", best_ns),
+           bench::JsonField::Num("speedup_vs_scalar", speedup)});
+    }
+  }
+  simd::SetLevel(simd::DetectBestLevel());
+  return mismatches;
+}
+
 // ----- End-to-end index sweep ----------------------------------------------
 
 // One built index, measured at the forced scalar level ("off": the
@@ -371,6 +461,7 @@ void Run() {
   const double best_window_speedup = RunWindowSection();
   RunPredictSection();
   RunBloomSection();
+  const size_t residual_mismatches = RunResidualRangeSection();
   RunE2eSection();
   simd::SetLevel(simd::DetectBestLevel());
 
@@ -383,6 +474,7 @@ void Run() {
        bench::JsonField::Num("array_size", kArraySize),
        bench::JsonField::Num("kernel_ops", kKernelOps),
        bench::JsonField::Num("best_window_speedup", best_window_speedup)});
+  bench::ExitOnMismatches("E20 residual_range", residual_mismatches);
 }
 
 }  // namespace

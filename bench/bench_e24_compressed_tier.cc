@@ -15,7 +15,10 @@
 //      model-only plain reference): keys/page, bytes/key, pages and decoded
 //      records per lookup, warm latency. Gates (at full size):
 //      delta keys/page >= 2.5x plain, and byte-identical results across
-//      codecs on both the scalar and async batched paths.
+//      codecs on both the scalar and async batched paths. Plus one encode
+//      row per codec: ns per record to encode the entries into in-memory
+//      pages (median of bench::kTimedPasses passes), every page decoded
+//      back and checked against its records.
 //   2. Larger-than-pool serve at equal pool frames, OS cache dropped:
 //      compressed runs must beat plain on cold lookup throughput
 //      (gate: >= 1.5x, enforced at full size when the cache drop works).
@@ -54,6 +57,7 @@ namespace lidx::storage {
 namespace {
 
 std::vector<bench::JsonRow> g_json;
+size_t g_mismatches = 0;
 
 // Gates only bite at representative size; the CI smoke run (20k keys)
 // still executes every code path and the byte-identical checks.
@@ -91,6 +95,62 @@ std::vector<uint64_t> SampleMixed(const std::vector<uint64_t>& keys, size_t n,
 
 // ----- Section 1: codec comparison at matched ε -----
 
+// Encodes every entry into in-memory pages, as a run build does without the
+// file writes, kTimedPasses times, and returns the median ns per record.
+// The last pass's pages are decoded back; each record that does not match
+// its entry counts as a mismatch.
+void MeasureEncode(
+    const std::vector<std::pair<uint64_t, RunEntry<uint64_t>>>& entries,
+    PageCodec codec, TablePrinter* table) {
+  const size_t n = entries.size();
+  std::vector<Page> pages;
+  pages.reserve(n / DiskRun<uint64_t, uint64_t>::kRecordsPerPage + 1);
+  std::vector<double> ns;
+  for (size_t pass = 0; pass < bench::kTimedPasses; ++pass) {
+    pages.clear();
+    Timer timer;
+    for (size_t pos = 0; pos < n;) {
+      pages.emplace_back();
+      const size_t count =
+          EncodeDataPage(entries.data() + pos, n - pos, codec, &pages.back());
+      LIDX_CHECK(count > 0);
+      pos += count;
+    }
+    ns.push_back(static_cast<double>(timer.ElapsedNanos()) /
+                 static_cast<double>(n));
+  }
+  const double ns_per_record = bench::Percentile(&ns, 50.0);
+  size_t packed = 0;
+  size_t pos = 0;
+  size_t mismatches = 0;
+  std::vector<std::pair<uint64_t, RunEntry<uint64_t>>> decoded;
+  for (const Page& page : pages) {
+    const DataPageView<uint64_t, uint64_t> view(page);
+    if (view.packed()) ++packed;
+    decoded.clear();
+    view.DecodeInto(0, view.count(), &decoded);
+    for (const auto& [key, entry] : decoded) {
+      const bool same = pos < n && key == entries[pos].first &&
+                        entry.value == entries[pos].second.value &&
+                        entry.deleted == entries[pos].second.deleted;
+      if (!same) ++mismatches;
+      ++pos;
+    }
+  }
+  if (pos != n) mismatches += pos > n ? pos - n : n - pos;
+  g_mismatches += mismatches;
+  table->AddRow({CodecName(codec),
+                 TablePrinter::FormatDouble(ns_per_record, 1),
+                 std::to_string(pages.size()), std::to_string(packed),
+                 std::to_string(mismatches)});
+  g_json.push_back({bench::JsonField::Str("section", "codec_encode"),
+                    bench::JsonField::Str("codec", CodecName(codec)),
+                    bench::JsonField::Num("ns_per_record", ns_per_record),
+                    bench::JsonField::Num("num_pages", pages.size()),
+                    bench::JsonField::Num("packed_pages", packed),
+                    bench::JsonField::Num("mismatches", mismatches)});
+}
+
 struct CodecResult {
   double keys_per_page = 0;
   std::vector<std::optional<RunEntry<uint64_t>>> found;
@@ -108,9 +168,12 @@ void RunCodecComparison(const bench::Dataset1D& data,
   for (size_t i = 0; i < data.keys.size(); ++i) {
     entries[i] = {data.keys[i], RunEntry<uint64_t>{data.values[i], false}};
   }
+  TablePrinter encode_table(
+      {"codec", "encode_ns/record", "pages", "packed_pages", "mismatches"});
   CodecResult plain_result;
   for (const PageCodec codec :
        {PageCodec::kPlain, PageCodec::kFor, PageCodec::kDelta}) {
+    MeasureEncode(entries, codec, &encode_table);
     const std::string path = ScratchFile("codec");
     FileManager file(path);
     BufferPool pool(&file, data.keys.size() / 64 + 64);  // Warm-cache pool.
@@ -240,6 +303,9 @@ void RunCodecComparison(const bench::Dataset1D& data,
          bench::JsonField::Num("pages_per_get", pages_per_get)});
   }
   table.Print();
+  std::printf("\n-- page encode speed (median of %zu passes) --\n",
+              bench::kTimedPasses);
+  encode_table.Print();
 }
 
 // ----- Section 2: larger-than-pool serve, OS cache dropped -----
@@ -473,5 +539,6 @@ int main(int argc, char** argv) {
   for (const char* tag : {"codec", "pgmref", "serve", "tiered"}) {
     std::remove(("bench_e24_" + std::string(tag) + ".pagefile").c_str());
   }
+  bench::ExitOnMismatches("E24", g_mismatches);
   return 0;
 }

@@ -13,12 +13,13 @@
 
 // Portable SIMD kernel layer for the library's data-parallel inner loops:
 // the last-mile ε-window search every learned index ends in, batched
-// linear-model evaluation, and Bloom-filter hashing. Three compiled paths
-// (AVX2, SSE2, NEON) sit behind a runtime-dispatched kernel table with an
-// always-correct scalar fallback; every kernel is result-identical to its
-// scalar reference (a lower bound is unique, predictions use the same
-// mul/add/truncate sequence, hashes the same finalizers), so call sites
-// can A/B scalar-vs-SIMD freely.
+// linear-model evaluation, Bloom-filter hashing, and the page codec's bit
+// unpack and column fit. Three compiled paths (AVX2, SSE2, NEON) sit
+// behind a runtime-dispatched kernel table with an always-correct scalar
+// fallback; every kernel is result-identical to its scalar reference (a
+// lower bound is unique, predictions use the same mul/add/truncate
+// sequence, hashes the same finalizers), so call sites can A/B
+// scalar-vs-SIMD freely.
 //
 // Dispatch rules, in order:
 //   1. Compile time: x86-64 builds always compile the SSE2 path (baseline
@@ -193,6 +194,125 @@ inline void UnpackBitsScalar(const unsigned char* src, size_t bit_offset,
     }
     out[i] = v & mask;
   }
+}
+
+// An integer line walked without division: pred_i = base ± (q i + floor(r i
+// / d)), taken mod 2^64, with r < d. This is the page codec's predictor
+// (storage/page_codec.h's PackedLine); a cursor adds q to the prediction
+// and r to the remainder per record, carrying one more when the remainder
+// reaches d.
+struct SteppedLine {
+  uint64_t base = 0;
+  uint64_t q = 0;
+  uint64_t r = 0;
+  uint64_t d = 1;
+  bool negative = false;
+};
+
+// The residual extremes of a column x[0..n) against a SteppedLine: `above`
+// is max(x_i - pred_i) over x_i >= pred_i and `below` is max(pred_i - x_i)
+// over x_i < pred_i, each exact in uint64_t and 0 when no residual lies on
+// its side. `within` is false when above + below (an exact 65-bit sum)
+// exceeds the budget; the kernels then stop early and report {0, 0, false}.
+struct ResidualExtent {
+  uint64_t above = 0;
+  uint64_t below = 0;
+  bool within = false;
+};
+
+// Records between two budget checks; the kernels may scan up to one block
+// past the record at which the range first exceeds its budget.
+inline constexpr size_t kResidualBlock = 64;
+
+namespace detail {
+
+// A cursor on a SteppedLine and its k-record step.
+struct LineWalk {
+  uint64_t pred = 0;
+  uint64_t rem = 0;
+};
+struct LineStep {
+  uint64_t dpred = 0;  // ±(k q + floor(k r / d)) mod 2^64.
+  uint64_t drem = 0;   // (k r) mod d.
+};
+
+inline void StepWalk(LineWalk* w, LineStep s, uint64_t d, uint64_t carry) {
+  w->pred += s.dpred;
+  w->rem += s.drem;
+  if (w->rem >= d) {
+    w->rem -= d;
+    w->pred += carry;  // ±1.
+  }
+}
+
+// The one-record step. A kernel finds its lanes' starts and their k-record
+// stride by walking from pred_0, so none of them needs a division.
+inline LineStep UnitStep(const SteppedLine& line) {
+  return {line.negative ? uint64_t{0} - line.q : line.q, line.r};
+}
+inline uint64_t Carry(const SteppedLine& line) {
+  return line.negative ? ~uint64_t{0} : uint64_t{1};
+}
+
+inline void FoldResidual(uint64_t x, uint64_t pred, uint64_t* above,
+                         uint64_t* below) {
+  const bool ge = x >= pred;
+  const uint64_t diff = x - pred;
+  const uint64_t up = ge ? diff : 0;
+  const uint64_t down = ge ? 0 : uint64_t{0} - diff;
+  *above = up > *above ? up : *above;
+  *below = down > *below ? down : *below;
+}
+
+inline bool WithinBudget(uint64_t above, uint64_t below, uint64_t budget) {
+  return below <= budget && above <= budget - below;
+}
+
+}  // namespace detail
+
+// Four independent lane cursors, lane j on records j, j + 4, j + 8, ...;
+// the budget is checked once per kResidualBlock records, and a tail of
+// fewer than four records steps lane 0's cursor one record at a time.
+inline ResidualExtent ResidualRangeScalar(const uint64_t* x, size_t n,
+                                          const SteppedLine& line,
+                                          uint64_t budget) {
+  constexpr size_t kLanes = 4;
+  const detail::LineStep unit = detail::UnitStep(line);
+  const uint64_t carry = detail::Carry(line);
+  detail::LineWalk lane[kLanes];
+  detail::LineWalk walk{line.base, 0};
+  for (size_t j = 0; j < kLanes; ++j) {
+    lane[j] = walk;
+    detail::StepWalk(&walk, unit, line.d, carry);
+  }
+  const detail::LineStep stride{walk.pred - line.base, walk.rem};
+  uint64_t above[kLanes] = {};
+  uint64_t below[kLanes] = {};
+  const auto fold_lanes = [&](size_t i) {
+    for (size_t j = 0; j < kLanes; ++j) {
+      detail::FoldResidual(x[i + j], lane[j].pred, &above[j], &below[j]);
+      detail::StepWalk(&lane[j], stride, line.d, carry);
+    }
+  };
+  const auto reduce = [&]() {
+    for (size_t j = 1; j < kLanes; ++j) {
+      above[0] = above[j] > above[0] ? above[j] : above[0];
+      below[0] = below[j] > below[0] ? below[j] : below[0];
+    }
+    return detail::WithinBudget(above[0], below[0], budget);
+  };
+  size_t i = 0;
+  for (; i + kResidualBlock <= n; i += kResidualBlock) {
+    for (size_t k = 0; k < kResidualBlock; k += kLanes) fold_lanes(i + k);
+    if (!reduce()) return {};
+  }
+  for (; i + kLanes <= n; i += kLanes) fold_lanes(i);
+  for (; i < n; ++i) {
+    detail::FoldResidual(x[i], lane[0].pred, &above[0], &below[0]);
+    detail::StepWalk(&lane[0], unit, line.d, carry);
+  }
+  if (!reduce()) return {};
+  return {above[0], below[0], true};
 }
 
 #if defined(LIDX_SIMD_X86)
@@ -464,6 +584,160 @@ __attribute__((target("avx2"))) inline void UnpackBitsAvx2(
   }
 }
 
+namespace detail {
+
+__attribute__((target("avx2"))) inline __m256i SplatAvx2(uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+inline constexpr uint64_t kSignBit = uint64_t{1} << 63;
+// A residual r with |r| <= 2^61 is kept as r + 2^62: the bit pattern of a
+// positive normal double that orders as r does, so one max_pd and one
+// min_pd per record track the extremes exactly.
+inline constexpr uint64_t kResidualOffset = uint64_t{1} << 62;
+// A lane magnitude with any of these bits set holds a wider residual.
+inline constexpr uint64_t kWideResidual = ~((uint64_t{1} << 61) - 1);
+
+// Four lane cursors and their running residual extremes. Predictions are
+// biased (xor 2^63), so the signed 64-bit compare orders them as unsigned
+// values. hi and lo hold the largest and smallest residual as ordered
+// doubles (kResidualOffset); `wide` ORs every |r| (|r| - 1 for a negative
+// r) and gets its sign bit from a difference that wrapped.
+struct ResidualQuadAvx2 {
+  __m256i pred;
+  __m256i rem;
+  __m256i hi;
+  __m256i lo;
+  __m256i wide;
+};
+
+// The eight-record stride every lane cursor takes.
+struct LaneStrideAvx2 {
+  __m256i dpred;
+  __m256i drem;
+  __m256i d;
+  __m256i d_minus_1;
+  __m256i carry;
+};
+
+// Folds x[0..4) into the quad's extremes, then steps its cursors.
+__attribute__((target("avx2"))) inline void FoldQuadAvx2(
+    const uint64_t* x, const LaneStrideAvx2& s, ResidualQuadAvx2* q) {
+  const __m256i xb = _mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x)),
+      SplatAvx2(kSignBit));
+  const __m256i neg = _mm256_cmpgt_epi64(q->pred, xb);  // x < pred.
+  const __m256i diff = _mm256_sub_epi64(xb, q->pred);   // x - pred.
+  q->wide = _mm256_or_si256(q->wide, _mm256_xor_si256(diff, neg));
+  const __m256d r = _mm256_castsi256_pd(
+      _mm256_add_epi64(diff, SplatAvx2(kResidualOffset)));
+  q->hi = _mm256_castpd_si256(_mm256_max_pd(_mm256_castsi256_pd(q->hi), r));
+  q->lo = _mm256_castpd_si256(_mm256_min_pd(_mm256_castsi256_pd(q->lo), r));
+  q->rem = _mm256_add_epi64(q->rem, s.drem);
+  const __m256i wrap = _mm256_cmpgt_epi64(q->rem, s.d_minus_1);
+  q->rem = _mm256_sub_epi64(q->rem, _mm256_and_si256(wrap, s.d));
+  q->pred = _mm256_add_epi64(_mm256_add_epi64(q->pred, s.dpred),
+                             _mm256_and_si256(wrap, s.carry));
+}
+
+__attribute__((target("avx2"))) inline bool HoldsWideResidualAvx2(
+    const ResidualQuadAvx2& a, const ResidualQuadAvx2& b) {
+  return _mm256_testz_si256(_mm256_or_si256(a.wide, b.wide),
+                            SplatAvx2(kWideResidual)) == 0;
+}
+
+// The eight lanes' extremes as {above, below}. Positive doubles order as
+// their bit patterns.
+__attribute__((target("avx2"))) inline void ReduceQuadsAvx2(
+    const ResidualQuadAvx2& a, const ResidualQuadAvx2& b, uint64_t* above,
+    uint64_t* below) {
+  alignas(32) uint64_t hi[4];
+  alignas(32) uint64_t lo[4];
+  _mm256_store_pd(reinterpret_cast<double*>(hi),
+                  _mm256_max_pd(_mm256_castsi256_pd(a.hi),
+                                _mm256_castsi256_pd(b.hi)));
+  _mm256_store_pd(reinterpret_cast<double*>(lo),
+                  _mm256_min_pd(_mm256_castsi256_pd(a.lo),
+                                _mm256_castsi256_pd(b.lo)));
+  uint64_t max = hi[0];
+  uint64_t min = lo[0];
+  for (size_t j = 1; j < 4; ++j) {
+    max = hi[j] > max ? hi[j] : max;
+    min = lo[j] < min ? lo[j] : min;
+  }
+  *above = max - kResidualOffset;
+  *below = kResidualOffset - min;
+}
+
+}  // namespace detail
+
+// ResidualRangeScalar's result from eight lane cursors in two registers,
+// lane j on records j, j + 8, j + 16, ...: each step folds eight records
+// and moves every lane by the eight-record stride. The budget is checked
+// once per kResidualBlock records; a tail of fewer than eight records
+// steps lane 0's cursor one record at a time. Page columns almost always
+// have residuals far below 2^61 in magnitude, which the lanes track with
+// one max_pd and one min_pd per record; a column with a wider residual
+// (unstructured values, say) is handed to the scalar twin.
+__attribute__((target("avx2"))) inline ResidualExtent ResidualRangeAvx2(
+    const uint64_t* x, size_t n, const SteppedLine& line, uint64_t budget) {
+  constexpr size_t kLanes = 8;
+  const detail::LineStep unit = detail::UnitStep(line);
+  const uint64_t carry = detail::Carry(line);
+  alignas(32) uint64_t lane_pred[kLanes];
+  alignas(32) uint64_t lane_rem[kLanes];
+  detail::LineWalk walk{line.base, 0};
+  for (size_t j = 0; j < kLanes; ++j) {
+    lane_pred[j] = walk.pred ^ detail::kSignBit;
+    lane_rem[j] = walk.rem;
+    detail::StepWalk(&walk, unit, line.d, carry);
+  }
+  const detail::LaneStrideAvx2 stride{
+      detail::SplatAvx2(walk.pred - line.base), detail::SplatAvx2(walk.rem),
+      detail::SplatAvx2(line.d), detail::SplatAvx2(line.d - 1),
+      detail::SplatAvx2(carry)};
+  const __m256i zero = detail::SplatAvx2(detail::kResidualOffset);
+  const auto* pred_ptr = reinterpret_cast<const __m256i*>(lane_pred);
+  const auto* rem_ptr = reinterpret_cast<const __m256i*>(lane_rem);
+  detail::ResidualQuadAvx2 q0{_mm256_load_si256(pred_ptr),
+                              _mm256_load_si256(rem_ptr), zero, zero,
+                              _mm256_setzero_si256()};
+  detail::ResidualQuadAvx2 q1{_mm256_load_si256(pred_ptr + 1),
+                              _mm256_load_si256(rem_ptr + 1), zero, zero,
+                              _mm256_setzero_si256()};
+  uint64_t above = 0;
+  uint64_t below = 0;
+  size_t i = 0;
+  for (; i + kResidualBlock <= n; i += kResidualBlock) {
+    for (size_t k = 0; k < kResidualBlock; k += kLanes) {
+      detail::FoldQuadAvx2(x + i + k, stride, &q0);
+      detail::FoldQuadAvx2(x + i + k + 4, stride, &q1);
+    }
+    if (detail::HoldsWideResidualAvx2(q0, q1)) {
+      return ResidualRangeScalar(x, n, line, budget);
+    }
+    detail::ReduceQuadsAvx2(q0, q1, &above, &below);
+    if (!detail::WithinBudget(above, below, budget)) return {};
+  }
+  for (; i + kLanes <= n; i += kLanes) {
+    detail::FoldQuadAvx2(x + i, stride, &q0);
+    detail::FoldQuadAvx2(x + i + 4, stride, &q1);
+  }
+  if (detail::HoldsWideResidualAvx2(q0, q1)) {
+    return ResidualRangeScalar(x, n, line, budget);
+  }
+  detail::ReduceQuadsAvx2(q0, q1, &above, &below);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_pred), q0.pred);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_rem), q0.rem);
+  walk = {lane_pred[0] ^ detail::kSignBit, lane_rem[0]};
+  for (; i < n; ++i) {
+    detail::FoldResidual(x[i], walk.pred, &above, &below);
+    detail::StepWalk(&walk, unit, line.d, carry);
+  }
+  if (!detail::WithinBudget(above, below, budget)) return {};
+  return {above, below, true};
+}
+
 #endif  // LIDX_SIMD_X86
 
 #if defined(LIDX_SIMD_NEON)
@@ -551,6 +825,8 @@ struct KernelTable {
   void (*bloom_hash)(const uint64_t*, size_t, uint64_t*, uint64_t*);
   void (*unpack_bits)(const unsigned char*, size_t, unsigned, size_t,
                       uint64_t*);
+  ResidualExtent (*residual_range)(const uint64_t*, size_t,
+                                   const SteppedLine&, uint64_t);
 };
 
 // Highest level this binary + this CPU can execute.
@@ -602,7 +878,8 @@ inline KernelTable MakeTable(Level level) {
                 &LowerBoundF64Scalar,
                 &PredictClampedU64Scalar,
                 &BloomHashScalar,
-                &UnpackBitsScalar};
+                &UnpackBitsScalar,
+                &ResidualRangeScalar};
 #if defined(LIDX_SIMD_X86)
   if (level == Level::kSse2 || level == Level::kAvx2) {
     t.level = Level::kSse2;
@@ -622,6 +899,9 @@ inline KernelTable MakeTable(Level level) {
     // Variable shift (srlv) and byte-granular gather arrive with AVX2;
     // SSE2 and NEON keep the scalar unpack.
     t.unpack_bits = &UnpackBitsAvx2;
+    // The 64-bit compare (cmpgt_epi64) arrives with SSE4.2 and 4-wide
+    // lanes with AVX2; SSE2 and NEON run the four-lane scalar twin.
+    t.residual_range = &ResidualRangeAvx2;
   }
 #elif defined(LIDX_SIMD_NEON)
   if (level == Level::kNeon) {
@@ -691,6 +971,13 @@ inline void BloomHashBatch(const uint64_t* keys, size_t count, uint64_t* h1,
 inline void UnpackBits(const unsigned char* src, size_t bit_offset,
                        unsigned bits, size_t count, uint64_t* out) {
   Active().unpack_bits(src, bit_offset, bits, count, out);
+}
+
+// See ResidualExtent; `budget` bounds above + below.
+inline ResidualExtent ResidualRange(const uint64_t* x, size_t n,
+                                    const SteppedLine& line,
+                                    uint64_t budget) {
+  return Active().residual_range(x, n, line, budget);
 }
 
 }  // namespace lidx::simd

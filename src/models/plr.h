@@ -117,7 +117,9 @@ class SwingFilterBuilder {
   std::vector<PlaSegment> segments_;
 };
 
-// Convenience: segment an entire sorted key array.
+// Convenience: segment an entire sorted key array. The segments come back
+// at exact capacity: callers keep the vector as their model, and model
+// sizes count its capacity.
 template <typename Vec>
 std::vector<PlaSegment> BuildPla(const Vec& keys, double epsilon) {
   SwingFilterBuilder builder(epsilon);
@@ -128,7 +130,9 @@ std::vector<PlaSegment> BuildPla(const Vec& keys, double epsilon) {
     builder.Add(k, i);
     prev = k;
   }
-  return builder.Finish();
+  std::vector<PlaSegment> segments = builder.Finish();
+  segments.shrink_to_fit();
+  return segments;
 }
 
 // The one block loop behind every blocked builder: split [0, n) into at

@@ -220,6 +220,8 @@ class PgmIndex {
   size_t NumSegments() const {
     return levels_.empty() ? 0 : levels_[0].segments.size();
   }
+  // Segments of level l (0 = the data level); requires l < NumLevels().
+  size_t NumSegmentsAt(size_t l) const { return levels_[l].segments.size(); }
 
   size_t ModelSizeBytes() const {
     size_t total = sizeof(*this);

@@ -110,14 +110,18 @@ class DiskRun {
         n_(entries.size()),
         bloom_(std::max<size_t>(1, entries.size()),
                options.bloom_bits_per_key) {
-    std::vector<Key> keys;
-    keys.reserve(n_);
-    for (const auto& [key, entry] : entries) {
-      LIDX_DCHECK(keys.empty() || keys.back() < key);
-      keys.push_back(key);
-      bloom_.Add(static_cast<uint64_t>(key));
+    for (size_t i = 0; i < n_; ++i) {
+      LIDX_DCHECK(i == 0 || entries[i - 1].first < entries[i].first);
+      bloom_.Add(static_cast<uint64_t>(entries[i].first));
     }
-    locator_.Build(keys, options_.learned_epsilon, options_.build_threads);
+    // The model trains on the entries' keys in place.
+    struct KeyView {
+      const std::vector<std::pair<Key, RunEntry<Value>>>* entries;
+      size_t size() const { return entries->size(); }
+      const Key& operator[](size_t i) const { return (*entries)[i].first; }
+    };
+    locator_.Build(KeyView{&entries}, options_.learned_epsilon,
+                   options_.build_threads);
     pages_.reserve((n_ + kRecordsPerPage - 1) / kRecordsPerPage);
     fence_keys_.reserve(pages_.capacity());
     std::vector<uint64_t> first_ranks;

@@ -142,6 +142,9 @@ class PackedLine {
   // pred_i; requires i < n.
   uint64_t At(size_t i) const { return Apply(Split(i).first); }
 
+  // The line in the form simd::ResidualRange walks.
+  simd::SteppedLine Steps() const { return {base_, q_, r_, d_, negative_}; }
+
   // Walks pred_i, pred_i+1, ... stepping the quotient and the remainder.
   class Cursor;
   Cursor CursorAt(size_t i) const;  // Requires i < n.
@@ -241,49 +244,36 @@ struct ColumnPlan {
   bool ok = false;
 };
 
-// Fits the predictor over column elements get(0..n) and measures the
-// residual range. Residuals are exact 128-bit differences, so the extremes
-// of the uint64_t domain stay exact; the predictor steps along its
-// PackedLine, so no record pays a division. The plan fails as soon as the
-// running residual range needs more than `max_bits` bits: the page could
-// not hold the column, and the rest of the scan cannot narrow the range.
-template <typename Get>
-inline ColumnPlan PlanColumn(Get&& get, size_t n, bool use_slope,
+// Fits the predictor over col[0..n) and measures the residual range with
+// the dispatched simd::ResidualRange kernel, which walks the predictor's
+// PackedLine without a division and returns the exact largest residual on
+// each side of it. The plan fails when the span or the residual minimum
+// lies outside its int64 field, or when the residual range needs more than
+// `max_bits` bits: the page could not hold the column, and the kernel stops
+// scanning at the first block that shows it.
+inline ColumnPlan PlanColumn(const uint64_t* col, size_t n, bool use_slope,
                              unsigned max_bits = 64) {
   using I128 = __int128;
   ColumnPlan plan;
-  plan.base = get(0);
+  plan.base = col[0];
   if (use_slope && n > 1) {
     const I128 span =
-        static_cast<I128>(get(n - 1)) - static_cast<I128>(plan.base);
+        static_cast<I128>(col[n - 1]) - static_cast<I128>(plan.base);
     if (span > std::numeric_limits<int64_t>::max() ||
         span < std::numeric_limits<int64_t>::min()) {
       return plan;
     }
     plan.span = static_cast<int64_t>(span);
   }
-  const I128 max_range =
-      max_bits >= 64 ? static_cast<I128>(std::numeric_limits<uint64_t>::max())
-                     : (I128{1} << max_bits) - 1;
-  PackedLine::Cursor pred = PackedLine(plan.base, plan.span, n).CursorAt(0);
-  I128 rmin = 0;  // Residual 0 is x_0 - pred_0.
-  I128 rmax = 0;
-  for (size_t i = 1; i < n; ++i) {
-    pred.Next();
-    const I128 r = static_cast<I128>(get(i)) - static_cast<I128>(pred.value());
-    if (r < rmin) {
-      rmin = r;
-    } else if (r > rmax) {
-      rmax = r;
-    } else {
-      continue;
-    }
-    if (rmax - rmin > max_range) return plan;
-  }
-  if (rmin < std::numeric_limits<int64_t>::min()) return plan;
-  plan.res_min = static_cast<int64_t>(rmin);
-  plan.bits = static_cast<unsigned>(
-      std::bit_width(static_cast<uint64_t>(rmax - rmin)));
+  const uint64_t budget =
+      max_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << max_bits) - 1;
+  const simd::ResidualExtent range = simd::ResidualRange(
+      col, n, PackedLine(plan.base, plan.span, n).Steps(), budget);
+  // The minimum residual is -below (residual 0 is x_0 - pred_0).
+  if (!range.within || range.below > uint64_t{1} << 63) return plan;
+  plan.res_min = static_cast<int64_t>(uint64_t{0} - range.below);
+  plan.bits =
+      static_cast<unsigned>(std::bit_width(range.above + range.below));
   plan.ok = true;
   return plan;
 }
@@ -298,7 +288,6 @@ inline size_t PackedPayloadBytes(size_t m, unsigned key_bits,
 
 namespace codec_detail {
 
-template <typename Key, typename Value>
 struct PackedFit {
   size_t m = 0;
   ColumnPlan keys;
@@ -307,12 +296,12 @@ struct PackedFit {
   size_t bytes = 0;  // Payload bytes used, slack excluded.
 };
 
-// Plans a packed encoding of the first m entries; nullopt when it cannot
-// fit (or cannot be represented).
-template <typename Key, typename Value>
-std::optional<PackedFit<Key, Value>> TryFit(
-    const std::pair<Key, RunEntry<Value>>* entries, size_t m, bool slope) {
-  PackedFit<Key, Value> fit;
+// Plans a packed encoding of the first m records of the key and value
+// columns; nullopt when it cannot fit (or cannot be represented).
+inline std::optional<PackedFit> TryFit(const uint64_t* keys,
+                                       const uint64_t* vals, size_t m,
+                                       bool tombstones, bool slope) {
+  PackedFit fit;
   fit.m = m;
   // Stream bits the page has room for once the header and slack are paid;
   // each column's plan gives up when its residual width alone exceeds what
@@ -323,28 +312,74 @@ std::optional<PackedFit<Key, Value>> TryFit(
     return static_cast<unsigned>(
         std::min<size_t>(64, (kStreamBits - used_bits) / m));
   };
-  fit.keys = PlanColumn(
-      [&](size_t i) { return static_cast<uint64_t>(entries[i].first); }, m,
-      slope, bits_left(0));
+  fit.keys = PlanColumn(keys, m, slope, bits_left(0));
   if (!fit.keys.ok) return std::nullopt;
-  fit.vals = PlanColumn(
-      [&](size_t i) {
-        return static_cast<uint64_t>(entries[i].second.value);
-      },
-      m, slope, bits_left(8 * ((m * fit.keys.bits + 7) / 8)));
+  fit.vals = PlanColumn(vals, m, slope,
+                        bits_left(8 * ((m * fit.keys.bits + 7) / 8)));
   if (!fit.vals.ok) return std::nullopt;
-  fit.tombstones = false;
-  for (size_t i = 0; i < m; ++i) {
-    if (entries[i].second.deleted) {
-      fit.tombstones = true;
-      break;
-    }
-  }
+  fit.tombstones = tombstones;
   const size_t with_slack = PackedPayloadBytes(m, fit.keys.bits,
                                                fit.vals.bits, fit.tombstones);
   if (with_slack > kPagePayloadSize) return std::nullopt;
   fit.bytes = with_slack - kCodecSlackBytes;
   return fit;
+}
+
+// The trial fits' input: a page's candidate keys and values as two
+// contiguous columns. One per thread, reused across pages, so no trial
+// allocates.
+struct PageColumns {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> vals;
+};
+
+inline PageColumns& ThreadPageColumns() {
+  thread_local PageColumns columns;
+  return columns;
+}
+
+// LSB-first writer of consecutive fixed-width fields, field i at bit
+// i * bits of the stream (PackBits's layout), built in a 64-bit accumulator
+// and stored a word at a time. Flush stores only the bytes the last fields
+// reach, so the stream after this one is left as it was.
+class BitWriter {
+ public:
+  explicit BitWriter(unsigned char* dst) : dst_(dst) {}
+
+  // Appends `value`, which must be below 2^bits.
+  void Put(uint64_t value, unsigned bits) {
+    LIDX_DCHECK(bits >= 64 || value >> bits == 0);
+    if (bits == 0) return;
+    acc_ |= value << fill_;
+    fill_ += bits;
+    if (fill_ < 64) return;
+    std::memcpy(dst_, &acc_, sizeof(acc_));
+    dst_ += sizeof(acc_);
+    fill_ -= 64;
+    acc_ = fill_ == 0 ? 0 : value >> (bits - fill_);
+  }
+
+  void Flush() { std::memcpy(dst_, &acc_, (fill_ + 7) / 8); }
+
+ private:
+  unsigned char* dst_;
+  uint64_t acc_ = 0;
+  unsigned fill_ = 0;  // Bits of acc_ in use, < 64.
+};
+
+// Writes col[0..m)'s residual fields against the plan's line to `dst`:
+// field = x_i - pred_i - res_min, taken mod 2^64, which the plan proved
+// lies in [0, 2^bits).
+inline void PackColumn(const uint64_t* col, size_t m, const ColumnPlan& plan,
+                       unsigned char* dst) {
+  if (plan.bits == 0) return;
+  BitWriter out(dst);
+  PackedLine::Cursor pred = PackedLine(plan.base, plan.span, m).CursorAt(0);
+  const uint64_t res_min = static_cast<uint64_t>(plan.res_min);
+  for (size_t i = 0; i < m; ++i, pred.Next()) {
+    out.Put(col[i] - pred.value() - res_min, plan.bits);
+  }
+  out.Flush();
 }
 
 }  // namespace codec_detail
@@ -383,21 +418,44 @@ size_t EncodeDataPage(const std::pair<Key, RunEntry<Value>>* entries,
   if constexpr (!kPackableRecord<Key, Value>) {
     return write_plain();
   } else {
-    using Fit = codec_detail::PackedFit<Key, Value>;
+    using codec_detail::PackedFit;
     const bool slope = requested == PageCodec::kDelta;
     const size_t cap = std::min(n, kMaxPageRecords);
+    // The trials read the rows once: each copies into the columns only the
+    // records past the largest earlier trial, and the same pass finds the
+    // first tombstone.
+    codec_detail::PageColumns& cols = codec_detail::ThreadPageColumns();
+    size_t copied = 0;
+    size_t first_tombstone = cap;
+    const auto try_fit = [&](size_t m) {
+      if (cols.keys.size() < m) {
+        cols.keys.resize(m);
+        cols.vals.resize(m);
+      }
+      // Locals, so the column stores cannot alias the loop state.
+      uint64_t* keys = cols.keys.data();
+      uint64_t* vals = cols.vals.data();
+      size_t tombstone = first_tombstone;
+      for (size_t i = copied; i < m; ++i) {
+        keys[i] = static_cast<uint64_t>(entries[i].first);
+        vals[i] = static_cast<uint64_t>(entries[i].second.value);
+        if (entries[i].second.deleted && tombstone == cap) tombstone = i;
+      }
+      copied = std::max(copied, m);
+      first_tombstone = tombstone;
+      return codec_detail::TryFit(keys, vals, m, first_tombstone < m, slope);
+    };
     // Find a (near-)maximal prefix that packs into one page: gallop up by
     // doubling while feasible, then binary-search the boundary. Residual
     // widths are not strictly monotone in m (the kDelta slope refits), so
     // this is a greedy heuristic — every probe is re-planned from scratch
     // and only verified fits are kept.
-    std::optional<Fit> best;
+    std::optional<PackedFit> best;
     size_t probe = 1;
     while (probe <= cap) {
-      std::optional<Fit> f =
-          codec_detail::TryFit<Key, Value>(entries, probe, slope);
+      std::optional<PackedFit> f = try_fit(probe);
       if (!f.has_value()) break;
-      best = std::move(f);
+      best = f;
       if (probe == cap) break;
       probe = std::min(cap, probe * 2);
     }
@@ -406,10 +464,9 @@ size_t EncodeDataPage(const std::pair<Key, RunEntry<Value>>* entries,
       size_t hi = std::min(cap, best->m * 2);
       while (lo <= hi) {
         const size_t mid = lo + (hi - lo) / 2;
-        std::optional<Fit> f =
-            codec_detail::TryFit<Key, Value>(entries, mid, slope);
+        std::optional<PackedFit> f = try_fit(mid);
         if (f.has_value()) {
-          best = std::move(f);
+          best = f;
           lo = mid + 1;
         } else {
           hi = mid - 1;
@@ -418,7 +475,7 @@ size_t EncodeDataPage(const std::pair<Key, RunEntry<Value>>* entries,
     }
     if (!best.has_value() || best->m <= take_plain) return write_plain();
 
-    const Fit& fit = *best;
+    const PackedFit& fit = *best;
     const size_t m = fit.m;
     PackedPayloadHeader ph;
     ph.key_base = fit.keys.base;
@@ -435,22 +492,12 @@ size_t EncodeDataPage(const std::pair<Key, RunEntry<Value>>* entries,
     const size_t keys_off = sizeof(PackedPayloadHeader);
     const size_t vals_off = keys_off + (m * fit.keys.bits + 7) / 8;
     const size_t tomb_off = vals_off + (m * fit.vals.bits + 7) / 8;
-    // field = x_i - pred_i - res_min, taken mod 2^64: the plan proved it
-    // lies in [0, 2^bits).
-    PackedLine::Cursor kpred =
-        PackedLine(fit.keys.base, fit.keys.span, m).CursorAt(0);
-    PackedLine::Cursor vpred =
-        PackedLine(fit.vals.base, fit.vals.span, m).CursorAt(0);
-    for (size_t i = 0; i < m; ++i, kpred.Next(), vpred.Next()) {
-      const uint64_t kres = static_cast<uint64_t>(entries[i].first) -
-                            kpred.value() -
-                            static_cast<uint64_t>(fit.keys.res_min);
-      PackBits(payload + keys_off, i * fit.keys.bits, fit.keys.bits, kres);
-      const uint64_t vres = static_cast<uint64_t>(entries[i].second.value) -
-                            vpred.value() -
-                            static_cast<uint64_t>(fit.vals.res_min);
-      PackBits(payload + vals_off, i * fit.vals.bits, fit.vals.bits, vres);
-      if (fit.tombstones && entries[i].second.deleted) {
+    codec_detail::PackColumn(cols.keys.data(), m, fit.keys,
+                             payload + keys_off);
+    codec_detail::PackColumn(cols.vals.data(), m, fit.vals,
+                             payload + vals_off);
+    for (size_t i = first_tombstone; i < m; ++i) {
+      if (entries[i].second.deleted) {
         unsigned char* b = payload + tomb_off + (i >> 3);
         *b = static_cast<unsigned char>(*b | (1u << (i & 7)));
       }

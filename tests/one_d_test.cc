@@ -219,6 +219,25 @@ TEST(PgmTest, MultiLevelStructure) {
   CheckLookups(index, keys, 149);
 }
 
+// A fixed seed's level layout, and a model size that counts each level's
+// segments and first keys at exact capacity: no growth slack.
+TEST(PgmTest, LevelSegmentCountsPinnedAndModelSizeCountsNoSlack) {
+  const auto keys = GenerateKeys(KeyDistribution::kLognormal, 200000, 163);
+  PgmIndex<uint64_t, uint64_t>::Options opts;
+  opts.epsilon = 8;
+  opts.epsilon_internal = 2;
+  PgmIndex<uint64_t, uint64_t> index;
+  index.Build(keys, Ranks(keys.size()), opts);
+  const std::vector<size_t> want = {1033, 23};
+  ASSERT_EQ(index.NumLevels(), want.size());
+  size_t bytes = sizeof(index);
+  for (size_t l = 0; l < want.size(); ++l) {
+    EXPECT_EQ(index.NumSegmentsAt(l), want[l]) << "level " << l;
+    bytes += index.NumSegmentsAt(l) * (sizeof(PlaSegment) + sizeof(double));
+  }
+  EXPECT_EQ(index.ModelSizeBytes(), bytes);
+}
+
 TEST(PgmTest, AdversarialKeysStillCorrect) {
   const auto keys = GenerateKeys(KeyDistribution::kAdversarial, 30000, 151);
   PgmIndex<uint64_t, uint64_t> index;

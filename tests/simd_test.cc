@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -737,6 +738,137 @@ TEST(SimdKernelTest, UnpackBitsMatchesScalarAtEveryLevel) {
         for (size_t i = 0; i < count; ++i) {
           ASSERT_EQ(out[i], scalar_out[i])
               << simd::LevelName(level) << " bits=" << bits << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+
+// ----- Kernel-level fuzz: residual range against a stepped line -----------
+
+// The 128-bit definition of ResidualExtent: pred_i = base ± (q i + floor(r i
+// / d)) mod 2^64, exact residuals, and {0, 0, false} past the budget.
+simd::ResidualExtent ReferenceResidualRange(const std::vector<uint64_t>& x,
+                                            const simd::SteppedLine& line,
+                                            uint64_t budget) {
+  using U128 = unsigned __int128;
+  using I128 = __int128;
+  I128 above = 0;
+  I128 below = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const uint64_t offset = static_cast<uint64_t>(
+        static_cast<U128>(line.q) * i + static_cast<U128>(line.r) * i / line.d);
+    const uint64_t pred =
+        line.negative ? line.base - offset : line.base + offset;
+    const I128 res = static_cast<I128>(x[i]) - static_cast<I128>(pred);
+    above = std::max(above, res);
+    below = std::max(below, -res);
+  }
+  if (above + below > static_cast<I128>(budget)) return {};
+  return {static_cast<uint64_t>(above), static_cast<uint64_t>(below), true};
+}
+
+void ExpectSameExtent(const simd::ResidualExtent& got,
+                      const simd::ResidualExtent& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.within, want.within) << what;
+  ASSERT_EQ(got.above, want.above) << what;
+  ASSERT_EQ(got.below, want.below) << what;
+}
+
+// Lines of every slope sign and remainder, over columns whose residuals
+// range from 0 to the full 64 bits (the AVX2 kernel holds magnitudes up to
+// 2^61 and hands wider columns to the scalar twin), with
+// the widest residual at the front, on a 64-record block seam or in the
+// tail, and budgets at, just below and far from the column's range.
+TEST(SimdKernelTest, ResidualRangeMatchesScalarAtEveryLevel) {
+  LevelGuard guard;
+  std::mt19937_64 rng(31337);
+  const uint64_t kWidths[] = {0, 1, 7, 31, 33, 60, 61, 62, 63, 64};
+  std::vector<size_t> lengths = {0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65,
+                                 127, 128, 129, 200, 1000, 65535};
+  for (int extra = 0; extra < 40; ++extra) lengths.push_back(rng() % 700);
+  for (int c = 0; c < 1500; ++c) {
+    const size_t n = lengths[c % lengths.size()];
+    if (n == 65535 && c % 5 != 0) continue;
+    simd::SteppedLine line;
+    line.d = 1 + rng() % 65534;
+    line.r = c % 7 == 0 ? 0 : rng() % line.d;
+    line.q = c % 3 == 0 ? rng() % 1000 : (c % 3 == 1 ? rng() >> 20 : rng());
+    line.negative = c % 2 == 1;
+    line.base = c % 11 == 0 ? 0 : (c % 11 == 1 ? ~uint64_t{0} : rng());
+    const uint64_t width = kWidths[rng() % std::size(kWidths)];
+    const uint64_t noise_mask =
+        width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    std::vector<uint64_t> x(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t offset = static_cast<uint64_t>(
+          static_cast<unsigned __int128>(line.q) * i +
+          static_cast<unsigned __int128>(line.r) * i / line.d);
+      const uint64_t pred =
+          line.negative ? line.base - offset : line.base + offset;
+      // Small residuals everywhere, one wide one where the case puts it.
+      x[i] = pred + (rng() % 16) - 8;
+      if (c % 13 == 0) x[i] = i % 2 == 0 ? rng() % 100 : ~uint64_t{0} - i;
+    }
+    if (n > 0) {
+      const size_t spikes[] = {0, std::min<size_t>(64, n - 1), n - 1,
+                               static_cast<size_t>(rng() % n)};
+      const size_t at = spikes[c % 4];
+      const uint64_t mag = rng() & noise_mask;
+      x[at] = (c / 4) % 2 == 0 ? x[at] + mag : x[at] - mag;
+    }
+    const simd::ResidualExtent full =
+        ReferenceResidualRange(x, line, ~uint64_t{0});
+    std::vector<uint64_t> budgets = {~uint64_t{0}, 0, rng() >> (rng() % 64)};
+    if (full.within) {
+      const uint64_t range = full.above + full.below;
+      budgets.push_back(range);
+      if (range > 0) budgets.push_back(range - 1);
+    }
+    for (const uint64_t budget : budgets) {
+      const simd::ResidualExtent want =
+          ReferenceResidualRange(x, line, budget);
+      const std::string what = "case " + std::to_string(c) + " n " +
+                               std::to_string(n) + " budget " +
+                               std::to_string(budget);
+      ExpectSameExtent(simd::ResidualRangeScalar(x.data(), n, line, budget),
+                       want, "scalar " + what);
+      for (simd::Level level : RunnableLevels()) {
+        simd::SetLevel(level);
+        ExpectSameExtent(simd::ResidualRange(x.data(), n, line, budget), want,
+                         std::string(simd::LevelName(level)) + " " + what);
+      }
+    }
+  }
+}
+
+// The AVX2 lanes' edge: residuals of magnitude around 2^61 (the widest
+// the lanes hold) and up to 2^63, where a lane value would no longer be an
+// ordered double, on either side of a flat line, alone and together.
+TEST(SimdKernelTest, ResidualRangeAtTheAvx2LaneEdge) {
+  LevelGuard guard;
+  const uint64_t base = uint64_t{1} << 62;
+  const uint64_t edge = uint64_t{1} << 61;
+  for (const size_t n : {size_t{8}, size_t{64}, size_t{100}}) {
+    for (const uint64_t mag :
+         {edge - 1, edge, edge + 1, 2 * edge - (uint64_t{1} << 52),
+          2 * edge - 1, 2 * edge, 4 * edge - 1, 4 * edge}) {
+      for (const int side : {1, -1, 0}) {
+        std::vector<uint64_t> x(n, base);
+        x[n / 2] = side >= 0 ? base + mag : base - mag;
+        if (side == 0) x[n - 1] = base - mag;
+        const simd::SteppedLine line{base, 0, 0, 1, false};
+        const simd::ResidualExtent want =
+            ReferenceResidualRange(x, line, ~uint64_t{0});
+        for (simd::Level level : RunnableLevels()) {
+          simd::SetLevel(level);
+          ExpectSameExtent(
+              simd::ResidualRange(x.data(), n, line, ~uint64_t{0}), want,
+              std::string(simd::LevelName(level)) + " n " +
+                  std::to_string(n) + " mag " + std::to_string(mag) +
+                  " side " + std::to_string(side));
         }
       }
     }

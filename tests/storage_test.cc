@@ -588,31 +588,112 @@ std::vector<uint64_t> ArithmeticColumn(Rng* rng, size_t n, int shape) {
 }
 
 TEST(PageCodecArithmeticTest, SteppedPlanMatchesThe128BitPlan) {
-  Rng rng(4711);
-  for (int c = 0; c < 3000; ++c) {
-    const int shape = c % 6;
-    const size_t max_n = c % 100 == 0 ? kMaxPageRecords : 600;
-    const size_t n = 1 + rng.NextBounded(max_n);
-    const std::vector<uint64_t> col = ArithmeticColumn(&rng, n, shape);
-    for (const bool slope : {false, true}) {
-      const ColumnPlan want = Reference128Plan(col, slope);
-      const ColumnPlan got =
-          PlanColumn([&](size_t i) { return col[i]; }, n, slope);
-      ASSERT_EQ(got.ok, want.ok) << "case " << c << " slope " << slope;
-      if (!want.ok) continue;
-      EXPECT_EQ(got.base, want.base) << "case " << c;
-      EXPECT_EQ(got.span, want.span) << "case " << c;
-      EXPECT_EQ(got.res_min, want.res_min) << "case " << c;
-      EXPECT_EQ(got.bits, want.bits) << "case " << c;
-      // A bit budget fails the plan exactly when the width exceeds it.
-      const unsigned below = want.bits > 0 ? want.bits - 1 : 0;
-      for (const unsigned budget : {0u, below, want.bits}) {
-        const ColumnPlan capped =
-            PlanColumn([&](size_t i) { return col[i]; }, n, slope, budget);
-        EXPECT_EQ(capped.ok, want.bits <= budget)
-            << "case " << c << " budget " << budget;
-        if (capped.ok) {
-          EXPECT_EQ(capped.bits, want.bits);
+  LevelGuard guard;
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    Rng rng(4711);
+    for (int c = 0; c < 3000; ++c) {
+      const int shape = c % 6;
+      const size_t max_n = c % 100 == 0 ? kMaxPageRecords : 600;
+      const size_t n = 1 + rng.NextBounded(max_n);
+      const std::vector<uint64_t> col = ArithmeticColumn(&rng, n, shape);
+      for (const bool slope : {false, true}) {
+        const ColumnPlan want = Reference128Plan(col, slope);
+        const ColumnPlan got = PlanColumn(col.data(), n, slope);
+        ASSERT_EQ(got.ok, want.ok)
+            << simd::LevelName(level) << " case " << c << " slope " << slope;
+        if (!want.ok) continue;
+        EXPECT_EQ(got.base, want.base) << "case " << c;
+        EXPECT_EQ(got.span, want.span) << "case " << c;
+        EXPECT_EQ(got.res_min, want.res_min) << "case " << c;
+        EXPECT_EQ(got.bits, want.bits) << "case " << c;
+        // A bit budget fails the plan exactly when the width exceeds it.
+        const unsigned below = want.bits > 0 ? want.bits - 1 : 0;
+        for (const unsigned budget : {0u, below, want.bits}) {
+          const ColumnPlan capped = PlanColumn(col.data(), n, slope, budget);
+          EXPECT_EQ(capped.ok, want.bits <= budget)
+              << simd::LevelName(level) << " case " << c << " budget "
+              << budget;
+          if (capped.ok) {
+            EXPECT_EQ(capped.bits, want.bits);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every field of two plans, failed ones included: a failed plan keeps its
+// base and span and reports res_min 0 and bits 0.
+void ExpectSamePlan(const ColumnPlan& got, const ColumnPlan& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.ok, want.ok) << what;
+  EXPECT_EQ(got.base, want.base) << what;
+  EXPECT_EQ(got.span, want.span) << what;
+  EXPECT_EQ(got.res_min, want.res_min) << what;
+  EXPECT_EQ(got.bits, want.bits) << what;
+}
+
+// Lengths that end inside a kernel stride or block, and columns whose
+// widest residual sits at the start, at a block seam or in the last few
+// records, on rising, falling and flat lines pressed against 0 and
+// 2^64 - 1. Each plan is checked at budgets bits - 1 and bits.
+TEST(PageCodecArithmeticTest, PlanMatchesThe128BitPlanOnEdgeColumns) {
+  LevelGuard guard;
+  std::vector<size_t> lengths = {kMaxPageRecords};
+  for (size_t n = 1; n <= 20; ++n) lengths.push_back(n);
+  for (const size_t n : {63, 64, 65, 71, 127, 128, 129, 1001, 4099}) {
+    lengths.push_back(n);
+  }
+  Rng rng(8128);
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    for (const size_t n : lengths) {
+      for (int shape = 0; shape < 6; ++shape) {
+        std::vector<uint64_t> col(n);
+        for (size_t i = 0; i < n; ++i) {
+          switch (shape) {
+            case 0:  // Rising from 0.
+              col[i] = 3 * i + rng.NextBounded(4);
+              break;
+            case 1:  // Falling from 2^64 - 1.
+              col[i] = kU64Max - 5 * i - rng.NextBounded(8);
+              break;
+            case 2:  // Falling to 0.
+              col[i] = 7 * (n - 1 - i) + rng.NextBounded(3);
+              break;
+            case 3:  // Flat at 2^64 - 1 with dips.
+              col[i] = kU64Max - (i % 3 == 1 ? rng.NextBounded(1000) : 0);
+              break;
+            case 4:  // Flat at 0 with bumps.
+              col[i] = i % 5 == 2 ? rng.NextBounded(1u << 20) : 0;
+              break;
+            default:  // Rising near 2^63 across the sign bit.
+              col[i] = (uint64_t{1} << 63) - 40 * n + 80 * i +
+                       rng.NextBounded(16);
+              break;
+          }
+        }
+        // The widest residual at the front, at the first block seam, in
+        // the last record.
+        for (const size_t at : {size_t{1}, size_t{64}, n - 1}) {
+          std::vector<uint64_t> spiked = col;
+          if (at < n) spiked[at] ^= uint64_t{1} << 40;
+          for (const bool slope : {false, true}) {
+            const ColumnPlan want = Reference128Plan(spiked, slope);
+            const std::string what =
+                std::string(simd::LevelName(level)) + " n " +
+                std::to_string(n) + " shape " + std::to_string(shape) +
+                " spike " + std::to_string(at) + " slope " +
+                std::to_string(slope);
+            ExpectSamePlan(PlanColumn(spiked.data(), n, slope), want, what);
+            if (!want.ok || want.bits == 0) continue;
+            EXPECT_FALSE(
+                PlanColumn(spiked.data(), n, slope, want.bits - 1).ok)
+                << what;
+            ExpectSamePlan(PlanColumn(spiked.data(), n, slope, want.bits),
+                           want, what);
+          }
         }
       }
     }
@@ -620,20 +701,31 @@ TEST(PageCodecArithmeticTest, SteppedPlanMatchesThe128BitPlan) {
 }
 
 TEST(PageCodecArithmeticTest, PlanRejectsSpansAndResidualsOutsideTheFields) {
-  // A span past int64 fails the slope plan; the flat plan of the same
-  // column needs all 64 bits and still fits its field.
-  const std::vector<uint64_t> wide = {0, kU64Max / 2, kU64Max};
-  EXPECT_FALSE(Reference128Plan(wide, true).ok);
-  EXPECT_FALSE(PlanColumn([&](size_t i) { return wide[i]; }, 3, true).ok);
-  const ColumnPlan flat =
-      PlanColumn([&](size_t i) { return wide[i]; }, 3, false);
-  ASSERT_TRUE(flat.ok);
-  EXPECT_EQ(flat.bits, 64u);
-  // A dip from 2^64 - 1 to 0 and back: the flat plan's residual minimum,
-  // -(2^64 - 1), lies below int64, so the plan fails.
-  const std::vector<uint64_t> dip = {kU64Max, 0, kU64Max};
-  EXPECT_FALSE(Reference128Plan(dip, false).ok);
-  EXPECT_FALSE(PlanColumn([&](size_t i) { return dip[i]; }, 3, false).ok);
+  LevelGuard guard;
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    // A span past int64 fails the slope plan; the flat plan of the same
+    // column needs all 64 bits and still fits its field.
+    const std::vector<uint64_t> wide = {0, kU64Max / 2, kU64Max};
+    EXPECT_FALSE(Reference128Plan(wide, true).ok);
+    EXPECT_FALSE(PlanColumn(wide.data(), 3, true).ok);
+    const ColumnPlan flat = PlanColumn(wide.data(), 3, false);
+    ASSERT_TRUE(flat.ok) << simd::LevelName(level);
+    EXPECT_EQ(flat.bits, 64u);
+    // A dip from 2^64 - 1 to 0 and back: the flat plan's residual minimum,
+    // -(2^64 - 1), lies below int64, so the plan fails.
+    const std::vector<uint64_t> dip = {kU64Max, 0, kU64Max};
+    EXPECT_FALSE(Reference128Plan(dip, false).ok);
+    EXPECT_FALSE(PlanColumn(dip.data(), 3, false).ok);
+    // The same dip to 2^63 - 1 leaves a minimum of exactly -2^63, which
+    // still fits.
+    const std::vector<uint64_t> half_dip = {kU64Max, kU64Max / 2, kU64Max};
+    const ColumnPlan edge = PlanColumn(half_dip.data(), 3, false);
+    ExpectSamePlan(edge, Reference128Plan(half_dip, false),
+                   simd::LevelName(level));
+    EXPECT_TRUE(edge.ok);
+    EXPECT_EQ(edge.res_min, kI64Min);
+  }
 }
 
 // ----- Page bytes pinned: the on-disk format does not drift -----
@@ -736,20 +828,33 @@ GoldenDigest EncodeGoldenRun(
   return d;
 }
 
+// The encoder's residual kernel runs at the active dispatch level, so the
+// pinned bytes are checked at every level.
 TEST(PageCodecGoldenTest, DeltaRunBytesArePinned) {
-  const GoldenDigest d = EncodeGoldenRun(GoldenEntries(), PageCodec::kDelta);
-  EXPECT_EQ(d.pages, 60u);
-  EXPECT_EQ(d.plain_pages, 42u);
-  EXPECT_EQ(d.bytes_hash, 0xA6D68046E9F5C076ull);
-  EXPECT_EQ(d.crc_hash, 0x7879475C92BD5EB0ull);
+  LevelGuard guard;
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    SCOPED_TRACE(simd::LevelName(level));
+    const GoldenDigest d =
+        EncodeGoldenRun(GoldenEntries(), PageCodec::kDelta);
+    EXPECT_EQ(d.pages, 60u);
+    EXPECT_EQ(d.plain_pages, 42u);
+    EXPECT_EQ(d.bytes_hash, 0xA6D68046E9F5C076ull);
+    EXPECT_EQ(d.crc_hash, 0x7879475C92BD5EB0ull);
+  }
 }
 
 TEST(PageCodecGoldenTest, ForRunBytesArePinned) {
-  const GoldenDigest d = EncodeGoldenRun(GoldenEntries(), PageCodec::kFor);
-  EXPECT_EQ(d.pages, 57u);
-  EXPECT_EQ(d.plain_pages, 11u);
-  EXPECT_EQ(d.bytes_hash, 0x937CABD465F2A60Dull);
-  EXPECT_EQ(d.crc_hash, 0xFA09F91B161C9044ull);
+  LevelGuard guard;
+  for (simd::Level level : RunnableLevels()) {
+    simd::SetLevel(level);
+    SCOPED_TRACE(simd::LevelName(level));
+    const GoldenDigest d = EncodeGoldenRun(GoldenEntries(), PageCodec::kFor);
+    EXPECT_EQ(d.pages, 57u);
+    EXPECT_EQ(d.plain_pages, 11u);
+    EXPECT_EQ(d.bytes_hash, 0x937CABD465F2A60Dull);
+    EXPECT_EQ(d.crc_hash, 0xFA09F91B161C9044ull);
+  }
 }
 
 TEST(PageChecksumTest, FixedPageChecksumIsPinned) {
